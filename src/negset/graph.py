@@ -39,7 +39,7 @@ class SignedGraph:
     well-formed simple signed graph.
     """
 
-    __slots__ = ("_n", "_signs", "_adj", "_hash")
+    __slots__ = ("_n", "_signs", "_adj", "_hash", "_rows", "_positive_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         if n < 0:
@@ -63,6 +63,8 @@ class SignedGraph:
         self._signs = signs
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self._hash: int | None = None
+        self._rows: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._positive_rows: tuple[tuple[int, ...], ...] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -123,11 +125,35 @@ class SignedGraph:
         self._check_vertex(v)
         return len(self._adj[v])
 
+    def signed_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex ``(neighbour, sign)`` pairs in neighbour order.
+
+        The signed adjacency every hot path reads; built on first use and
+        kept, since the graph is immutable.
+        """
+        if self._rows is None:
+            rows: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
+            for (u, v), s in self._signs.items():
+                rows[u].append((v, s))
+                rows[v].append((u, s))
+            self._rows = tuple(tuple(sorted(row)) for row in rows)
+        return self._rows
+
+    def positive_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex positive neighbours in order, derived from :meth:`signed_rows`."""
+        if self._positive_rows is None:
+            self._positive_rows = tuple(
+                tuple(w for w, s in row if s == POS) for row in self.signed_rows()
+            )
+        return self._positive_rows
+
     def positive_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w in self.neighbors(v) if self._signs[edge_key(v, w)] == POS)
+        self._check_vertex(v)
+        return self.positive_rows()[v]
 
     def negative_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w in self.neighbors(v) if self._signs[edge_key(v, w)] == NEG)
+        self._check_vertex(v)
+        return tuple(w for w, s in self.signed_rows()[v] if s == NEG)
 
     def positive_degree(self, v: int) -> int:
         return len(self.positive_neighbors(v))
@@ -182,24 +208,32 @@ class SignedGraph:
         enumerates exactly the negation sets of the graph.
         """
         xs = as_vertex_set(self, x)
-        return SignedGraph(
-            self._n,
-            [
-                (u, v, -s if (u in xs) != (v in xs) else s)
-                for (u, v), s in self._signs.items()
-            ],
+        return self._resigned(
+            {e: -s if (e[0] in xs) != (e[1] in xs) else s for e, s in self._signs.items()}
         )
 
     def negate_edges(self, y: "EdgeSubset | Iterable[Edge]") -> "SignedGraph":
         """Flip the signs of exactly the edges in ``y``."""
         ys = as_edge_set(self, y)
-        return SignedGraph(
-            self._n,
-            [(u, v, -s if (u, v) in ys else s) for (u, v), s in self._signs.items()],
-        )
+        return self._resigned({e: -s if e in ys else s for e, s in self._signs.items()})
 
     def negate_all(self) -> "SignedGraph":
-        return SignedGraph(self._n, [(u, v, -s) for (u, v), s in self._signs.items()])
+        return self._resigned({e: -s for e, s in self._signs.items()})
+
+    def _resigned(self, signs: dict[Edge, int]) -> "SignedGraph":
+        """Same underlying graph with new signs on the same keys.
+
+        The edges were validated when this graph was built, so the result
+        shares the (immutable) adjacency instead of re-running ``__init__``.
+        """
+        g = object.__new__(SignedGraph)
+        g._n = self._n
+        g._signs = signs
+        g._adj = self._adj
+        g._hash = None
+        g._rows = None
+        g._positive_rows = None
+        return g
 
     def circle_sign(self, cycle: Sequence[int]) -> int:
         """Product of edge signs around a closed vertex cycle.
@@ -478,9 +512,10 @@ def as_edge_set(g: SignedGraph, y: "EdgeSubset | Iterable[Edge]") -> frozenset[E
             raise HostMismatchError("edge subset belongs to a different graph")
         return y.edges
     ys = frozenset(edge_key(*e) for e in y)
-    for u, v in ys:
-        if not g.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge of the host graph")
+    if not g._signs.keys() >= ys:
+        for u, v in ys:
+            if not g.has_edge(u, v):
+                raise ValueError(f"({u}, {v}) is not an edge of the host graph")
     return ys
 
 

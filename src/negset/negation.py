@@ -23,6 +23,7 @@ Three constructions live here:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -113,35 +114,42 @@ def negative_circles(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
     """All circles of the negative subgraph, canonical and sorted.
 
     Canonical form: the cycle starts at its smallest vertex and runs toward
-    the smaller of its two neighbors on the cycle.  Exhaustive enumeration —
-    meant for the small graphs this package targets.
+    the smaller of its two neighbors on the cycle.  The enumeration is
+    exhaustive, so its output can be exponential in the graph size: it is
+    for tests and the oracle only.  The acyclic construction searches the
+    negative 2-core instead.
     """
-    adj = {v: g.negative_neighbors(v) for v in range(g.n)}
-    return _enumerate_circles(range(g.n), lambda v: adj[v])
+    return _enumerate_circles(range(g.n), g.negative_neighbors)
 
 
 def _enumerate_circles(verts: Iterable[int], nbrs) -> tuple[tuple[int, ...], ...]:
     found: list[tuple[int, ...]] = []
     for root in sorted(verts):
         # simple cycles whose smallest vertex is the root, each reported in a
-        # single direction by requiring second vertex < last vertex
+        # single direction by requiring second vertex < last vertex; an
+        # explicit stack of neighbor iterators keeps deep paths off the
+        # interpreter's call stack
         path = [root]
         on_path = {root}
-
-        def extend() -> None:
-            u = path[-1]
-            for w in sorted(nbrs(u)):
-                if w == root and len(path) >= 3 and path[1] < path[-1]:
-                    found.append(tuple(path))
+        stack = [iter(sorted(nbrs(root)))]
+        while stack:
+            for w in stack[-1]:
+                if w == root:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        found.append(tuple(path))
                 elif w > root and w not in on_path:
                     path.append(w)
                     on_path.add(w)
-                    extend()
-                    on_path.discard(w)
-                    path.pop()
+                    stack.append(iter(sorted(nbrs(w))))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+    return tuple(sorted(found, key=_circle_order))
 
-        extend()
-    return tuple(sorted(found, key=lambda c: (tuple(sorted(c)), c)))
+
+def _circle_order(circle: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(sorted(circle)), circle
 
 
 def find_fully_negative_circle(g: SignedGraph) -> tuple[int, ...] | None:
@@ -210,43 +218,47 @@ class _Work:
     ``switch`` flips all host edges at a vertex (active or not), so the final
     signs always equal the host switched by the accumulated vertex set.  The
     degree/neighbor queries are restricted to the active vertex set, which
-    grows as peeled layers are reattached.
+    grows as peeled layers are reattached.  ``rows[v]`` lists v's host
+    neighbors in order, each with the key of the joining edge in ``sign``.
     """
 
-    __slots__ = ("host", "sign", "active", "switched")
+    __slots__ = ("host", "rows", "sign", "active", "switched")
 
     def __init__(self, host: SignedGraph):
         self.host = host
-        self.sign = {edge_key(u, v): s for u, v, s in host.edges()}
+        self.sign: dict[tuple[int, int], int] = {}
+        rows: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(host.n)]
+        # lexicographic edges append every row in ascending neighbor order
+        for u, v, s in host.edges():
+            e = (u, v)
+            self.sign[e] = s
+            rows[u].append((v, e))
+            rows[v].append((u, e))
+        self.rows = tuple(tuple(row) for row in rows)
         self.active: set[int] = set()
         self.switched: set[int] = set()
 
     def switch(self, v: int) -> None:
         self.switched ^= {v}
-        for w in self.host.neighbors(v):
-            e = edge_key(v, w)
-            self.sign[e] = -self.sign[e]
+        sign = self.sign
+        for _, e in self.rows[v]:
+            sign[e] = -sign[e]
 
     def switch_all(self, vs: Iterable[int]) -> None:
         for v in sorted(set(vs)):
             self.switch(v)
 
     def neighbors(self, v: int) -> list[int]:
-        return [w for w in self.host.neighbors(v) if w in self.active]
+        active = self.active
+        return [w for w, _ in self.rows[v] if w in active]
 
     def neg_neighbors(self, v: int) -> list[int]:
-        return [
-            w
-            for w in self.host.neighbors(v)
-            if w in self.active and self.sign[edge_key(v, w)] == NEG
-        ]
+        active, sign = self.active, self.sign
+        return [w for w, e in self.rows[v] if w in active and sign[e] == NEG]
 
     def pos_neighbors(self, v: int) -> list[int]:
-        return [
-            w
-            for w in self.host.neighbors(v)
-            if w in self.active and self.sign[edge_key(v, w)] == POS
-        ]
+        active, sign = self.active, self.sign
+        return [w for w, e in self.rows[v] if w in active and sign[e] == POS]
 
     def neg_degree(self, v: int) -> int:
         return len(self.neg_neighbors(v))
@@ -257,15 +269,84 @@ class _Work:
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.active and v in self.active and self.host.has_edge(u, v)
 
+    def negative_edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(e for e, s in self.sign.items() if s == NEG)
+
     def snapshot(self) -> SignedGraph:
-        return SignedGraph(
-            self.host.n, [(u, v, self.sign[(u, v)]) for u, v in self.host.edge_pairs()]
-        )
+        return SignedGraph(self.host.n, [(u, v, s) for (u, v), s in self.sign.items()])
+
+
+def _sweep(w: _Work, verts: Iterable[int], threshold: int) -> list[int]:
+    """Switch the smallest vertex of negative degree >= threshold until none is left.
+
+    Returns the switched vertices in order.  A switch changes negative
+    degrees only at the switched vertex and its neighbors, so a min-heap
+    that holds every violator (plus stale entries, dropped when popped) and
+    takes back just those vertices picks the same vertex as rescanning
+    ``verts`` for the smallest violator after every switch, at O(log n) per
+    switch instead of O(|verts|).
+    """
+    members = set(verts)
+    heap = [v for v in sorted(members) if w.neg_degree(v) >= threshold]
+    switched: list[int] = []
+    while heap:
+        v = heapq.heappop(heap)
+        if w.neg_degree(v) < threshold:
+            continue
+        w.switch(v)
+        switched.append(v)
+        for x in (v, *(x for x, _ in w.rows[v])):
+            if x in members and w.neg_degree(x) >= threshold:
+                heapq.heappush(heap, x)
+    return switched
 
 
 def _work_circles(w: _Work, verts: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    vs = [v for v in verts if v in w.active]
-    return _enumerate_circles(vs, w.neg_neighbors)
+    """Every fully negative circle through the active ``verts``, canonical and sorted.
+
+    ``verts`` must be closed under active adjacency (a component).  Circles
+    live in the 2-core of the negative subgraph, so vertices of negative
+    degree below two are peeled first.  A 2-regular core is a disjoint union
+    of cycles, each read off by one walk; a core vertex of negative degree
+    three or more falls back to the exhaustive enumerator on the core alone.
+    Either way the result equals ``_enumerate_circles`` on all of ``verts``.
+    """
+    core = _negative_core(w, verts)
+    if any(len(nbrs) > 2 for nbrs in core.values()):
+        return _enumerate_circles(core, core.__getitem__)
+    circles = []
+    seen: set[int] = set()
+    for root in sorted(core):
+        if root in seen:
+            continue
+        # root is the cycle's smallest vertex; walk toward its smaller neighbor
+        seen.add(root)
+        circle = [root]
+        prev, cur = root, min(core[root])
+        while cur != root:
+            seen.add(cur)
+            circle.append(cur)
+            a, b = core[cur]
+            prev, cur = cur, b if a == prev else a
+        circles.append(tuple(circle))
+    return tuple(sorted(circles, key=_circle_order))
+
+
+def _negative_core(w: _Work, verts: Iterable[int]) -> dict[int, list[int]]:
+    """The 2-core of the negative subgraph on the active ``verts``, as adjacency lists."""
+    nbrs = {v: w.neg_neighbors(v) for v in verts if v in w.active}
+    degree = {v: len(a) for v, a in nbrs.items()}
+    peel = [v for v, d in degree.items() if d < 2]
+    removed = set(peel)
+    for v in peel:
+        for x in nbrs[v]:
+            degree[x] -= 1
+            if degree[x] == 1:
+                removed.add(x)
+                peel.append(x)
+    return {
+        v: [x for x in a if x not in removed] for v, a in nbrs.items() if v not in removed
+    }
 
 
 class _Tracer:
@@ -349,22 +430,21 @@ class _Action:
     shift_data: tuple[int, int, int, int] | None = None  # adjacent shared pair
 
 
-def _neg_component_ids(w: _Work, comp: Sequence[int]) -> dict[int, int]:
-    ids: dict[int, int] = {}
-    nxt = 0
-    for root in sorted(comp):
-        if root in ids or root not in w.active:
-            continue
-        ids[root] = nxt
-        stack = [root]
+def _negative_label(w: _Work, labels: dict[int, int], v: int) -> int:
+    """Label of v's negative component, labelling that component on first query.
+
+    A component is labelled by the vertex it was first queried through, so
+    only the components actually asked about are ever searched.
+    """
+    if v not in labels:
+        labels[v] = v
+        stack = [v]
         while stack:
-            u = stack.pop()
-            for x in w.neg_neighbors(u):
-                if x not in ids:
-                    ids[x] = nxt
+            for x in w.neg_neighbors(stack.pop()):
+                if x not in labels:
+                    labels[x] = v
                     stack.append(x)
-        nxt += 1
-    return ids
+    return labels[v]
 
 
 def _classify(w: _Work, comp: Sequence[int], circle: tuple[int, ...]) -> _Action | None:
@@ -391,12 +471,12 @@ def _classify(w: _Work, comp: Sequence[int], circle: tuple[int, ...]) -> _Action
 
     # a circle vertex whose positive neighbors sit in different components of
     # the negative subgraph: switching it cannot close a new circle
-    ncomp = _neg_component_ids(w, comp)
+    labels: dict[int, int] = {}
     pos_of = {v: w.pos_neighbors(v) for v in sorted(cset)}
     for v in sorted(cset):
         pns = pos_of[v]
         assert len(pns) == 2, "core circle vertex must have exactly two positive edges"
-        if ncomp[pns[0]] != ncomp[pns[1]]:
+        if _negative_label(w, labels, pns[0]) != _negative_label(w, labels, pns[1]):
             return _Action("split-positive-neighbors", (v,), True)
 
     # positive neighbors of the circle with negative degree zero or >= two
@@ -481,11 +561,7 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> N
     _component_k5_check(w, comp)
 
     # grind every negative degree down to two before touching circles
-    while True:
-        v = min((u for u in comp if w.neg_degree(u) >= 3), default=None)
-        if v is None:
-            break
-        w.switch(v)
+    for v in _sweep(w, comp, 3):
         tracer.record_sweep("preprocess", v)
     assert all(w.neg_degree(u) <= 2 for u in comp)
 
@@ -714,18 +790,31 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
 
     for batch in reversed(batches):
         w.active |= batch
-        while True:
-            v = min((u for u in batch if w.neg_degree(u) >= 2), default=None)
-            if v is None:
-                break
-            w.switch(v)
+        for v in _sweep(w, batch, 2):
             tracer.record_sweep("reattach", v)
 
-    final = w.snapshot()
-    negation = final.negative_edges()
+    negation = w.negative_edges()
     switching = frozenset(w.switched)
     assert g.switch(switching).negative_edges() == negation
     assert is_negation_set(g, negation)
-    assert not negative_circles(final), "negative subgraph still contains a circle"
+    assert _is_forest(g.n, negation), "negative subgraph still contains a circle"
     stats = AcyclicStats(tracer.passes, tuple(tracer.entries) if trace else None)
     return AcyclicResult(EdgeSubset(g, negation), VertexSubset(g, switching), stats)
+
+
+def _is_forest(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Union-find cycle test: whether ``edges`` on vertices ``0..n-1`` form a forest."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True

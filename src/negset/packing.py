@@ -175,16 +175,16 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
 
 def _positive_distances(g: SignedGraph, sources: Iterable[int]) -> list[float]:
     """Multi-source BFS distances in the positive subgraph."""
+    positive = g.positive_rows()
     dist: list[float] = [math.inf] * g.n
-    queue: deque[int] = deque()
-    for s in sorted(set(sources)):
+    queue = sorted(set(sources))
+    for s in queue:
         dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for w in g.positive_neighbors(u):
+    for u in queue:
+        step = dist[u] + 1
+        for w in positive[u]:
             if dist[w] == math.inf:
-                dist[w] = dist[u] + 1
+                dist[w] = step
                 queue.append(w)
     return dist
 
@@ -255,34 +255,38 @@ def _contracted_pair_distances(
     shortest path between them.
     """
     flat = classes.flat()
-    node_of: dict[int, int] = {}
+    node_of = [-1] * g.n
     for idx, cls in enumerate(flat):
         for v in cls:
             node_of[v] = idx
     count = len(flat)
     for v in g.vertices():
-        if v not in node_of:
+        if node_of[v] < 0:
             node_of[v] = count
             count += 1
     adjacency: list[set[int]] = [set() for _ in range(count)]
-    for u, v in g.positive_edges():
-        a, b = node_of[u], node_of[v]
-        if a != b:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    out: list[float] = []
-    for i in range(classes.m):
-        dist: list[float] = [math.inf] * count
-        dist[2 * i] = 0
-        queue = deque([2 * i])
-        while queue:
-            x = queue.popleft()
-            for y in adjacency[x]:
-                if dist[y] == math.inf:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        out.append(dist[2 * i + 1])
-    return tuple(out)
+    for u, row in enumerate(g.positive_rows()):
+        a = node_of[u]
+        for v in row:
+            if node_of[v] != a:
+                adjacency[a].add(node_of[v])
+    return tuple(_bfs_distance(adjacency, 2 * i, 2 * i + 1) for i in range(classes.m))
+
+
+def _bfs_distance(adjacency: list[set[int]], source: int, target: int) -> float:
+    """Breadth-first distance, stopping as soon as ``target`` is reached."""
+    dist: list[float] = [math.inf] * len(adjacency)
+    dist[source] = 0
+    queue = [source]
+    for x in queue:
+        step = dist[x] + 1
+        for y in adjacency[x]:
+            if dist[y] == math.inf:
+                if y == target:
+                    return step
+                dist[y] = step
+                queue.append(y)
+    return dist[target]
 
 
 _EXACT_SEARCH_BITS = 20
@@ -306,11 +310,21 @@ def _exact_packing(
     """
     flat = classes.flat()
     in_class = frozenset().union(*flat)
+    positive = g.positive_rows()
+    seen = [False] * g.n
     free: list[int] = []
-    for comp in g.positive_subgraph().connected_components():
-        members = set(comp)
-        if members & in_class:
-            free.extend(sorted(members - in_class))
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for u in comp:
+            for w in positive[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        if not in_class.isdisjoint(comp):
+            free.extend(v for v in comp if v not in in_class)
     free.sort()
 
     bits = (classes.m - 1) + len(free)

@@ -1,0 +1,124 @@
+"""The signed-adjacency hot paths against the slower code they replace.
+
+* The acyclic construction's circle search reads the negative 2-core and
+  must return exactly the tuple the exhaustive enumerator gives on the whole
+  active set.
+* Its heap sweeps must switch the same vertices, in the same order, as
+  rescanning for the smallest violator after every switch (kept here as the
+  reference).
+* ``is_negation_set`` decides without building graphs and must agree with
+  the graph-building definition, and so must ``is_minimal``, which uses it.
+* Long negative corridors must not overflow the interpreter's call stack.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from negset import (
+    NEG,
+    POS,
+    SignedGraph,
+    acyclic_negation,
+    is_balanced,
+    is_minimal,
+    is_negation_set,
+)
+from negset.graph import cycle_graph, edge_key
+from negset.negation import (
+    _enumerate_circles,
+    _sweep,
+    _Work,
+    _work_circles,
+    negative_circles,
+)
+
+from conftest import subquartic_signed_graphs
+
+
+def work_on(g: SignedGraph, switched) -> _Work:
+    w = _Work(g)
+    w.active |= set(range(g.n))
+    w.switch_all(switched)
+    return w
+
+
+def reference_sweep(w: _Work, verts, threshold: int) -> list[int]:
+    """The rescan the heap sweep replaces: smallest violator, every time."""
+    order = []
+    while True:
+        v = min((u for u in verts if w.neg_degree(u) >= threshold), default=None)
+        if v is None:
+            return order
+        w.switch(v)
+        order.append(v)
+
+
+signings = st.tuples(
+    subquartic_signed_graphs(min_n=3, max_n=14), st.sets(st.integers(0, 13))
+).map(lambda t: (t[0], {v for v in t[1] if v < t[0].n}))
+
+
+@given(signings)
+def test_core_circle_search_matches_the_enumerator(case):
+    g, switched = case
+    w = work_on(g, switched)
+    everything = range(g.n)
+    assert _work_circles(w, everything) == _enumerate_circles(everything, w.neg_neighbors)
+    # after the preprocess sweep every negative degree is at most two, so
+    # the core is 2-regular and its cycles are walked directly
+    _sweep(w, everything, 3)
+    assert _work_circles(w, everything) == _enumerate_circles(everything, w.neg_neighbors)
+
+
+@given(signings, st.data())
+def test_heap_sweep_switches_like_the_rescan(case, data):
+    g, switched = case
+    fast, slow = work_on(g, switched), work_on(g, switched)
+    everything = range(g.n)
+    assert _sweep(fast, everything, 3) == reference_sweep(slow, everything, 3)
+    assert fast.sign == slow.sign
+    # threshold two terminates on vertices of degree at most three, the
+    # peeled layers the reattach sweep works on
+    low = [v for v in everything if g.degree(v) <= 3]
+    batch = data.draw(st.sets(st.sampled_from(low)) if low else st.just(set()))
+    assert _sweep(fast, batch, 2) == reference_sweep(slow, batch, 2)
+    assert fast.sign == slow.sign
+
+
+@given(signings, st.data())
+def test_build_free_checks_match_their_definitions(case, data):
+    g, switched = case
+    pairs = sorted(g.edge_pairs())
+    b = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    product_balanced = is_balanced(g.negate_edges(b))
+    assert is_negation_set(g, b) == product_balanced
+    if product_balanced:
+        rest = SignedGraph(g.n, [(u, v, s) for u, v, s in g.edges() if (u, v) not in b])
+        assert is_minimal(g, b) == rest.is_connected()
+    negation = g.switch(switched).negative_edges()
+    assert is_negation_set(g, negation)
+
+
+def corridor_circulant(n: int, closed: bool) -> SignedGraph:
+    """C_n(1, 2) whose negative edges form the Hamiltonian path (or cycle) i ~ i+1."""
+    negative = {(i, i + 1) for i in range(n - 1)}
+    if closed:
+        negative.add((0, n - 1))
+    pairs = sorted({edge_key(i, (i + d) % n) for i in range(n) for d in (1, 2)})
+    return SignedGraph(n, [(u, v, NEG if (u, v) in negative else POS) for u, v in pairs])
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_long_negative_corridor_does_not_overflow(closed):
+    g = corridor_circulant(1200, closed)
+    result = acyclic_negation(g)
+    assert g.switch(result.switching.vertices).negative_edges() == result.negation_set.edges
+    forest = SignedGraph(g.n, [(u, v, NEG) for u, v in result.negation_set.edges])
+    assert len(result.negation_set) == g.n - len(forest.connected_components())
+
+
+def test_enumerator_walks_a_long_circle_iteratively():
+    assert negative_circles(cycle_graph(1200, NEG)) == (tuple(range(1200)),)
