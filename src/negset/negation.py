@@ -269,9 +269,6 @@ class _Work:
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.active and v in self.active and self.host.has_edge(u, v)
 
-    def negative_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(e for e, s in self.sign.items() if s == NEG)
-
     def snapshot(self) -> SignedGraph:
         return SignedGraph(self.host.n, [(u, v, s) for (u, v), s in self.sign.items()])
 
@@ -793,7 +790,7 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
         for v in _sweep(w, batch, 2):
             tracer.record_sweep("reattach", v)
 
-    negation = w.negative_edges()
+    negation = frozenset(e for e, s in w.sign.items() if s == NEG)
     switching = frozenset(w.switched)
     assert g.switch(switching).negative_edges() == negation
     assert is_negation_set(g, negation)

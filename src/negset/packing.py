@@ -310,21 +310,11 @@ def _exact_packing(
     """
     flat = classes.flat()
     in_class = frozenset().union(*flat)
-    positive = g.positive_rows()
-    seen = [False] * g.n
     free: list[int] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        for u in comp:
-            for w in positive[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        if not in_class.isdisjoint(comp):
-            free.extend(v for v in comp if v not in in_class)
+    for comp in g.positive_subgraph().connected_components():
+        members = set(comp)
+        if members & in_class:
+            free.extend(sorted(members - in_class))
     free.sort()
 
     bits = (classes.m - 1) + len(free)
