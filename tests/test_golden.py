@@ -31,6 +31,10 @@ CASES = {
     "acyclic-subquartic26": ("acyclic", "subquartic26", ["--trace"]),
     "packing-scan": ("packing", "packing-scan", []),
     "packing-mixed": ("packing", "packing-mixed", []),
+    "packing-disconnected": ("packing", "packing-disconnected", []),
+    "packing-odd-negative": ("packing", "packing-odd-negative", []),
+    "frustration-disconnected": ("frustration", "frustration-disconnected", []),
+    "acyclic-core-and-peel": ("acyclic", "core-and-peel", ["--trace"]),
     "balance-late": ("balance", "check400-late", []),
     "balance-balanced": ("balance", "check400-balanced", []),
     "negation-check-ball-cut": ("negation-check", "check400-late", ["--edges", BALL_CUT]),
