@@ -26,7 +26,6 @@ from .graph import (
     VertexSubset,
     as_edge_set,
     as_vertex_set,
-    edge_key,
 )
 
 
@@ -177,8 +176,3 @@ def switching_for_negation_set(
     got = g.switch(x).negative_edges()
     assert got == bs, "switching reconstruction failed"
     return VertexSubset(g, x)
-
-
-def edge_subset(g: SignedGraph, pairs: Iterable[Edge]) -> EdgeSubset:
-    """Convenience wrapper: normalize and host-check a plain pair iterable."""
-    return EdgeSubset(g, frozenset(edge_key(*e) for e in pairs))

@@ -209,11 +209,6 @@ def _component_views(g: SignedGraph):
 
 
 def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
-    if is_balanced(g):
-        raise PreconditionError(
-            "the graph is balanced: every cut is a negation set, and packing "
-            "them is the cut-packing problem, which this solver does not attempt"
-        )
     sections = []
     report.data["components"] = sections
     for view in _component_views(g):
@@ -251,6 +246,11 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
             )
         if result.distance is not None:
             report.say(f"  realizing distance: {result.distance}")
+    if all(section["balanced"] for section in sections):
+        raise PreconditionError(
+            "the graph is balanced: every cut is a negation set, and packing "
+            "them is the cut-packing problem, which this solver does not attempt"
+        )
     return EXIT_HOLDS
 
 

@@ -39,13 +39,12 @@ class SignedGraph:
     well-formed simple signed graph.
     """
 
-    __slots__ = ("_n", "_signs", "_adj", "_hash", "_rows", "_positive_rows")
+    __slots__ = ("_n", "_signs", "_hash", "_rows", "_positive_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         signs: dict[Edge, int] = {}
-        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v, s in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
@@ -57,11 +56,8 @@ class SignedGraph:
             if e in signs:
                 raise ValueError(f"parallel edge ({u}, {v})")
             signs[e] = s
-            adj[u].append(v)
-            adj[v].append(u)
         self._n = n
         self._signs = signs
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self._hash: int | None = None
         self._rows: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._positive_rows: tuple[tuple[int, ...], ...] | None = None
@@ -90,10 +86,6 @@ class SignedGraph:
         return self._n
 
     @property
-    def vertex_count(self) -> int:
-        return self._n
-
-    @property
     def edge_count(self) -> int:
         return len(self._signs)
 
@@ -119,17 +111,17 @@ class SignedGraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._adj[v]
+        return tuple(w for w, _ in self.signed_rows()[v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return len(self.signed_rows()[v])
 
     def signed_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex ``(neighbour, sign)`` pairs in neighbour order.
 
-        The signed adjacency every hot path reads; built on first use and
-        kept, since the graph is immutable.
+        The graph's one adjacency, which every neighbourhood query reads;
+        built on first use and kept, since the graph is immutable.
         """
         if self._rows is None:
             rows: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
@@ -155,20 +147,8 @@ class SignedGraph:
         self._check_vertex(v)
         return tuple(w for w, s in self.signed_rows()[v] if s == NEG)
 
-    def positive_degree(self, v: int) -> int:
-        return len(self.positive_neighbors(v))
-
-    def negative_degree(self, v: int) -> int:
-        return len(self.negative_neighbors(v))
-
-    def degrees(self, v: int) -> tuple[int, int, int]:
-        """``(d, d_plus, d_minus)`` for vertex v."""
-        d_minus = self.negative_degree(v)
-        d = self.degree(v)
-        return d, d - d_minus, d_minus
-
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max(map(len, self.signed_rows()), default=0)
 
     def positive_edges(self) -> frozenset[Edge]:
         return frozenset(e for e, s in self._signs.items() if s == POS)
@@ -224,12 +204,11 @@ class SignedGraph:
         """Same underlying graph with new signs on the same keys.
 
         The edges were validated when this graph was built, so the result
-        shares the (immutable) adjacency instead of re-running ``__init__``.
+        skips ``__init__``; its signed rows are built on first use.
         """
         g = object.__new__(SignedGraph)
         g._n = self._n
         g._signs = signs
-        g._adj = self._adj
         g._hash = None
         g._rows = None
         g._positive_rows = None
@@ -267,11 +246,6 @@ class SignedGraph:
             self._n, [(u, v, s) for (u, v), s in self._signs.items() if s == NEG]
         )
 
-    def edge_induced_negative(self) -> "InducedSubgraph":
-        """Negative subgraph with isolated vertices dropped (indices remapped)."""
-        touched = sorted({w for e, s in self._signs.items() if s == NEG for w in e})
-        return self.induced(touched)
-
     def induced(self, vertices: Iterable[int]) -> "InducedSubgraph":
         """Subgraph induced on ``vertices``, reindexed densely.
 
@@ -300,6 +274,7 @@ class SignedGraph:
 
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         """Vertex sets of the components, each sorted, ordered by smallest vertex."""
+        rows = self.signed_rows()
         seen = [False] * self._n
         comps = []
         for root in range(self._n):
@@ -310,7 +285,7 @@ class SignedGraph:
             stack = [root]
             while stack:
                 u = stack.pop()
-                for w in self._adj[u]:
+                for w, _ in rows[u]:
                     if not seen[w]:
                         seen[w] = True
                         comp.append(w)
@@ -320,73 +295,6 @@ class SignedGraph:
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
-
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """2-connected blocks as vertex sets (cut vertices appear in several).
-
-        A bridge forms a 2-vertex block; an isolated vertex forms a singleton
-        block.  Standard lowpoint computation, iterative to dodge recursion
-        limits.
-        """
-        n = self._n
-        disc = [-1] * n
-        low = [0] * n
-        blocks: list[frozenset[int]] = []
-        edge_stack: list[Edge] = []
-        timer = 0
-        for root in range(n):
-            if disc[root] != -1:
-                continue
-            if not self._adj[root]:
-                blocks.append(frozenset([root]))
-                continue
-            # (vertex, parent, neighbor iterator)
-            stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(self._adj[root]))]
-            disc[root] = low[root] = timer
-            timer += 1
-            while stack:
-                u, parent, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if w == parent:
-                        continue
-                    if disc[w] == -1:
-                        edge_stack.append((u, w))
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, u, iter(self._adj[w])))
-                        advanced = True
-                        break
-                    if disc[w] < disc[u]:
-                        edge_stack.append((u, w))
-                        low[u] = min(low[u], disc[w])
-                if advanced:
-                    continue
-                stack.pop()
-                if stack:
-                    pu = stack[-1][0]
-                    low[pu] = min(low[pu], low[u])
-                    if low[u] >= disc[pu]:
-                        members = set()
-                        while edge_stack:
-                            a, b = edge_stack[-1]
-                            if disc[a] < disc[u] and a != pu:
-                                break
-                            edge_stack.pop()
-                            members.add(a)
-                            members.add(b)
-                            if (a, b) == (pu, u):
-                                break
-                        if members:
-                            blocks.append(frozenset(members))
-        return tuple(blocks)
-
-    def cut_vertices(self) -> frozenset[int]:
-        count: dict[int, int] = {}
-        for blk in self.blocks():
-            for v in blk:
-                count[v] = count.get(v, 0) + 1
-        return frozenset(v for v, c in count.items() if c > 1)
 
     # -- cores -------------------------------------------------------------------
 
@@ -400,8 +308,9 @@ class SignedGraph:
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
+        rows = self.signed_rows()
         alive = set(range(self._n))
-        deg = {v: len(self._adj[v]) for v in alive}
+        deg = {v: len(rows[v]) for v in alive}
         batches: list[frozenset[int]] = []
         while True:
             batch = frozenset(v for v in alive if deg[v] < k)
@@ -410,7 +319,7 @@ class SignedGraph:
             batches.append(batch)
             alive -= batch
             for v in batch:
-                for w in self._adj[v]:
+                for w, _ in rows[v]:
                     if w in alive:
                         deg[w] -= 1
         return self.induced(alive), tuple(batches)
@@ -478,18 +387,11 @@ class InducedSubgraph:
     graph: SignedGraph
     to_host: tuple[int, ...]
 
-    def host_vertex(self, v: int) -> int:
-        return self.to_host[v]
-
     def host_vertices(self, vs: Iterable[int]) -> frozenset[int]:
         return frozenset(self.to_host[v] for v in vs)
 
     def host_edge(self, e: Edge) -> Edge:
         return edge_key(self.to_host[e[0]], self.to_host[e[1]])
-
-    @property
-    def from_host(self) -> dict[int, int]:
-        return {h: i for i, h in enumerate(self.to_host)}
 
 
 def as_vertex_set(g: SignedGraph, x: "VertexSubset | Iterable[int]") -> frozenset[int]:

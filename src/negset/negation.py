@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .balance import check_balance, is_balanced, is_negation_set
@@ -152,31 +153,6 @@ def _circle_order(circle: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(sorted(circle)), circle
 
 
-def find_fully_negative_circle(g: SignedGraph) -> tuple[int, ...] | None:
-    """Deterministically chosen circle of the negative subgraph, or None."""
-    circles = negative_circles(g)
-    return circles[0] if circles else None
-
-
-def fully_negative_path_exists(g: SignedGraph, u: int, v: int) -> bool:
-    """Whether u and v are joined by a path of negative edges (u == v counts)."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex outside host range")
-    if u == v:
-        return True
-    seen = {u}
-    stack = [u]
-    while stack:
-        a = stack.pop()
-        for b in g.negative_neighbors(a):
-            if b == v:
-                return True
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return False
-
-
 # -- acyclic negation sets for maximum degree four -------------------------------
 
 
@@ -184,18 +160,16 @@ def fully_negative_path_exists(g: SignedGraph, u: int, v: int) -> bool:
 class TraceEntry:
     """One rewrite of the construction, as captured by ``trace=True``.
 
-    ``circles_before``/``circles_after`` count fully negative circles in the
-    component being worked on (main phase only).  Entries with ``strict`` set
-    are the documented strictly-decreasing rewrites.
+    Entries with ``strict`` set are the documented rewrites that strictly
+    reduce the number of fully negative circles in the 4-core.  Replaying
+    every entry's ``switched`` set, in order, on the input reproduces the
+    construction's signs after each rewrite.
     """
 
     phase: str  # "preprocess" | "main" | "reattach"
     label: str
     switched: tuple[int, ...]
     circle: tuple[int, ...] | None
-    component: tuple[int, ...] | None
-    circles_before: int | None
-    circles_after: int | None
     strict: bool
 
 
@@ -228,12 +202,16 @@ class _Work:
         self.host = host
         self.sign: dict[tuple[int, int], int] = {}
         rows: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(host.n)]
-        # lexicographic edges append every row in ascending neighbor order
-        for u, v, s in host.edges():
-            e = (u, v)
-            self.sign[e] = s
-            rows[u].append((v, e))
-            rows[v].append((u, e))
+        # u ascends and each signed row is in neighbour order, so every row
+        # is appended in ascending neighbour order; both rows of an edge
+        # share one key object
+        for u, signed in enumerate(host.signed_rows()):
+            for v, s in signed:
+                if u < v:
+                    e = (u, v)
+                    self.sign[e] = s
+                    rows[u].append((v, e))
+                    rows[v].append((u, e))
         self.rows = tuple(tuple(row) for row in rows)
         self.active: set[int] = set()
         self.switched: set[int] = set()
@@ -268,9 +246,6 @@ class _Work:
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.active and v in self.active and self.host.has_edge(u, v)
-
-    def snapshot(self) -> SignedGraph:
-        return SignedGraph(self.host.n, [(u, v, s) for (u, v), s in self.sign.items()])
 
 
 def _sweep(w: _Work, verts: Iterable[int], threshold: int) -> list[int]:
@@ -351,38 +326,16 @@ class _Tracer:
         self.enabled = enabled
         self.entries: list[TraceEntry] = []
         self.passes = 0
-        self._component: tuple[int, ...] | None = None
-        self._before: int | None = None
 
-    def begin_pass(self, w: _Work, comp: tuple[int, ...]) -> None:
-        self.passes += 1
+    def record_pass(self, label, switched, circle, strict) -> None:
         if self.enabled:
-            self._component = comp
-            self._before = len(_work_circles(w, comp))
-
-    def record_pass(self, w, label, switched, circle, strict) -> None:
-        if not self.enabled:
-            return
-        assert self._component is not None
-        after = len(_work_circles(w, self._component))
-        self.entries.append(
-            TraceEntry(
-                "main",
-                label,
-                tuple(sorted(switched)),
-                circle,
-                self._component,
-                self._before,
-                after,
-                strict,
+            self.entries.append(
+                TraceEntry("main", label, tuple(sorted(switched)), circle, strict)
             )
-        )
 
     def record_sweep(self, phase: str, v: int) -> None:
         if self.enabled:
-            self.entries.append(
-                TraceEntry(phase, phase, (v,), None, None, None, None, False)
-            )
+            self.entries.append(TraceEntry(phase, phase, (v,), None, False))
 
 
 def _find_circle(w: _Work, verts: Iterable[int]) -> tuple[int, ...] | None:
@@ -547,10 +500,22 @@ def _derive_replacement(w: _Work, v: int) -> tuple[tuple[int, ...] | None, int |
 
 
 def _component_k5_check(w: _Work, comp: tuple[int, ...]) -> None:
+    """Raise :class:`MinusK5Detected` when ``comp`` is switching-equivalent to -K5.
+
+    A 5-vertex component of the 4-core is K5, since each of its vertices has
+    four neighbours inside it.  It is equivalent to -K5 when it is
+    antibalanced (negating every edge balances it).  The six triangles
+    through ``comp[0]`` span the circle space of K5, so that holds exactly
+    when each of them is negative under the current signs.
+    """
     if len(comp) != 5:
         return
-    sub = w.snapshot().induced(comp)
-    if sub.graph.edge_count == 10 and is_balanced(sub.graph.negate_all()):
+    sign = w.sign
+    hub = comp[0]
+    if all(
+        sign[edge_key(hub, a)] * sign[edge_key(hub, b)] * sign[edge_key(a, b)] == NEG
+        for a, b in combinations(comp[1:], 2)
+    ):
         raise MinusK5Detected(comp)
 
 
@@ -574,7 +539,7 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> N
         circle = preferred if preferred is not None else _find_circle(w, comp)
         if circle is None:
             return
-        tracer.begin_pass(w, comp)
+        tracer.passes += 1
         preferred = None
 
         action = _classify(w, comp, circle)
@@ -582,7 +547,7 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> N
             episode = None
             if action.shift_data is None:
                 w.switch_all(action.switched)
-                tracer.record_pass(w, action.label, action.switched, circle, action.strict)
+                tracer.record_pass(action.label, action.switched, circle, action.strict)
             else:
                 preferred = _apply_pair_shift(w, circle, action.shift_data, tracer)
             continue
@@ -628,9 +593,9 @@ def _apply_pair_shift(
                 raise MinusK5Detected((v1, v2, v3, v4, s))
             w.switch_all((v2, v3, v4, s))
             net = tuple(sorted({v1, v2, v4} ^ {v2, v3, v4, s}))
-            tracer.record_pass(w, "five-wheel-collapse", net, circle, True)
+            tracer.record_pass("five-wheel-collapse", net, circle, True)
             return None
-    tracer.record_pass(w, "shared-pair-shift", (v1, v2, v4), circle, False)
+    tracer.record_pass("shared-pair-shift", (v1, v2, v4), circle, False)
     return triangle
 
 
@@ -655,7 +620,7 @@ def _case_three(
         assert on_path, "marched circle lost the connecting path"
         if on_path[-1] == len(episode.path) - 1:
             # the circle swallowed the far endpoint; restart from scratch
-            tracer.record_pass(w, "march-degenerate", (), circle, False)
+            tracer.record_pass("march-degenerate", (), circle, False)
             return circle, None
         contact = min(
             (z for z in circle if w.has_edge(z, wn) and w.edge_sign(z, wn) == POS),
@@ -664,7 +629,7 @@ def _case_three(
         if contact is not None:
             w.switch_all((episode.far_vertex, contact, wn))
             tracer.record_pass(
-                w, "episode-finale", (episode.far_vertex, contact, wn), circle, False
+                "episode-finale", (episode.far_vertex, contact, wn), circle, False
             )
             return None, None
         i = on_path[-1]
@@ -673,17 +638,17 @@ def _case_three(
         replacement, junction = _derive_replacement(w, wi)
         if junction is not None:
             w.switch_all((wi, junction))
-            tracer.record_pass(w, "march-junction", (wi, junction), circle, True)
+            tracer.record_pass("march-junction", (wi, junction), circle, True)
             return None, None
         w.switch(wi)
-        tracer.record_pass(w, "march-advance", (wi,), circle, False)
+        tracer.record_pass("march-advance", (wi,), circle, False)
         assert replacement is not None and _still_fully_negative(w, replacement)
         return replacement, episode
 
     # new episode: first prefer any circle that still matches an earlier case
     for other in _work_circles(w, comp):
         if other != circle and _classify(w, comp, other) is not None:
-            tracer.record_pass(w, "circle-preference", (), other, False)
+            tracer.record_pass("circle-preference", (), other, False)
             return other, None
 
     # junction guard on each replacement circle
@@ -692,7 +657,7 @@ def _case_three(
         replacement, junction = _derive_replacement(w, v)
         if junction is not None:
             w.switch_all((v, junction))
-            tracer.record_pass(w, "replacement-junction", (v, junction), circle, True)
+            tracer.record_pass("replacement-junction", (v, junction), circle, True)
             return None, None
         assert replacement is not None
         replacements[v] = replacement
@@ -704,7 +669,7 @@ def _case_three(
         )
     v1, v2, path = pick
     w.switch(v1)
-    tracer.record_pass(w, "episode-start", (v1,), circle, False)
+    tracer.record_pass("episode-start", (v1,), circle, False)
     marched = replacements[v1]
     assert _still_fully_negative(w, marched)
     return marched, _Episode(v2, path)

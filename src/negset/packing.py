@@ -25,7 +25,6 @@ search over class-respecting switchings settles the answer.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -141,26 +140,20 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
     odd fully negative circle rules out any disjoint partner, so the class
     machinery never applies).
     """
-    adjacency: dict[int, list[int]] = {}
-    for u, v in sorted(g.negative_edges()):
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    if not adjacency:
-        raise PreconditionError(
-            "the graph has no negative edges; there are no classes to build"
-        )
-    color: dict[int, int] = {}
+    rows = g.signed_rows()
+    color = [-1] * g.n
     classes: list[tuple[frozenset[int], frozenset[int]]] = []
-    for root in sorted(adjacency):
-        if root in color:
+    for root in range(g.n):
+        if color[root] >= 0 or all(s == POS for _, s in rows[root]):
             continue
         color[root] = 0
-        queue = deque([root])
+        queue = [root]
         sides: tuple[list[int], list[int]] = ([root], [])
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if w not in color:
+        for u in queue:
+            for w, s in rows[u]:
+                if s == POS:
+                    continue
+                if color[w] < 0:
                     color[w] = color[u] ^ 1
                     sides[color[w]].append(w)
                     queue.append(w)
@@ -170,6 +163,10 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
                         "components have no stable bipartition"
                     )
         classes.append((frozenset(sides[0]), frozenset(sides[1])))
+    if not classes:
+        raise PreconditionError(
+            "the graph has no negative edges; there are no classes to build"
+        )
     return NegativeComponentClasses(g, tuple(classes))
 
 
@@ -402,18 +399,23 @@ def _exact_packing(
 
     family = [scan.family[0]]
     for mask in sorted(best, key=lambda c: (c.bit_count(), c)):
-        member = EdgeSubset(g, edge_bits(mask))
-        assert is_negation_set(g, member)
-        family.append(member)
-    for idx, left in enumerate(family):
-        for right in family[idx + 1 :]:
-            assert left.isdisjoint(right), "family members overlap"
+        family.append(EdgeSubset(g, edge_bits(mask)))
+    _check_family(g, family)
     return PackingResult(
         packing_number=len(best) + 1,
         family=tuple(family),
         realizing_bipartition=None,
         distance=None,
     )
+
+
+def _check_family(g: SignedGraph, family: list[EdgeSubset]) -> None:
+    """Certify a packing family: every member a negation set, no edge in two."""
+    used: set[Edge] = set()
+    for member in family:
+        assert is_negation_set(g, member)
+        assert used.isdisjoint(member.edges), "family members overlap"
+        used |= member.edges
 
 
 def packing_number(g: SignedGraph) -> PackingResult:
@@ -438,10 +440,12 @@ def packing_number(g: SignedGraph) -> PackingResult:
             "them is the cut-packing problem, which this solver does not attempt"
         )
     base = EdgeSubset(g, g.negative_edges())
-    if not is_balanced(g.negative_subgraph()):
+    try:
+        classes = negative_component_classes(g)
+    except PreconditionError:
+        # An unbalanced graph has a negative edge, so the error is an odd
+        # fully negative circle: no second disjoint negation set exists.
         return PackingResult(1, (base,), None, None)
-
-    classes = negative_component_classes(g)
     dist = class_distances(g, classes)
     ws = thresholds(dist)
     p = None
@@ -468,19 +472,16 @@ def packing_number(g: SignedGraph) -> PackingResult:
     realized = min(reach[v] for v in b2)
     assert realized == w_p, f"bipartition realizes {realized}, scan found {w_p}"
 
-    family = [base]
-    previous: frozenset[int] = frozenset()
-    for i in range(w_p):
-        layer = frozenset(v for v in g.vertices() if reach[v] <= i)
-        assert previous <= layer and b1 <= layer and layer.isdisjoint(b2)
-        previous = layer
-        member = EdgeSubset(g, g.switch(layer).negative_edges())
-        assert is_negation_set(g, member)
-        family.append(member)
-    for idx, left in enumerate(family):
-        for right in family[idx + 1 :]:
-            assert left.isdisjoint(right), "family members overlap"
-    assert len(family) == w_p + 1
+    # Member i is E⁻ switched by the layer {v : reach[v] <= i}.  Every
+    # negative edge joins b1 to b2 and so lies in that layer's cut, which
+    # leaves exactly the positive edges from distance i to distance i + 1.
+    layers: list[set[Edge]] = [set() for _ in range(w_p)]
+    for u, v in g.positive_edges():
+        low = min(reach[u], reach[v])
+        if low < w_p and reach[u] != reach[v]:
+            layers[low].add((u, v))
+    family = [base, *(EdgeSubset(g, frozenset(layer)) for layer in layers)]
+    _check_family(g, family)
     scan_result = PackingResult(
         packing_number=w_p + 1,
         family=tuple(family),

@@ -19,7 +19,6 @@ from negset import (
     switching_equivalent,
     switching_for_negation_set,
 )
-from negset.balance import edge_subset
 from negset.graph import complete_graph, cycle_graph, path_graph
 
 from conftest import connected_signed_graphs, vertex_subsets
@@ -141,14 +140,6 @@ class TestNegationSets:
         g = cycle_graph(5).negate_edges([(0, 1)])
         with pytest.raises(PreconditionError, match="not a negation set"):
             switching_for_negation_set(g, [(0, 1), (2, 3)])
-
-    def test_edge_subset_convenience_normalizes(self):
-        g = cycle_graph(4)
-        b = edge_subset(g, [(1, 0), (2, 3)])
-        assert isinstance(b, EdgeSubset)
-        assert set(b) == {(0, 1), (2, 3)}
-        with pytest.raises(ValueError):
-            edge_subset(g, [(0, 2)])
 
     def test_odd_cycle_negation_sets_have_fixed_parity(self):
         # For a signed circle, negation sets are exactly the edge subsets

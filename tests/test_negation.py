@@ -21,12 +21,8 @@ from negset import (
     is_negation_set,
 )
 from negset import oracle
-from negset.graph import complete_graph, cube_graph, cycle_graph, path_graph
-from negset.negation import (
-    find_fully_negative_circle,
-    fully_negative_path_exists,
-    negative_circles,
-)
+from negset.graph import complete_graph, cube_graph, cycle_graph
+from negset.negation import negative_circles
 
 from conftest import connected_signed_graphs, edge_set_is_bipartite, subquartic_signed_graphs
 
@@ -140,16 +136,7 @@ class TestNegativeCircles:
     def test_only_negative_edges_count(self):
         g = cycle_graph(5).negate_edges([(0, 1), (1, 2)])
         assert negative_circles(g) == ()
-        assert find_fully_negative_circle(g) is None
-        assert find_fully_negative_circle(cycle_graph(5, NEG)) == (0, 1, 2, 3, 4)
-
-    def test_fully_negative_paths(self):
-        g = path_graph(4, NEG).negate_edges([(2, 3)])  # 0-1-2 negative, 2-3 positive
-        assert fully_negative_path_exists(g, 0, 2)
-        assert not fully_negative_path_exists(g, 0, 3)
-        assert fully_negative_path_exists(g, 3, 3)
-        with pytest.raises(ValueError):
-            fully_negative_path_exists(g, 0, 9)
+        assert negative_circles(cycle_graph(5, NEG)) == ((0, 1, 2, 3, 4),)
 
 
 class TestAcyclicNegation:
@@ -209,9 +196,22 @@ class TestAcyclicNegation:
     def test_random_subquartic_sweep(self, g):
         result = acyclic_negation(g, trace=True)
         assert_valid_acyclic(g, result)
+        # Replay the trace: every strict rewrite must lower the number of
+        # fully negative circles in the 4-core.  No edge joins two core
+        # components, so the whole-core count drops exactly when the count
+        # in the component being rewritten does.
+        core = g.k_core(4)[0].to_host
+        switched: set[int] = set()
+
+        def core_circles() -> int:
+            return len(negative_circles(g.switch(switched).induced(core).graph))
+
         for entry in result.stats.trace:
+            before = core_circles() if entry.strict else None
+            switched.symmetric_difference_update(entry.switched)
             if entry.strict:
-                assert entry.circles_after < entry.circles_before
+                assert core_circles() < before
+        assert g.switch(switched).negative_edges() == result.negation_set.edges
 
     @given(subquartic_signed_graphs(max_n=12))
     def test_oracle_frustration_lower_bound(self, g):

@@ -9,9 +9,15 @@
 * ``is_negation_set`` decides without building graphs and must agree with
   the graph-building definition, and so must ``is_minimal``, which uses it.
 * Long negative corridors must not overflow the interpreter's call stack.
+* The -K5 test reads five vertices' signs in place and must agree with
+  ``is_antibalanced`` on the induced K5.
+* Tracing must not repeat the construction's circle searches.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,14 +26,18 @@ from hypothesis import strategies as st
 from negset import (
     NEG,
     POS,
+    MinusK5Detected,
     SignedGraph,
     acyclic_negation,
+    is_antibalanced,
     is_balanced,
     is_minimal,
     is_negation_set,
 )
+from negset import negation
 from negset.graph import cycle_graph, edge_key
 from negset.negation import (
+    _component_k5_check,
     _enumerate_circles,
     _sweep,
     _Work,
@@ -35,7 +45,11 @@ from negset.negation import (
     negative_circles,
 )
 
+from negset.sgio import load_path
+
 from conftest import subquartic_signed_graphs
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def work_on(g: SignedGraph, switched) -> _Work:
@@ -122,3 +136,38 @@ def test_long_negative_corridor_does_not_overflow(closed):
 
 def test_enumerator_walks_a_long_circle_iteratively():
     assert negative_circles(cycle_graph(1200, NEG)) == (tuple(range(1200)),)
+
+
+def test_k5_check_matches_antibalance_on_every_signing():
+    pairs = list(combinations(range(5), 2))
+    detected = 0
+    for mask in range(1 << len(pairs)):
+        g = SignedGraph(5, [(u, v, NEG if mask >> i & 1 else POS) for i, (u, v) in enumerate(pairs)])
+        w = work_on(g, ())
+        try:
+            _component_k5_check(w, (0, 1, 2, 3, 4))
+        except MinusK5Detected:
+            assert is_antibalanced(g)
+            detected += 1
+        else:
+            assert not is_antibalanced(g)
+    assert detected == 16  # the switchings of -K5, one per vertex subset up to complement
+
+
+@pytest.mark.parametrize("stem", ["torus12", "quartic200-negative"])
+def test_tracing_adds_no_circle_search(stem, monkeypatch):
+    g = load_path(GOLDEN / f"{stem}.sg")
+    search = negation._work_circles
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(negation, "_work_circles", counted)
+    counts = []
+    for trace in (False, True):
+        calls.clear()
+        acyclic_negation(g, trace=trace)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
