@@ -44,7 +44,6 @@ from negset.negation import (
     _work_circles,
     negative_circles,
 )
-
 from negset.sgio import load_path
 
 from conftest import subquartic_signed_graphs
@@ -143,9 +142,8 @@ def test_k5_check_matches_antibalance_on_every_signing():
     detected = 0
     for mask in range(1 << len(pairs)):
         g = SignedGraph(5, [(u, v, NEG if mask >> i & 1 else POS) for i, (u, v) in enumerate(pairs)])
-        w = work_on(g, ())
         try:
-            _component_k5_check(w, (0, 1, 2, 3, 4))
+            _component_k5_check(work_on(g, ()), (0, 1, 2, 3, 4))
         except MinusK5Detected:
             assert is_antibalanced(g)
             detected += 1
