@@ -52,6 +52,20 @@ def assert_valid_acyclic(g: SignedGraph, result) -> None:
     assert is_balanced(g.negate_edges(result.negation_set))
 
 
+def acyclic_unless_minus_k5(g: SignedGraph, **kwargs):
+    """``acyclic_negation(g)``, or ``None`` when ``g`` holds a -K5 block.
+
+    Random subquartic graphs can contain a K5 switching-equivalent to -K5,
+    which has no acyclic negation set; the refusal must name such a block.
+    """
+    try:
+        return acyclic_negation(g, **kwargs)
+    except MinusK5Detected as exc:
+        sub = g.induced(sorted(exc.vertices)).graph
+        assert sub.edge_count == 10 and is_balanced(sub.negate_all())
+        return None
+
+
 class TestDisjointPartner:
     def test_even_cycle_single_negative(self):
         g = cycle_graph(4).negate_edges([(0, 1)])
@@ -194,7 +208,9 @@ class TestAcyclicNegation:
     @given(subquartic_signed_graphs(max_n=12))
     @settings(max_examples=120)
     def test_random_subquartic_sweep(self, g):
-        result = acyclic_negation(g, trace=True)
+        result = acyclic_unless_minus_k5(g, trace=True)
+        if result is None:
+            return
         assert_valid_acyclic(g, result)
         # Replay the trace: every strict rewrite must lower the number of
         # fully negative circles in the 4-core.  No edge joins two core
@@ -215,7 +231,9 @@ class TestAcyclicNegation:
 
     @given(subquartic_signed_graphs(max_n=12))
     def test_oracle_frustration_lower_bound(self, g):
-        result = acyclic_negation(g)
+        result = acyclic_unless_minus_k5(g)
+        if result is None:
+            return
         assert len(result.negation_set) >= oracle.frustration_index(g)
 
 
