@@ -4,7 +4,16 @@ Everything here is deliberately naive: enumerate all ``2^(n-1)`` switchings
 of a small connected graph (vertex 0 pinned to break the complement
 symmetry), read off their negative edge sets, and answer questions by
 inspection.  The fast implementations elsewhere in the package are tested
-against these answers on a corpus of small graphs.
+against these answers on a corpus of small graphs, so nothing here calls
+them.
+
+A switching is held as a GF(2) mask over the edges, and each vertex has an
+incidence mask of the edges it touches: switching the vertex XORs that mask
+into the negative-edge mask.  A Gray code over vertices ``1..n-1`` changes
+one vertex per step, so the whole enumeration is ``2^(n-1)`` XORs with no
+graph built per switching.  The query functions take the finished
+enumeration as an optional ``sets`` argument, so a caller that asks several
+questions of one graph (``negset oracle-verify``) enumerates once.
 
 All entry points enforce a vertex cap (default 16) and raise
 :class:`~negset.errors.PreconditionError` beyond it rather than silently
@@ -14,10 +23,8 @@ taking forever.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from typing import Iterable, Iterator
 
-from .balance import is_balanced
 from .errors import PreconditionError
 from .graph import (
     NEG,
@@ -33,6 +40,9 @@ from .graph import (
 
 DEFAULT_MAX_N = 16
 
+#: An enumeration as returned by :func:`enumerate_negation_sets`.
+NegationSets = tuple[frozenset[Edge], ...]
+
 
 def _check_scale(g: SignedGraph, max_n: int) -> None:
     if not g.is_connected():
@@ -43,32 +53,64 @@ def _check_scale(g: SignedGraph, max_n: int) -> None:
         )
 
 
-def enumerate_negation_sets(
-    g: SignedGraph, max_n: int = DEFAULT_MAX_N
-) -> tuple[frozenset[Edge], ...]:
+def _negative_masks(g: SignedGraph, max_n: int) -> Iterator[int]:
+    """Negative-edge mask of every switching that fixes vertex 0, in Gray-code order.
+
+    Bit ``i`` stands for ``g.edge_pairs()[i]``.  On a connected graph each
+    mask is a distinct negation set.
+    """
+    _check_scale(g, max_n)
+    incidence = [0] * g.n
+    mask = 0
+    for i, (u, v, s) in enumerate(g.edges()):
+        incidence[u] |= 1 << i
+        incidence[v] |= 1 << i
+        if s == NEG:
+            mask |= 1 << i
+    yield mask
+    for x in range(1, 1 << max(g.n - 1, 0)):
+        # Gray codes x - 1 and x differ in the lowest set bit of x; bit k
+        # stands for vertex k + 1, so vertex 0 stays pinned.
+        mask ^= incidence[(x & -x).bit_length()]
+        yield mask
+
+
+def enumerate_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
     """All negation sets of a small connected graph, sorted by (size, edges).
 
     Enumerates every switching set not containing vertex 0; on a connected
     graph that hits each switching function exactly once, so each negation
     set appears exactly once.
     """
-    _check_scale(g, max_n)
-    rest = list(range(1, g.n))
-    seen = set()
-    for r in range(len(rest) + 1):
-        for xs in combinations(rest, r):
-            seen.add(g.switch(xs).negative_edges())
-    return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
+    pairs = g.edge_pairs()
+    rows = []
+    for mask in set(_negative_masks(g, max_n)):
+        bits = []
+        while mask:
+            low = mask & -mask
+            bits.append(low.bit_length() - 1)
+            mask ^= low
+        rows.append((len(bits), bits))
+    # Edge i precedes edge j exactly when i < j, so ascending bit lists sort
+    # like the sorted edge lists.
+    rows.sort()
+    return tuple(frozenset([pairs[i] for i in bits]) for _, bits in rows)
 
 
-def frustration_index(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> int:
-    """Minimum number of negative edges over all switchings."""
-    return min(len(s) for s in enumerate_negation_sets(g, max_n))
+def frustration_index(
+    g: SignedGraph, max_n: int = DEFAULT_MAX_N, *, sets: NegationSets | None = None
+) -> int:
+    """Minimum number of negative edges over all switchings.
+
+    ``sets``, here and below, is ``enumerate_negation_sets(g, max_n)`` when
+    the caller already has it; by default the switchings are enumerated.
+    """
+    if sets is not None:
+        return min(map(len, sets))
+    return min(mask.bit_count() for mask in _negative_masks(g, max_n))
 
 
-def minimum_negation_sets(
-    g: SignedGraph, max_n: int = DEFAULT_MAX_N
-) -> tuple[frozenset[Edge], ...]:
+def minimum_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
     """All negation sets of minimum size."""
     sets = enumerate_negation_sets(g, max_n)
     best = len(sets[0])
@@ -76,7 +118,11 @@ def minimum_negation_sets(
 
 
 def brute_is_minimal(
-    g: SignedGraph, b: Iterable[Edge], max_n: int = DEFAULT_MAX_N
+    g: SignedGraph,
+    b: Iterable[Edge],
+    max_n: int = DEFAULT_MAX_N,
+    *,
+    sets: NegationSets | None = None,
 ) -> bool:
     """Whether no negation set is a proper subset of ``b``.
 
@@ -85,7 +131,8 @@ def brute_is_minimal(
     set or the question is ill-posed.
     """
     bs = as_edge_set(g, b)
-    sets = enumerate_negation_sets(g, max_n)
+    if sets is None:
+        sets = enumerate_negation_sets(g, max_n)
     if bs not in sets:
         raise PreconditionError("b is not a negation set of g")
     return not any(s < bs for s in sets)
@@ -98,17 +145,20 @@ def brute_is_unique_minimum(
     return minimum_negation_sets(g, max_n) == (bs,)
 
 
-def brute_packing_number(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> int:
+def brute_packing_number(
+    g: SignedGraph, max_n: int = DEFAULT_MAX_N, *, sets: NegationSets | None = None
+) -> int:
     """Maximum size of a pairwise-disjoint family of negation sets containing E⁻(g).
 
     Straight branch and bound over the enumerated sets.  Only defined for
     unbalanced graphs (a balanced graph has the empty negation set, for which
     disjoint packing is meaningless).
     """
-    if is_balanced(g):
+    if sets is None:
+        sets = enumerate_negation_sets(g, max_n)
+    if frozenset() in sets:
         raise PreconditionError("packing number is defined for unbalanced graphs")
     b = g.negative_edges()
-    sets = enumerate_negation_sets(g, max_n)
     if b not in sets:  # pragma: no cover - E⁻ is always a negation set
         raise AssertionError("E⁻(g) missing from its own enumeration")
     candidates = [s for s in sets if s.isdisjoint(b)]

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from negset import NEG, POS, SignedGraph, serialize
+from negset import NEG, POS, SignedGraph, cli, oracle, serialize
 from negset.cli import (
     EXIT_FAILS,
     EXIT_HOLDS,
@@ -209,6 +210,72 @@ class TestOracleVerifyCommand:
         code, report = run_json(capsys, ["oracle-verify", c5_one_negative, "--json"])
         assert code == EXIT_HOLDS
         assert all(c["outcome"] in {"pass", "skip"} for c in report["checks"])
+
+    @pytest.mark.parametrize(
+        "text", ["p sg 4 2\ne 0 1 -\ne 2 3 +\n", "p sg 3 0\n"], ids=["two-edges", "edgeless"]
+    )
+    def test_disconnected_graphs_skip_enumeration_checks(self, capsys, tmp_path, text):
+        path = tmp_path / "input.sg"
+        path.write_text(text)
+        code, report = run_json(capsys, ["oracle-verify", str(path), "--json"])
+        assert code == EXIT_HOLDS
+        assert report["checks"] == [
+            {"name": "balance switching-invariant", "outcome": "pass", "detail": ""},
+            {"name": "negation enumeration", "outcome": "skip", "detail": "graph not connected"},
+        ]
+
+    def test_enumerates_once_per_op(self, capsys, monkeypatch, write_sg):
+        # Connected, unbalanced, bipartite E- and max degree 4: every row runs.
+        g = oracle.random_subquartic_graph(random.Random(29), n_max=10)
+        assert g.n == 10
+        calls = {"enumerate_negation_sets": 0, "_negative_masks": 0}
+        for name in calls:
+            original = getattr(oracle, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, counted)
+        code, report = run_json(capsys, ["oracle-verify", write_sg(g), "--json"])
+        assert code == EXIT_HOLDS
+        assert [c["outcome"] for c in report["checks"]] == ["pass"] * 6
+        assert calls == {"enumerate_negation_sets": 1, "_negative_masks": 1}
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_and_keeps_no_options(self, tmp_path):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        path = str(tmp_path / "input.sg")
+        assert parser.parse_args(["oracle-verify", path, "--seed", "3"]).seed == 3
+        assert parser.parse_args(["oracle-verify", path]).seed == 0
+        assert parser.parse_args(["minimal", path, "--edges", "0-1"]).edges == "0-1"
+        assert parser.parse_args(["minimal", path]).edges is None
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["minimal", "--edges", "1-2"], ["minimal"]),
+            (["oracle-verify", "--seed", "3"], ["oracle-verify"]),
+            (["acyclic", "--trace"], ["acyclic"]),
+        ],
+        ids=["minimal-edges", "oracle-seed", "acyclic-trace"],
+    )
+    def test_a_second_call_inherits_nothing(self, capsys, c5_one_negative, first, second):
+        def isolated(argv):
+            cli._build_parser.cache_clear()
+            code = main(argv)
+            return code, capsys.readouterr()
+
+        argv_first = [first[0], c5_one_negative, "--json", *first[1:]]
+        argv_second = [second[0], c5_one_negative, "--json", *second[1:]]
+        expected = [isolated(argv_first), isolated(argv_second)]
+        cli._build_parser.cache_clear()
+        got = []
+        for argv in (argv_first, argv_second):
+            got.append((main(argv), capsys.readouterr()))
+        assert got == expected
 
 
 class TestExportDot:

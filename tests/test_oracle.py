@@ -54,6 +54,46 @@ class TestEnumeration:
         assert sizes == sorted(sizes)
 
 
+def reference_negation_sets(g):
+    """Every subset of vertices 1..n-1 switched through ``g.switch``, sorted like the oracle."""
+    from itertools import combinations
+
+    rest = range(1, g.n)
+    seen = {
+        g.switch(xs).negative_edges()
+        for r in range(g.n)
+        for xs in combinations(rest, r)
+    }
+    return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
+
+
+class TestGrayCodeEnumeration:
+    @given(connected_signed_graphs(max_n=9))
+    def test_matches_switching_every_subset(self, g):
+        sets = oracle.enumerate_negation_sets(g)
+        assert sets == reference_negation_sets(g)
+        assert oracle.frustration_index(g) == len(sets[0])
+        assert oracle.frustration_index(g, sets=sets) == len(sets[0])
+
+    @given(connected_signed_graphs(max_n=9))
+    def test_shared_enumeration_gives_the_same_answers(self, g):
+        sets = oracle.enumerate_negation_sets(g)
+        sample = {g.negative_edges(), *sets[:4], *sets[-2:]}
+        for b in sample:
+            assert oracle.brute_is_minimal(g, b, sets=sets) == oracle.brute_is_minimal(g, b)
+        if frozenset() in sets:
+            for shared in (None, sets):
+                with pytest.raises(PreconditionError, match="unbalanced"):
+                    oracle.brute_packing_number(g, sets=shared)
+        else:
+            assert oracle.brute_packing_number(g, sets=sets) == oracle.brute_packing_number(g)
+
+    def test_edgeless_and_single_vertex_graphs(self):
+        assert oracle.enumerate_negation_sets(SignedGraph(1)) == (frozenset(),)
+        assert oracle.enumerate_negation_sets(SignedGraph(0)) == (frozenset(),)
+        assert oracle.frustration_index(SignedGraph(1)) == 0
+
+
 class TestScaleGuards:
     def test_vertex_cap(self):
         g = path_graph(6)
@@ -65,6 +105,12 @@ class TestScaleGuards:
         g = SignedGraph(4, [(0, 1, NEG), (2, 3, NEG)])
         with pytest.raises(PreconditionError, match="connected"):
             oracle.enumerate_negation_sets(g)
+        with pytest.raises(PreconditionError, match="connected"):
+            oracle.frustration_index(g)
+
+    def test_frustration_index_applies_the_cap(self):
+        with pytest.raises(PreconditionError, match="cap"):
+            oracle.frustration_index(path_graph(6), max_n=5)
 
 
 class TestDerivedQuantities:
