@@ -102,8 +102,9 @@ def frustration_index(
 ) -> int:
     """Minimum number of negative edges over all switchings.
 
-    ``sets``, here and below, is ``enumerate_negation_sets(g, max_n)`` when
-    the caller already has it; by default the switchings are enumerated.
+    ``sets``, here and in :func:`brute_is_minimal` and
+    :func:`brute_packing_number`, is ``enumerate_negation_sets(g, max_n)``
+    when the caller already has it; by default the switchings are enumerated.
     """
     if sets is not None:
         return min(map(len, sets))

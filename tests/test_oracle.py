@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -30,8 +31,6 @@ class TestEnumeration:
         assert g.negative_edges() in oracle.enumerate_negation_sets(g)
 
     def test_cycle_sets_are_exactly_the_parity_class(self):
-        from itertools import combinations
-
         g = cycle_graph(6).negate_edges([(0, 1)])
         sets = set(oracle.enumerate_negation_sets(g))
         edges = sorted(g.edge_pairs())
@@ -56,8 +55,6 @@ class TestEnumeration:
 
 def reference_negation_sets(g):
     """Every subset of vertices 1..n-1 switched through ``g.switch``, sorted like the oracle."""
-    from itertools import combinations
-
     rest = range(1, g.n)
     seen = {
         g.switch(xs).negative_edges()
