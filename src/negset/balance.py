@@ -55,13 +55,23 @@ def check_balance(g: SignedGraph) -> BalanceResult:
     tree paths to the conflict edge close into a circle whose sign is
     necessarily negative, which is returned as the witness.
     """
-    return _two_color(g, frozenset())
+    color, circle = _two_color(g, frozenset())
+    if color is None:
+        return BalanceResult(False, None, circle)
+    left = frozenset(v for v, c in enumerate(color) if c == 0)
+    right = frozenset(v for v, c in enumerate(color) if c == 1)
+    bip = HararyBipartition(VertexSubset(g, left), VertexSubset(g, right))
+    return BalanceResult(True, bip, None)
 
 
-def _two_color(g: SignedGraph, flipped: frozenset[Edge]) -> BalanceResult:
+def _two_color(
+    g: SignedGraph, flipped: frozenset[Edge]
+) -> tuple[list[int] | None, tuple[int, ...] | None]:
     """Signed BFS two-coloring of ``g`` with the edges in ``flipped`` negated.
 
-    The flips are applied on the fly while reading the signed adjacency, so
+    Returns ``(color, None)`` with a 0/1 color per vertex when the flipped
+    signing is balanced, else ``(None, circle)`` with a negative circle.  The
+    flips are applied on the fly while reading the signed adjacency, so
     balance of ``g.negate_edges(flipped)`` is decided without building it.
     """
     rows = g.signed_rows()
@@ -87,12 +97,8 @@ def _two_color(g: SignedGraph, flipped: frozenset[Edge]) -> BalanceResult:
                     depth[w] = depth[u] + 1
                     queue.append(w)
                 elif cw != want:
-                    circle = _tree_circle(parent, depth, u, w)
-                    return BalanceResult(False, None, circle)
-    left = frozenset(v for v in range(n) if color[v] == 0)
-    right = frozenset(v for v in range(n) if color[v] == 1)
-    bip = HararyBipartition(VertexSubset(g, left), VertexSubset(g, right))
-    return BalanceResult(True, bip, None)
+                    return None, _tree_circle(parent, depth, u, w)
+    return color, None
 
 
 def _tree_circle(parent, depth, u: int, w: int) -> tuple[int, ...]:
@@ -115,7 +121,7 @@ def _tree_circle(parent, depth, u: int, w: int) -> tuple[int, ...]:
 
 
 def is_balanced(g: SignedGraph) -> bool:
-    return check_balance(g).balanced
+    return _two_color(g, frozenset())[0] is not None
 
 
 def is_antibalanced(g: SignedGraph) -> bool:
@@ -133,7 +139,7 @@ def switching_equivalent(g: SignedGraph, h: SignedGraph) -> bool:
     if not g.underlying_matches(h):
         raise PreconditionError("graphs have different underlying edge sets")
     # the product signing is g with h's negative edges negated
-    return _two_color(g, h.negative_edges()).balanced
+    return _two_color(g, h.negative_edges())[0] is not None
 
 
 def is_negation_set(g: SignedGraph, b: EdgeSubset | Iterable[Edge]) -> bool:
@@ -145,7 +151,7 @@ def is_negation_set(g: SignedGraph, b: EdgeSubset | Iterable[Edge]) -> bool:
     decides in O(n + m) by flipping the edges of ``b`` as it reads them.
     """
     bs = as_edge_set(g, b)
-    return _two_color(g, bs).balanced
+    return _two_color(g, bs)[0] is not None
 
 
 def negation_set_from_switching(
@@ -166,13 +172,12 @@ def switching_for_negation_set(
     of the two complementary representatives per component.
     """
     bs = as_edge_set(g, b)
-    result = _two_color(g, bs)
-    if not result.balanced:
+    color, _ = _two_color(g, bs)
+    if color is None:
         raise PreconditionError("the given edge set is not a negation set")
-    assert result.bipartition is not None
     # Switching one side of the product's bipartition flips exactly the edges
     # where g and the target signing disagree.
-    x = result.bipartition.right.vertices
+    x = frozenset(v for v, c in enumerate(color) if c == 1)
     got = g.switch(x).negative_edges()
     assert got == bs, "switching reconstruction failed"
     return VertexSubset(g, x)

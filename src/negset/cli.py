@@ -92,7 +92,7 @@ class _Report:
             if args.json
             else "\n".join(self.lines)
         )
-        if getattr(args, "output", None):
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as fp:
                 fp.write(text + "\n")
         else:
@@ -311,8 +311,7 @@ def _oracle_checks(g: SignedGraph, args):
     )
     yield row("minimality agrees with brute force", ok)
 
-    negs = g.negative_edges()
-    if not base and negs and is_balanced(g.negative_subgraph()):
+    if not base and is_balanced(g.negative_subgraph()):
         mine = packing_number(g).packing_number
         brute = oracle.brute_packing_number(g, max_n=args.max_n, sets=sets)
         yield row("packing number agrees with brute force", mine == brute, f"{mine} vs {brute}")
@@ -385,11 +384,8 @@ def _cmd_export_dot(g: SignedGraph, args, report: _Report) -> int:
     elif args.edges:
         annotations = [frozenset(_parse_edge_list(args.edges))]
     text = export_dot(g, annotations)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fp:
-            fp.write(text + "\n")
-    else:
-        print(text)
+    report.data["dot"] = text
+    report.say(text)
     return EXIT_HOLDS
 
 
@@ -489,8 +485,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_MINUS_K5
-    if args.command != "export-dot":
-        report.emit(args)
+    report.emit(args)
     return code
 
 

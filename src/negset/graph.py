@@ -234,12 +234,6 @@ class SignedGraph:
 
     # -- subgraphs --------------------------------------------------------------
 
-    def positive_subgraph(self) -> "SignedGraph":
-        """Same vertices, positive edges only."""
-        return SignedGraph(
-            self._n, [(u, v, s) for (u, v), s in self._signs.items() if s == POS]
-        )
-
     def negative_subgraph(self) -> "SignedGraph":
         """Same vertices, negative edges only."""
         return SignedGraph(

@@ -169,7 +169,6 @@ class TraceEntry:
     phase: str  # "preprocess" | "main" | "reattach"
     label: str
     switched: tuple[int, ...]
-    circle: tuple[int, ...] | None
     strict: bool
 
 
@@ -327,15 +326,13 @@ class _Tracer:
         self.entries: list[TraceEntry] = []
         self.passes = 0
 
-    def record_pass(self, label, switched, circle, strict) -> None:
+    def record_pass(self, label, switched, strict) -> None:
         if self.enabled:
-            self.entries.append(
-                TraceEntry("main", label, tuple(sorted(switched)), circle, strict)
-            )
+            self.entries.append(TraceEntry("main", label, tuple(sorted(switched)), strict))
 
     def record_sweep(self, phase: str, v: int) -> None:
         if self.enabled:
-            self.entries.append(TraceEntry(phase, phase, (v,), None, False))
+            self.entries.append(TraceEntry(phase, phase, (v,), False))
 
 
 def _find_circle(w: _Work, verts: Iterable[int]) -> tuple[int, ...] | None:
@@ -547,9 +544,9 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> N
             episode = None
             if action.shift_data is None:
                 w.switch_all(action.switched)
-                tracer.record_pass(action.label, action.switched, circle, action.strict)
+                tracer.record_pass(action.label, action.switched, action.strict)
             else:
-                preferred = _apply_pair_shift(w, circle, action.shift_data, tracer)
+                preferred = _apply_pair_shift(w, action.shift_data, tracer)
             continue
 
         preferred, episode = _case_three(w, comp, circle, episode, tracer)
@@ -560,10 +557,7 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> N
 
 
 def _apply_pair_shift(
-    w: _Work,
-    circle: tuple[int, ...],
-    data: tuple[int, int, int, int],
-    tracer: _Tracer,
+    w: _Work, data: tuple[int, int, int, int], tracer: _Tracer
 ) -> tuple[int, ...] | None:
     """Adjacent circle pair sharing two negatively adjacent neighbors.
 
@@ -593,9 +587,9 @@ def _apply_pair_shift(
                 raise MinusK5Detected((v1, v2, v3, v4, s))
             w.switch_all((v2, v3, v4, s))
             net = tuple(sorted({v1, v2, v4} ^ {v2, v3, v4, s}))
-            tracer.record_pass("five-wheel-collapse", net, circle, True)
+            tracer.record_pass("five-wheel-collapse", net, True)
             return None
-    tracer.record_pass("shared-pair-shift", (v1, v2, v4), circle, False)
+    tracer.record_pass("shared-pair-shift", (v1, v2, v4), False)
     return triangle
 
 
@@ -620,7 +614,7 @@ def _case_three(
         assert on_path, "marched circle lost the connecting path"
         if on_path[-1] == len(episode.path) - 1:
             # the circle swallowed the far endpoint; restart from scratch
-            tracer.record_pass("march-degenerate", (), circle, False)
+            tracer.record_pass("march-degenerate", (), False)
             return circle, None
         contact = min(
             (z for z in circle if w.has_edge(z, wn) and w.edge_sign(z, wn) == POS),
@@ -628,9 +622,7 @@ def _case_three(
         )
         if contact is not None:
             w.switch_all((episode.far_vertex, contact, wn))
-            tracer.record_pass(
-                "episode-finale", (episode.far_vertex, contact, wn), circle, False
-            )
+            tracer.record_pass("episode-finale", (episode.far_vertex, contact, wn), False)
             return None, None
         i = on_path[-1]
         wi, wi1 = episode.path[i], episode.path[i + 1]
@@ -638,17 +630,17 @@ def _case_three(
         replacement, junction = _derive_replacement(w, wi)
         if junction is not None:
             w.switch_all((wi, junction))
-            tracer.record_pass("march-junction", (wi, junction), circle, True)
+            tracer.record_pass("march-junction", (wi, junction), True)
             return None, None
         w.switch(wi)
-        tracer.record_pass("march-advance", (wi,), circle, False)
+        tracer.record_pass("march-advance", (wi,), False)
         assert replacement is not None and _still_fully_negative(w, replacement)
         return replacement, episode
 
     # new episode: first prefer any circle that still matches an earlier case
     for other in _work_circles(w, comp):
         if other != circle and _classify(w, comp, other) is not None:
-            tracer.record_pass("circle-preference", (), other, False)
+            tracer.record_pass("circle-preference", (), False)
             return other, None
 
     # junction guard on each replacement circle
@@ -657,7 +649,7 @@ def _case_three(
         replacement, junction = _derive_replacement(w, v)
         if junction is not None:
             w.switch_all((v, junction))
-            tracer.record_pass("replacement-junction", (v, junction), circle, True)
+            tracer.record_pass("replacement-junction", (v, junction), True)
             return None, None
         assert replacement is not None
         replacements[v] = replacement
@@ -669,7 +661,7 @@ def _case_three(
         )
     v1, v2, path = pick
     w.switch(v1)
-    tracer.record_pass("episode-start", (v1,), circle, False)
+    tracer.record_pass("episode-start", (v1,), False)
     marched = replacements[v1]
     assert _still_fully_negative(w, marched)
     return marched, _Episode(v2, path)
@@ -735,20 +727,15 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
     if not g.is_connected():
         raise PreconditionError("acyclic negation construction requires a connected graph")
     core, batches = g.k_core(4)
-    if core.graph.n and core.graph.max_degree() > 4:
+    if core.graph.max_degree() > 4:
         raise PreconditionError("the 4-core has a vertex of degree above four")
 
     tracer = _Tracer(trace)
     w = _Work(g)
     w.active |= set(core.to_host)
 
-    if core.graph.n:
-        components = [
-            tuple(sorted(core.host_vertices(c)))
-            for c in core.graph.connected_components()
-        ]
-        for comp in components:
-            _solve_core_component(w, comp, tracer)
+    for c in core.graph.connected_components():
+        _solve_core_component(w, tuple(sorted(core.host_vertices(c))), tracer)
 
     for batch in reversed(batches):
         w.active |= batch

@@ -297,22 +297,16 @@ def _exact_packing(
     A switching yields a negation set disjoint from E⁻(g) exactly when it
     takes one whole class from every negative component plus any set of
     class-free vertices, and the negation set is then the positive-edge cut
-    of that switching.  Free vertices in positive components that contain
-    no class vertex never help — splitting such a component spends edges
-    without separating anything — so only free vertices that share a
-    positive component with a class vertex are enumerated.  The remaining
-    search is exponential and kept behind an explicit budget; the scan
-    family seeds the branch and bound so only strict improvements are
-    explored.
+    of that switching.  Every class-free vertex is enumerated.  A class-free
+    vertex has only positive edges, so a positive component holding no
+    class vertex has no edge leaving it; in a connected graph it would be
+    the whole graph, which would then have no negative edge and be
+    balanced, and balanced input is rejected upstream.  The search is
+    exponential and kept behind an explicit budget; the scan family seeds
+    the branch and bound so only strict improvements are explored.
     """
-    flat = classes.flat()
-    in_class = frozenset().union(*flat)
-    free: list[int] = []
-    for comp in g.positive_subgraph().connected_components():
-        members = set(comp)
-        if members & in_class:
-            free.extend(sorted(members - in_class))
-    free.sort()
+    in_class = frozenset().union(*classes.flat())
+    free = [v for v in g.vertices() if v not in in_class]
 
     bits = (classes.m - 1) + len(free)
     if bits > _EXACT_SEARCH_BITS:

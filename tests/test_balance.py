@@ -11,6 +11,7 @@ from negset import (
     POS,
     EdgeSubset,
     SignedGraph,
+    VertexSubset,
     check_balance,
     is_antibalanced,
     is_balanced,
@@ -78,6 +79,39 @@ class TestCheckBalance:
             assert not g.switch(result.bipartition.left.vertices).negative_edges()
         else:
             assert g.circle_sign(result.negative_circle) == NEG
+
+
+class TestYesNoAnswersBuildNoResults:
+    """The yes/no questions read the BFS colouring and build no result objects."""
+
+    @pytest.fixture
+    def subset_builds(self, monkeypatch):
+        calls = []
+        original = VertexSubset.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(VertexSubset, "__post_init__", counting)
+        return calls
+
+    def test_yes_answers_build_no_vertex_subset(self, subset_builds):
+        g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
+        h = g.switch([1, 2, 3])
+        assert is_balanced(g)
+        assert is_negation_set(g, h.negative_edges())
+        assert switching_equivalent(g, h)
+        assert subset_builds == []
+        # check_balance still builds its certificate: one subset per side.
+        assert check_balance(g).balanced
+        assert len(subset_builds) == 2
+
+    def test_empty_graph(self):
+        g = SignedGraph(0)
+        assert is_balanced(g)
+        assert is_negation_set(g, [])
+        assert switching_for_negation_set(g, []).vertices == frozenset()
 
 
 class TestSwitchingInvariance:

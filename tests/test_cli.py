@@ -300,6 +300,20 @@ class TestExportDot:
         out = capsys.readouterr().out
         assert "2 -- 3 [style=solid, color=blue, penwidth=2]" in out
 
+    def test_json_report_carries_the_dot_text(self, capsys, c5_one_negative):
+        code, report = run_json(capsys, ["export-dot", c5_one_negative, "--json"])
+        assert code == EXIT_HOLDS
+        g = cycle_graph(5).negate_edges([(0, 1)])
+        assert report == {"command": "export-dot", "dot": export_dot(g)}
+
+    def test_output_file_replaces_stdout(self, capsys, tmp_path, c5_one_negative):
+        assert main(["export-dot", c5_one_negative]) == EXIT_HOLDS
+        plain = capsys.readouterr().out
+        target = tmp_path / "graph.dot"
+        assert main(["export-dot", c5_one_negative, "--output", str(target)]) == EXIT_HOLDS
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == plain
+
     def test_export_dot_function_is_reusable(self):
         g = cycle_graph(3).negate_edges([(0, 1)])
         text = export_dot(g, [frozenset({(1, 2)})])

@@ -140,9 +140,8 @@ class TestSwitching:
 
 
 class TestSubgraphs:
-    def test_positive_and_negative_subgraphs(self):
+    def test_negative_subgraph(self):
         g = triangle()
-        assert g.positive_subgraph().edge_count == 1
         assert g.negative_subgraph().edge_count == 2
         assert g.negative_subgraph().negative_edges() == g.negative_edges()
 

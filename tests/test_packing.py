@@ -149,6 +149,21 @@ class TestMixedBipartitionInstances:
         with pytest.raises(IterationBudgetError, match="lower bound is 3"):
             packing_number(counterexample_hexagon())
 
+    @given(connected_signed_graphs(max_n=9))
+    @settings(max_examples=120)
+    def test_every_class_free_vertex_reaches_a_class(self, g):
+        # The exact search enumerates every class-free vertex; this pins why
+        # none is wasted: on a connected unbalanced graph with bipartite E-,
+        # each shares a positive component with some class vertex.
+        from negset import is_balanced
+
+        if is_balanced(g) or not edge_set_is_bipartite(g.n, g.negative_edges()):
+            return
+        in_class = frozenset().union(*negative_component_classes(g).flat())
+        positive = SignedGraph(g.n, [(u, v, POS) for u, v in g.positive_edges()])
+        for comp in positive.connected_components():
+            assert in_class.intersection(comp)
+
 
 class TestAgainstBruteForce:
     @given(connected_signed_graphs(max_n=7))
