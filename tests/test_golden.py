@@ -45,6 +45,17 @@ CASES = {
     "oracle-verify-packing10": ("oracle-verify", "oracle-packing10", ["--seed", "3"]),
     "oracle-verify-subquartic12": ("oracle-verify", "oracle-subquartic12", []),
     "frustration-connected11": ("frustration", "frustration11", []),
+    "acyclic-pair-rectangle10": ("acyclic", "pair-rectangle10", ["--trace"]),
+    "acyclic-pair-collapse10": ("acyclic", "pair-collapse10", ["--trace"]),
+    "acyclic-necklace-march22": ("acyclic", "necklace-march22", ["--trace"]),
+    "acyclic-necklace-finale22": ("acyclic", "necklace-finale22", ["--trace"]),
+    "acyclic-pair-shift8": ("acyclic", "pair-shift8", ["--trace"]),
+    "acyclic-high-degree8": ("acyclic", "high-degree8", ["--trace"]),
+    "acyclic-attached8": ("acyclic", "attached8", ["--trace"]),
+    "acyclic-shared-junction21": ("acyclic", "shared-junction21", ["--trace"]),
+    "acyclic-replacement-junction17": ("acyclic", "replacement-junction17", ["--trace"]),
+    "acyclic-march-junction30": ("acyclic", "march-junction30", ["--trace"]),
+    "acyclic-circle-fallback22": ("acyclic", "circle-fallback22", ["--trace"]),
 }
 
 
