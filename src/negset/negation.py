@@ -14,10 +14,11 @@ Three constructions live here:
 * :func:`acyclic_negation` — for connected graphs of maximum degree four, a
   switching whose negative edges form a *forest*.  This is the heavy one: the
   4-core is peeled off, each core component is ground down by a case analysis
-  that repeatedly eliminates fully negative circles (each documented rewrite
-  strictly reduces their number, or shifts to a configuration that does), and
-  the peeled layers are reattached with a greedy sweep.  The lone obstruction
-  is a component switching-equivalent to the all-negative K5, reported via
+  that repeatedly eliminates fully negative circles (each rewrite marked
+  strict reduces their number; the others set up one that does), and the
+  peeled layers are reattached with a greedy sweep.  The lone obstruction is
+  a core component switching-equivalent to the all-negative K5, which is
+  tested once, when the component is entered, and reported via
   :class:`~negset.errors.MinusK5Detected`.
 """
 
@@ -374,7 +375,7 @@ class _Action:
     label: str
     switched: tuple[int, ...]
     strict: bool
-    shift_data: tuple[int, int, int, int] | None = None  # adjacent shared pair
+    follow: tuple[int, ...] | None = None  # circle to examine on the next pass
 
 
 def _negative_label(w: _Work, labels: dict[int, int], v: int) -> int:
@@ -394,12 +395,16 @@ def _negative_label(w: _Work, labels: dict[int, int], v: int) -> int:
     return labels[v]
 
 
-def _classify(w: _Work, comp: Sequence[int], circle: tuple[int, ...]) -> _Action | None:
-    """Match the current fully negative circle against the rewrite cases.
+def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
+    """Match the current fully negative circle against the rewrite cases, in order.
 
-    Returns the applicable rewrite, or None when the circle is in the
-    residual shape (no high-degree vertex, no chord, positive neighbors all of
-    negative degree one and unshared) that the two-circle episode handles.
+    Each case may rely on every earlier one having failed.  Past the chord
+    case, each circle vertex has negative degree two and two positive
+    neighbors, all outside the circle.  Past the split case, those two lie in
+    one negative component, so neither has negative degree zero (it would be
+    a component by itself).  Past the attached case, each has negative degree
+    exactly one.  Returns None in the residual shape, where no two circle
+    vertices share a positive neighbor; the two-circle episode handles it.
     """
     cset = set(circle)
     k = len(circle)
@@ -426,22 +431,20 @@ def _classify(w: _Work, comp: Sequence[int], circle: tuple[int, ...]) -> _Action
         if _negative_label(w, labels, pns[0]) != _negative_label(w, labels, pns[1]):
             return _Action("split-positive-neighbors", (v,), True)
 
-    # positive neighbors of the circle with negative degree zero or >= two
+    # a positive neighbor of the circle with negative degree two or more
     neighbor_anchors: dict[int, int] = {}
     for v in sorted(cset):
         for z in pos_of[v]:
             neighbor_anchors.setdefault(z, v)
     for z in sorted(neighbor_anchors):
-        dz = w.neg_degree(z)
-        if dz == 0:
-            return _Action("isolated-positive-neighbor", (neighbor_anchors[z],), True)
-        if dz >= 2:
+        if w.neg_degree(z) >= 2:
             return _Action("attached-positive-neighbor", (z, neighbor_anchors[z]), True)
 
     ordered = sorted(cset)
     # two circle vertices sharing exactly one positive neighbor: the shared
-    # neighbor's negative corridor must branch, and switching the anchor
-    # together with that first branch vertex removes the circle and every
+    # neighbor and the two unshared ones are three leaves of one negative
+    # component, so the shared neighbor's corridor ends at a branch vertex,
+    # and switching the anchor together with it removes the circle and every
     # candidate replacement at once
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
@@ -466,8 +469,9 @@ def _classify(w: _Work, comp: Sequence[int], circle: tuple[int, ...]) -> _Action
                 if not negatively_adjacent:
                     return _Action("shared-pair-rectangle", (a, b, v3, v4), True)
                 if edge_key(a, b) in circle_edges:
+                    # trade the circle for the fully negative triangle a b v3
                     return _Action(
-                        "shared-pair-shift", (a, b, v4), False, shift_data=(a, b, v3, v4)
+                        "shared-pair-shift", (a, b, v4), False, follow=(a, b, v3)
                     )
                 return _Action("nonadjacent-shared-collapse", (a, b, v3), True)
 
@@ -503,7 +507,9 @@ def _component_k5_check(w: _Work, comp: tuple[int, ...]) -> None:
     four neighbours inside it.  It is equivalent to -K5 when it is
     antibalanced (negating every edge balances it).  The six triangles
     through ``comp[0]`` span the circle space of K5, so that holds exactly
-    when each of them is negative under the current signs.
+    when each of them is negative under the current signs.  Switching keeps a
+    signing antibalanced or not, so this one test on entry covers every
+    signing the rewrites later reach.
     """
     if len(comp) != 5:
         return
@@ -537,60 +543,19 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> N
         if circle is None:
             return
         tracer.passes += 1
-        preferred = None
 
-        action = _classify(w, comp, circle)
-        if action is not None:
-            episode = None
-            if action.shift_data is None:
-                w.switch_all(action.switched)
-                tracer.record_pass(action.label, action.switched, action.strict)
-            else:
-                preferred = _apply_pair_shift(w, action.shift_data, tracer)
+        action = _classify(w, circle)
+        if action is None:
+            preferred, episode = _case_three(w, comp, circle, episode, tracer)
             continue
-
-        preferred, episode = _case_three(w, comp, circle, episode, tracer)
+        episode = None
+        w.switch_all(action.switched)
+        tracer.record_pass(action.label, action.switched, action.strict)
+        preferred = action.follow
 
     raise IterationBudgetError(
         f"component {comp} exceeded the rewrite budget of {budget} passes"
     )
-
-
-def _apply_pair_shift(
-    w: _Work, data: tuple[int, int, int, int], tracer: _Tracer
-) -> tuple[int, ...] | None:
-    """Adjacent circle pair sharing two negatively adjacent neighbors.
-
-    Switching ``{v1, v2, v4}`` trades the circle for the fully negative
-    triangle ``v1 v2 v3``.  What happens next depends on the triangle's outer
-    positive neighbors: all equal leads either to the all-negative-K5
-    obstruction or to a four-vertex switch that ends the line; otherwise the
-    triangle is re-examined from the top on the next pass.
-    """
-    v1, v2, v3, v4 = data
-    w.switch_all((v1, v2, v4))
-    triangle = (v1, v2, v3)
-    assert _still_fully_negative(w, triangle)
-
-    def outer(vertex: int, exclude: set[int]) -> int:
-        outs = [z for z in w.pos_neighbors(vertex) if z not in exclude]
-        assert len(outs) == 1
-        return outs[0]
-
-    v5 = outer(v1, {v2, v3, v4})
-    v6 = outer(v2, {v1, v3, v4})
-    v7 = outer(v3, {v1, v2, v4})
-    if v5 == v6 == v7:
-        s = v5
-        if w.neg_degree(v4) == 1 and w.neg_degree(s) == 1:
-            if w.has_edge(v4, s):
-                raise MinusK5Detected((v1, v2, v3, v4, s))
-            w.switch_all((v2, v3, v4, s))
-            net = tuple(sorted({v1, v2, v4} ^ {v2, v3, v4, s}))
-            tracer.record_pass("five-wheel-collapse", net, True)
-            return None
-    tracer.record_pass("shared-pair-shift", (v1, v2, v4), False)
-    return triangle
 
 
 def _case_three(
@@ -610,12 +575,6 @@ def _case_three(
     """
     if episode is not None:
         wn = episode.path[-1]
-        on_path = [j for j, p in enumerate(episode.path) if p in set(circle)]
-        assert on_path, "marched circle lost the connecting path"
-        if on_path[-1] == len(episode.path) - 1:
-            # the circle swallowed the far endpoint; restart from scratch
-            tracer.record_pass("march-degenerate", (), False)
-            return circle, None
         contact = min(
             (z for z in circle if w.has_edge(z, wn) and w.edge_sign(z, wn) == POS),
             default=None,
@@ -624,6 +583,13 @@ def _case_three(
             w.switch_all((episode.far_vertex, contact, wn))
             tracer.record_pass("episode-finale", (episode.far_vertex, contact, wn), False)
             return None, None
+        # the marched circle holds a path vertex but never the far endpoint:
+        # the path is a shortest one, so only its vertex next to the endpoint
+        # touches the far circle's negative path (and that vertex would be the
+        # contact above), and nothing else switched touches that path either
+        cset = set(circle)
+        on_path = [j for j, p in enumerate(episode.path) if p in cset]
+        assert on_path, "marched circle lost the connecting path"
         i = on_path[-1]
         wi, wi1 = episode.path[i], episode.path[i + 1]
         assert w.edge_sign(wi, wi1) == POS
@@ -639,7 +605,7 @@ def _case_three(
 
     # new episode: first prefer any circle that still matches an earlier case
     for other in _work_circles(w, comp):
-        if other != circle and _classify(w, comp, other) is not None:
+        if other != circle and _classify(w, other) is not None:
             tracer.record_pass("circle-preference", (), False)
             return other, None
 

@@ -14,6 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from negset import NEG, POS, SignedGraph, is_balanced
+from negset.negation import negative_circles
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -68,3 +69,25 @@ def vertex_subsets(draw, graph_strategy):
 def edge_set_is_bipartite(n: int, edges) -> bool:
     """Whether the edge set, viewed as a graph on ``n`` vertices, is bipartite."""
     return is_balanced(SignedGraph(n, [(u, v, NEG) for u, v in edges]))
+
+
+def assert_trace_replays(g: SignedGraph, trace, negation_set) -> None:
+    """Replay an ``acyclic`` rewrite log of ``(switched, strict)`` pairs on ``g``.
+
+    Every strict rewrite must lower the number of fully negative circles in
+    the 4-core, and the replayed switchings must end at ``negation_set``.  No
+    edge joins two core components, so the whole-core count drops exactly
+    when the count in the component being rewritten does.
+    """
+    core = g.k_core(4)[0].to_host
+    switched: set[int] = set()
+
+    def core_circles() -> int:
+        return len(negative_circles(g.switch(switched).induced(core).graph))
+
+    for vertices, strict in trace:
+        before = core_circles() if strict else None
+        switched.symmetric_difference_update(vertices)
+        if strict:
+            assert core_circles() < before, (vertices, before)
+    assert g.switch(switched).negative_edges() == {tuple(e) for e in negation_set}

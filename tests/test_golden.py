@@ -6,15 +6,25 @@ under ``tests/golden/`` and compares stdout with the committed report
 algorithms (smallest violator first, lexicographically first circle, the
 balance witness circle, the packing family), so a refactor that changes any
 answer, or the order of the rewrites in a ``--trace`` log, fails here.
+
+Every main-phase rewrite label of the acyclic construction appears in some
+golden ``acyclic --trace`` report, and every such report replays: each
+strict rewrite lowers the number of fully negative circles in the 4-core,
+and the switchings end at the reported negation set.
 """
 
 from __future__ import annotations
 
+import ast
+import json
 from pathlib import Path
 
 import pytest
 
-from negset import cli
+from negset import cli, negation
+from negset.sgio import load_path
+
+from conftest import assert_trace_replays
 
 GOLDEN = Path(__file__).parent / "golden"
 BALL_CUT = "@check400-ball-cut.edges"
@@ -72,3 +82,45 @@ def test_report_is_byte_identical(case, capsys):
     cli.main(argv_of(case))
     expected = (GOLDEN / f"{case}.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+TRACED = sorted(
+    case
+    for case, (command, _, extra) in CASES.items()
+    if command == "acyclic" and "--trace" in extra
+)
+
+
+def rewrite_labels() -> set[str]:
+    """Label literals that ``negation.py`` passes to ``_Action`` or ``record_pass``."""
+    labels = set()
+    for node in ast.walk(ast.parse(Path(negation.__file__).read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("_Action", "record_pass"):
+            label = node.args[0]
+            if isinstance(label, ast.Constant):
+                labels.add(label.value)
+            else:  # logging an _Action's label, collected at the _Action call
+                assert getattr(label, "attr", None) == "label", f"line {node.lineno}"
+    return labels
+
+
+def test_every_rewrite_label_has_a_golden_trace():
+    traced = set()
+    for case in TRACED:
+        report = json.loads((GOLDEN / f"{case}.json").read_text())
+        traced |= {entry["label"] for entry in report["trace"]}
+    labels = rewrite_labels()
+    assert {"chord", "shared-pair-shift", "episode-start"} <= labels
+    assert labels - traced == set()
+
+
+@pytest.mark.parametrize("case", TRACED)
+def test_golden_trace_replays(case):
+    report = json.loads((GOLDEN / f"{case}.json").read_text())
+    g = load_path(GOLDEN / f"{CASES[case][1]}.sg")
+    trace = [(entry["switched"], entry["strict"]) for entry in report["trace"]]
+    assert_trace_replays(g, trace, report["negation_set"])

@@ -4,6 +4,7 @@ antibalanced graphs, and the acyclic (forest) construction for max degree 4."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,17 @@ from negset import (
     is_balanced,
     is_negation_set,
 )
-from negset import oracle
+from negset import negation, oracle
 from negset.graph import complete_graph, cube_graph, cycle_graph
 from negset.negation import negative_circles
+from negset.sgio import load_path
 
-from conftest import connected_signed_graphs, edge_set_is_bipartite, subquartic_signed_graphs
+from conftest import (
+    assert_trace_replays,
+    connected_signed_graphs,
+    edge_set_is_bipartite,
+    subquartic_signed_graphs,
+)
 
 
 def is_forest(n: int, edges) -> bool:
@@ -212,22 +219,9 @@ class TestAcyclicNegation:
         if result is None:
             return
         assert_valid_acyclic(g, result)
-        # Replay the trace: every strict rewrite must lower the number of
-        # fully negative circles in the 4-core.  No edge joins two core
-        # components, so the whole-core count drops exactly when the count
-        # in the component being rewritten does.
-        core = g.k_core(4)[0].to_host
-        switched: set[int] = set()
-
-        def core_circles() -> int:
-            return len(negative_circles(g.switch(switched).induced(core).graph))
-
-        for entry in result.stats.trace:
-            before = core_circles() if entry.strict else None
-            switched.symmetric_difference_update(entry.switched)
-            if entry.strict:
-                assert core_circles() < before
-        assert g.switch(switched).negative_edges() == result.negation_set.edges
+        assert_trace_replays(
+            g, [(t.switched, t.strict) for t in result.stats.trace], result.negation_set
+        )
 
     @given(subquartic_signed_graphs(max_n=12))
     def test_oracle_frustration_lower_bound(self, g):
@@ -237,79 +231,15 @@ class TestAcyclicNegation:
         assert len(result.negation_set) >= oracle.frustration_index(g)
 
 
-def quartic_necklace_with_march() -> SignedGraph:
-    """A 4-regular graph whose core run needs the two-circle episode march.
-
-    A negative hexagon where every vertex carries a negative pendant pair,
-    with two extra pairs splicing the corridor between pair 0 and pair 1 so
-    the episode has to advance across them before a shift resolves it.
-    """
-    edges = []
-    for v in range(6):
-        edges.append((v, (v + 1) % 6, NEG))
-
-    def pr(v):
-        return 6 + 2 * v, 7 + 2 * v
-
-    for v in range(6):
-        a, b = pr(v)
-        edges += [(v, a, POS), (v, b, POS), (a, b, NEG)]
-    a0, b0 = pr(0)
-    a1, b1 = pr(1)
-    e, f = 18, 19
-    c0, d0 = 20, 21
-    edges += [(e, f, NEG), (c0, d0, NEG)]
-    edges += [(a0, c0, POS), (a0, d0, POS)]
-    edges += [(b0, e, POS), (b0, f, POS)]
-    edges += [(e, a1, POS), (e, b1, POS), (f, a1, POS), (f, b1, POS)]
-    a2, b2 = pr(2)
-    a3, b3 = pr(3)
-    a4, b4 = pr(4)
-    a5, b5 = pr(5)
-    edges += [(c0, a2, POS), (c0, b2, POS), (d0, a2, POS), (d0, b2, POS)]
-    edges += [(a3, a4, POS), (b3, b4, POS), (a4, a5, POS), (b4, b5, POS),
-              (a3, a5, POS), (b3, b5, POS)]
-    return SignedGraph(22, edges)
-
-
-def quartic_necklace_with_finale() -> SignedGraph:
-    """A 4-regular instance whose episode ends by meeting the second circle."""
-    edges = [(v, (v + 1) % 6, NEG) for v in range(6)]
-
-    def pr(v):
-        return 6 + 2 * v, 7 + 2 * v
-
-    for v in range(6):
-        a, b = pr(v)
-        edges += [(v, a, POS), (v, b, POS), (a, b, NEG)]
-    a0, b0 = pr(0)
-    a1, b1 = pr(1)
-    c0, d0, c1, d1 = 18, 19, 20, 21
-    edges += [(c0, d0, NEG), (c1, d1, NEG)]
-    edges += [(a0, c0, POS), (a0, d0, POS)]
-    edges += [(b0, a1, POS), (b0, b1, POS)]
-    edges += [(c0, c1, POS), (c0, d1, POS), (d0, c1, POS), (d0, d1, POS)]
-    edges += [(a1, c1, POS), (b1, d1, POS)]
-    for v in range(2, 6, 2):
-        av, bv = pr(v)
-        aw, bw = pr(v + 1)
-        edges += [(av, aw, POS), (av, bw, POS), (bv, aw, POS), (bv, bw, POS)]
-    return SignedGraph(22, edges)
-
-
-def quartic_shift_instance() -> SignedGraph:
-    """Two adjacent circle vertices sharing a negatively adjacent pair."""
-    return SignedGraph(8, [
-        (0, 1, NEG), (1, 2, NEG), (2, 3, NEG), (0, 3, NEG), (4, 5, NEG), (6, 7, NEG),
-        (0, 4, POS), (0, 5, POS), (1, 4, POS), (1, 5, POS),
-        (2, 6, POS), (2, 7, POS), (3, 6, POS), (3, 7, POS),
-        (4, 6, POS), (5, 7, POS),
-    ])
+def golden_graph(stem: str) -> SignedGraph:
+    return load_path(Path(__file__).parent / "golden" / f"{stem}.sg")
 
 
 class TestAcyclicHardInstances:
+    """Inputs built to reach the later rewrite cases (golden reports pin their traces)."""
+
     def test_march_necklace(self):
-        g = quartic_necklace_with_march()
+        g = golden_graph("necklace-march22")
         assert g.max_degree() == 4
         result = acyclic_negation(g, trace=True)
         assert_valid_acyclic(g, result)
@@ -318,7 +248,7 @@ class TestAcyclicHardInstances:
                 "split-positive-neighbors"} <= labels
 
     def test_finale_necklace(self):
-        g = quartic_necklace_with_finale()
+        g = golden_graph("necklace-finale22")
         assert g.max_degree() == 4
         result = acyclic_negation(g, trace=True)
         assert_valid_acyclic(g, result)
@@ -326,15 +256,30 @@ class TestAcyclicHardInstances:
         assert {"episode-start", "episode-finale"} <= labels
 
     def test_pair_shift_instance(self):
-        g = quartic_shift_instance()
+        g = golden_graph("pair-shift8")
         result = acyclic_negation(g, trace=True)
         assert_valid_acyclic(g, result)
         labels = {t.label for t in result.stats.trace}
         assert {"shared-pair-shift", "split-positive-neighbors"} <= labels
 
+    def test_branching_negative_core_uses_the_exhaustive_enumerator(self, monkeypatch):
+        # After its first rewrite this input's negative 2-core has a vertex
+        # of negative degree three, which the cycle walk cannot read off.
+        calls = []
+        enumerate_circles = negation._enumerate_circles
+
+        def counted(verts, nbrs):
+            calls.append(len(verts))
+            return enumerate_circles(verts, nbrs)
+
+        monkeypatch.setattr(negation, "_enumerate_circles", counted)
+        g = golden_graph("circle-fallback22")
+        assert_valid_acyclic(g, acyclic_negation(g))
+        assert calls
+
     def test_passes_stay_within_budget(self):
-        for build in (quartic_necklace_with_march, quartic_necklace_with_finale):
-            g = build()
+        for stem in ("necklace-march22", "necklace-finale22"):
+            g = golden_graph(stem)
             result = acyclic_negation(g)
             assert result.stats.passes <= max(100, 10 * g.n * g.edge_count)
 
@@ -348,7 +293,7 @@ class TestClassifyCases:
 
         w = _Work(g)
         w.active = set(range(g.n))
-        return _classify(w, tuple(range(g.n)), circle)
+        return _classify(w, circle)
 
     def test_high_negative_degree(self):
         g = SignedGraph(4, [(0, 1, NEG), (1, 2, NEG), (0, 2, NEG), (0, 3, NEG)])
@@ -412,7 +357,8 @@ class TestClassifyCases:
         action = self.classify(SignedGraph(10, edges), (0, 1, 2, 3))
         assert action.label == "shared-pair-shift"
         assert not action.strict
-        assert action.shift_data == (0, 1, 4, 5)
+        assert action.switched == (0, 1, 5)
+        assert action.follow == (0, 1, 4)
 
     def test_nonadjacent_shared_collapse(self):
         edges = [(0, 1, NEG), (1, 2, NEG), (2, 3, NEG), (0, 3, NEG)]
