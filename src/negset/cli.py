@@ -2,17 +2,26 @@
 
 Exit codes: 0 the checked property holds (or the computation succeeded),
 1 the property fails, 2 usage or parse error, 3 precondition or budget
-error, 4 an antibalanced-K₅ block stopped the acyclic construction.
+error, 4 an antibalanced-K₅ block stopped the acyclic construction,
+5 an internal error (a bug: one line ``internal error: <type>: <message>``
+on stderr, no traceback).
+
+Each op runs with the cyclic garbage collector paused.  Its data hold no
+reference cycles, so reference counting frees them all, while the collector
+would otherwise rescan the input graph's many small tuples over and over as
+they are allocated.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import heapq
-import json
+import math
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import oracle
@@ -23,7 +32,7 @@ from .errors import (
     PreconditionError,
     SgParseError,
 )
-from .graph import NEG, Edge, SignedGraph, edge_key
+from .graph import NEG, Edge, InducedSubgraph, SignedGraph, edge_key
 from .minimality import (
     is_minimal,
     triangle_certificate_for_complete,
@@ -38,6 +47,7 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_MINUS_K5 = 4
+EXIT_INTERNAL = 5
 
 _DOT_PALETTE = (
     "blue",
@@ -88,7 +98,7 @@ class _Report:
 
     def emit(self, args) -> None:
         text = (
-            json.dumps(self.data, indent=2, sort_keys=True)
+            _json_text(self.data)
             if args.json
             else "\n".join(self.lines)
         )
@@ -97,6 +107,70 @@ class _Report:
                 fp.write(text + "\n")
         else:
             print(text)
+
+
+def _json_text(data) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python generator
+    encoder; this writer builds the same text from a list of chunks and
+    writes a list of plain ints in one join.  Dict keys must be strings.
+    """
+    out: list[str] = []
+    _write_json(data, "\n", out)
+    return "".join(out)
+
+
+def _write_json(o, newline: str, out: list[str]) -> None:
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, o)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _edges_or_negative(g: SignedGraph, args) -> tuple[Edge, ...]:
@@ -206,8 +280,14 @@ def _cmd_acyclic(g: SignedGraph, args, report: _Report) -> int:
 
 
 def _component_views(g: SignedGraph):
-    """Induced subgraphs per connected component, largest host ids last."""
-    return [g.induced(comp) for comp in g.connected_components()]
+    """Induced subgraphs per connected component, largest host ids last.
+
+    A connected input is its own view, with the identity vertex map.
+    """
+    comps = g.connected_components()
+    if len(comps) == 1:
+        return [InducedSubgraph(g, comps[0])]
+    return [g.induced(comp) for comp in comps]
 
 
 def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
@@ -452,6 +532,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; the cyclic collector is paused for the op and restored after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -459,23 +553,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         g = load_path(args.path)
-    except SgParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SgParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = _Report(args.command)
     try:
         code = _COMMANDS[args.command](g, args, report)
+        report.emit(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, IterationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as exc:
-        # e.g. --edges naming a pair that is not an edge of the graph
+    except (ValueError, OSError) as exc:
+        # e.g. --edges naming a pair that is not an edge, or an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MinusK5Detected as exc:
@@ -485,7 +577,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_MINUS_K5
-    report.emit(args)
     return code
 
 

@@ -404,11 +404,16 @@ def _exact_packing(
 
 
 def _check_family(g: SignedGraph, family: list[EdgeSubset]) -> None:
-    """Certify a packing family: every member a negation set, no edge in two."""
+    """Certify a packing family: every member a negation set, no edge in two.
+
+    Raises ``RuntimeError`` (not ``assert``, so ``python -O`` keeps the check).
+    """
     used: set[Edge] = set()
-    for member in family:
-        assert is_negation_set(g, member)
-        assert used.isdisjoint(member.edges), "family members overlap"
+    for i, member in enumerate(family):
+        if not is_negation_set(g, member):
+            raise RuntimeError(f"packing family member {i} is not a negation set")
+        if not used.isdisjoint(member.edges):
+            raise RuntimeError(f"packing family member {i} overlaps an earlier member")
         used |= member.edges
 
 

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from negset import NEG, POS, SignedGraph, cli, oracle, serialize
 from negset.cli import (
     EXIT_FAILS,
     EXIT_HOLDS,
+    EXIT_INTERNAL,
     EXIT_MINUS_K5,
     EXIT_PRECONDITION,
     EXIT_USAGE,
@@ -334,6 +339,27 @@ class TestErrorHandling:
     def test_no_command(self, capsys):
         assert main([]) == EXIT_USAGE
 
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "binary.sg"
+        bad.write_bytes(b"p sg 2 0\n\xff\xfe\n")
+        assert main(["balance", str(bad)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, c5_one_negative):
+        target = tmp_path / "absent" / "report.json"
+        assert main(["balance", c5_one_negative, "--output", str(target)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_internal_error_exits_five_with_one_line(self, capsys, monkeypatch, c5_one_negative):
+        def broken(g, args, report):
+            raise RuntimeError("no such case")
+
+        monkeypatch.setitem(cli._COMMANDS, "balance", broken)
+        assert main(["balance", c5_one_negative]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: no such case\n"
+
     def test_output_file(self, capsys, tmp_path, c5_one_negative):
         target = tmp_path / "report.json"
         code = main(["balance", c5_one_negative, "--json", "--output", str(target)])
@@ -345,3 +371,70 @@ class TestErrorHandling:
         _, first = run_json(capsys, ["packing", c5_one_negative, "--json"])
         _, second = run_json(capsys, ["packing", c5_one_negative, "--json"])
         assert first == second
+
+
+class TestCollectorPause:
+    @pytest.fixture(params=[EXIT_HOLDS, EXIT_FAILS, EXIT_USAGE, EXIT_PRECONDITION, EXIT_INTERNAL])
+    def op(self, request, monkeypatch, tmp_path, write_sg):
+        """(argv, expected exit code), one per exit path."""
+        code = request.param
+        if code == EXIT_HOLDS:
+            return ["balance", write_sg(cycle_graph(4))], code
+        if code == EXIT_FAILS:
+            return ["balance", write_sg(cycle_graph(5).negate_edges([(0, 1)]))], code
+        if code == EXIT_USAGE:
+            bad = tmp_path / "bad.sg"
+            bad.write_text("p sg 3 1\ne 0 9 +\n")
+            return ["balance", str(bad)], code
+        if code == EXIT_PRECONDITION:
+            return ["packing", write_sg(cycle_graph(4))], code
+
+        def broken(g, args, report):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "balance", broken)
+        return ["balance", write_sg(cycle_graph(4))], code
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_restores_the_callers_collector_state(self, capsys, op, enabled):
+        argv, expected = op
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert main(argv) == expected
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_collector_is_paused_during_the_op(self, monkeypatch, write_sg):
+        seen = []
+
+        def probe(g, args, report):
+            seen.append(gc.isenabled())
+            return EXIT_HOLDS
+
+        monkeypatch.setitem(cli._COMMANDS, "balance", probe)
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            assert main(["balance", write_sg(cycle_graph(4))]) == EXIT_HOLDS
+        finally:
+            gc.enable() if was else gc.disable()
+        assert seen == [False]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(st.integers())
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300)
+@given(json_values)
+@example({"a": [], "b": {}, "c": [[0, 1], [2, -3]], "d": [1, True, None], "e": [False, 0]})
+@example([math.inf, -math.inf, math.nan, -0.0, 1e300, "\u00e9\u2013\U0001f600"])
+def test_json_text_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)

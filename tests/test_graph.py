@@ -99,6 +99,23 @@ class TestConstruction:
         assert not triangle().underlying_matches(path_graph(3))
 
 
+class TestSignedRows:
+    @given(connected_signed_graphs(), st.randoms(use_true_random=False))
+    def test_constructor_rows_match_edges_and_a_lazy_rebuild(self, g, rng):
+        # any edge order, either endpoint first
+        edges = [(v, u, s) if rng.random() < 0.5 else (u, v, s) for u, v, s in g.edges()]
+        rng.shuffle(edges)
+        h = SignedGraph(g.n, edges)
+        expected: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
+        for u, v, s in h.edges():
+            expected[u].append((v, s))
+            expected[v].append((u, s))
+        assert h.signed_rows() == tuple(tuple(sorted(row)) for row in expected)
+        copy = h._resigned(dict(h._signs))
+        assert copy._rows is None
+        assert copy.signed_rows() == h.signed_rows()
+
+
 class TestSwitching:
     def test_switch_flips_exactly_the_cut(self):
         g = triangle()
@@ -202,6 +219,14 @@ class TestSubsetWrappers:
         x = VertexSubset(g, frozenset({0}))
         with pytest.raises(HostMismatchError):
             as_vertex_set(h, x)
+
+    def test_as_edge_set_returns_a_normalized_frozenset_as_is(self):
+        g = triangle()
+        ys = frozenset({(0, 1), (1, 2)})
+        assert as_edge_set(g, ys) is ys
+        assert as_edge_set(g, frozenset({(1, 0)})) == frozenset({(0, 1)})
+        with pytest.raises(ValueError, match="not an edge"):
+            as_edge_set(path_graph(3), frozenset({(0, 2)}))
 
     @given(st.frozensets(st.integers(0, 2)))
     def test_as_vertex_set_accepts_plain_iterables(self, xs):

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -319,3 +323,33 @@ class TestBalanceScanShape:
             k for k, cg in enumerate(graphs, start=1) if not cg.balanced()
         )
         assert result.distance == ws[first_unbalanced - 1]
+
+
+_CHECK_FAMILY_SCRIPT = """
+from negset.graph import EdgeSubset, cycle_graph
+from negset.packing import _check_family
+
+assert not __debug__
+g = cycle_graph(5).negate_edges([(0, 1)])
+member = EdgeSubset(g, g.negative_edges())
+for family in ([member, member], [member, EdgeSubset(g, frozenset())]):
+    try:
+        _check_family(g, family)
+    except RuntimeError as exc:
+        print(exc)
+"""
+
+
+def test_family_check_survives_python_O():
+    src = Path(packing.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CHECK_FAMILY_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines() == [
+        "packing family member 1 overlaps an earlier member",
+        "packing family member 1 is not a negation set",
+    ]
