@@ -1,10 +1,11 @@
 """Command-line surface: file I/O, reports, and DOT export.
 
 Exit codes: 0 the checked property holds (or the computation succeeded),
-1 the property fails, 2 usage or parse error, 3 precondition or budget
-error, 4 an antibalanced-K₅ block stopped the acyclic construction,
-5 an internal error (a bug: one line ``internal error: <type>: <message>``
-on stderr, no traceback).
+1 the property fails, 2 usage or parse error (or an ``--output`` file that
+cannot be opened), 3 precondition or budget error, 4 an antibalanced-K₅
+block stopped the acyclic construction, 5 any other exception, such as a
+bug or a failed write to stdout (one line
+``internal error: <type>: <message>`` on stderr, no traceback).
 
 Each op runs with the cyclic garbage collector paused.  Its data hold no
 reference cycles, so reference counting frees them all, while the collector
@@ -18,10 +19,9 @@ import argparse
 import functools
 import gc
 import heapq
-import math
+import json
 import random
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import oracle
@@ -98,79 +98,19 @@ class _Report:
 
     def emit(self, args) -> None:
         text = (
-            _json_text(self.data)
+            json.dumps(self.data, indent=2, sort_keys=True)
             if args.json
             else "\n".join(self.lines)
         )
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fp:
+            try:
+                fp = open(args.output, "w", encoding="utf-8")
+            except OSError as exc:
+                raise _UsageError(str(exc)) from exc
+            with fp:
                 fp.write(text + "\n")
         else:
             print(text)
-
-
-def _json_text(data) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte.
-
-    With ``indent`` set, ``json.dumps`` runs its pure-Python generator
-    encoder; this writer builds the same text from a list of chunks and
-    writes a list of plain ints in one join.  Dict keys must be strings.
-    """
-    out: list[str] = []
-    _write_json(data, "\n", out)
-    return "".join(out)
-
-
-def _write_json(o, newline: str, out: list[str]) -> None:
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, o)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in o:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _edges_or_negative(g: SignedGraph, args) -> tuple[Edge, ...]:
@@ -566,8 +506,8 @@ def _run(argv: Sequence[str] | None) -> int:
     except (PreconditionError, IterationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValueError, OSError) as exc:
-        # e.g. --edges naming a pair that is not an edge, or an unwritable --output
+    except ValueError as exc:
+        # e.g. --edges naming a pair that is not an edge of the graph
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MinusK5Detected as exc:

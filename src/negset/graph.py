@@ -45,7 +45,6 @@ class SignedGraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         signs: dict[Edge, int] = {}
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for u, v, s in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
@@ -57,14 +56,10 @@ class SignedGraph:
             if e in signs:
                 raise ValueError(f"parallel edge ({u}, {v})")
             signs[e] = s
-            rows[u].append((v, s))
-            rows[v].append((u, s))
-        for row in rows:
-            row.sort()
         self._n = n
         self._signs = signs
         self._hash: int | None = None
-        self._rows: tuple[tuple[tuple[int, int], ...], ...] | None = tuple(map(tuple, rows))
+        self._rows: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._positive_rows: tuple[tuple[int, ...], ...] | None = None
 
     # -- construction helpers -------------------------------------------------
@@ -125,9 +120,8 @@ class SignedGraph:
     def signed_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex ``(neighbour, sign)`` pairs in neighbour order.
 
-        The graph's one adjacency, which every neighbourhood query reads.
-        The constructor builds it in the loop that validates the edges; a
-        re-signed copy (:meth:`_resigned`) builds it here, on first use.
+        The graph's one adjacency, which every neighbourhood query reads;
+        built on first use and kept, since the graph is immutable.
         """
         if self._rows is None:
             rows: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]

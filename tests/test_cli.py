@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import random
+import sys
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from negset import NEG, POS, SignedGraph, cli, oracle, serialize
 from negset.cli import (
@@ -350,6 +348,18 @@ class TestErrorHandling:
         assert main(["balance", c5_one_negative, "--output", str(target)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_failed_stdout_write_is_not_usage_error(self, capsys, monkeypatch, c5_one_negative):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["balance", c5_one_negative]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: BrokenPipeError: ")
+
     def test_internal_error_exits_five_with_one_line(self, capsys, monkeypatch, c5_one_negative):
         def broken(g, args, report):
             raise RuntimeError("no such case")
@@ -422,19 +432,3 @@ class TestCollectorPause:
             gc.enable() if was else gc.disable()
         assert seen == [False]
 
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children)
-    | st.lists(st.integers())
-    | st.dictionaries(st.text(), children),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=300)
-@given(json_values)
-@example({"a": [], "b": {}, "c": [[0, 1], [2, -3]], "d": [1, True, None], "e": [False, 0]})
-@example([math.inf, -math.inf, math.nan, -0.0, 1e300, "\u00e9\u2013\U0001f600"])
-def test_json_text_matches_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)

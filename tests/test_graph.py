@@ -101,7 +101,7 @@ class TestConstruction:
 
 class TestSignedRows:
     @given(connected_signed_graphs(), st.randoms(use_true_random=False))
-    def test_constructor_rows_match_edges_and_a_lazy_rebuild(self, g, rng):
+    def test_rows_match_edges_and_a_resigned_copy(self, g, rng):
         # any edge order, either endpoint first
         edges = [(v, u, s) if rng.random() < 0.5 else (u, v, s) for u, v, s in g.edges()]
         rng.shuffle(edges)
