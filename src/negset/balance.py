@@ -102,12 +102,13 @@ def _two_color(
 
 
 def _tree_circle(parent, depth, u: int, w: int) -> tuple[int, ...]:
-    """Close the BFS tree paths from u and w into the circle through edge uw."""
+    """Close the BFS tree paths from u and w into the circle through edge uw.
+
+    The conflict is found while u scans uw, so w is never shallower than u:
+    a shallower w was scanned first and would have reported the same edge.
+    """
     pu, pw = [u], [w]
     a, b = u, w
-    while depth[a] > depth[b]:
-        a = parent[a]
-        pu.append(a)
     while depth[b] > depth[a]:
         b = parent[b]
         pw.append(b)

@@ -330,10 +330,7 @@ class VertexSubset:
     vertices: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        for v in self.vertices:
-            if not (0 <= v < self.host.n):
-                raise ValueError(f"vertex {v} outside host range")
+        object.__setattr__(self, "vertices", as_vertex_set(self.host, self.vertices))
 
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.vertices))
@@ -353,11 +350,7 @@ class EdgeSubset:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        norm = frozenset(edge_key(*e) for e in self.edges)
-        object.__setattr__(self, "edges", norm)
-        for u, v in norm:
-            if not self.host.has_edge(u, v):
-                raise ValueError(f"({u}, {v}) is not an edge of the host graph")
+        object.__setattr__(self, "edges", as_edge_set(self.host, self.edges))
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(sorted(self.edges))

@@ -37,11 +37,17 @@ def is_minimal(g: SignedGraph, b: Iterable[Edge]) -> bool:
     """
     if not g.is_connected():
         raise PreconditionError("minimality characterization requires a connected graph")
+    bs = _negation_set(g, b)
+    remainder = SignedGraph(g.n, [(u, v, s) for u, v, s in g.edges() if (u, v) not in bs])
+    return remainder.is_connected()
+
+
+def _negation_set(g: SignedGraph, b: Iterable[Edge]) -> frozenset[Edge]:
+    """``b`` as a validated edge set of g; raises unless it is a negation set."""
     bs = as_edge_set(g, b)
     if not is_negation_set(g, bs):
         raise PreconditionError("b is not a negation set of g")
-    remainder = SignedGraph(g.n, [(u, v, s) for u, v, s in g.edges() if (u, v) not in bs])
-    return remainder.is_connected()
+    return bs
 
 
 def _cycle_edges(g: SignedGraph, cycle: Sequence[int]) -> frozenset[Edge]:
@@ -72,9 +78,7 @@ def verify_disjoint_circle_certificate(
     :class:`MalformedCertificateError`; semantic failures (wrong count, a
     positive circle, shared edges) return ``False``.
     """
-    bs = as_edge_set(g, b)
-    if not is_negation_set(g, bs):
-        raise PreconditionError("b is not a negation set of g")
+    bs = _negation_set(g, b)
     circle_list = [tuple(c) for c in circles]
     edge_sets = [_cycle_edges(g, c) for c in circle_list]
     if len(circle_list) != len(bs):
@@ -100,9 +104,7 @@ def verify_two_circle_certificate(
     ``b`` is minimum (not checked here), a valid certificate makes it the
     unique minimum.  Every edge of ``b`` must be covered exactly once.
     """
-    bs = as_edge_set(g, b)
-    if not is_negation_set(g, bs):
-        raise PreconditionError("b is not a negation set of g")
+    bs = _negation_set(g, b)
     entries: list[tuple[Edge, frozenset[Edge], frozenset[Edge], tuple[int, ...], tuple[int, ...]]] = []
     for e, c1, c2 in pairs:
         c1, c2 = tuple(c1), tuple(c2)
@@ -130,9 +132,7 @@ def unique_minimum_by_size(g: SignedGraph, b: Iterable[Edge]) -> bool:
     negation set, ``False`` when the test is inconclusive.
     """
     _require_complete(g)
-    bs = as_edge_set(g, b)
-    if not is_negation_set(g, bs):
-        raise PreconditionError("b is not a negation set of g")
+    bs = _negation_set(g, b)
     return 2 * len(bs) <= g.n - 2
 
 
@@ -155,9 +155,7 @@ def triangle_certificate_for_complete(
     ``None`` when fewer spare vertices exist than colors used.
     """
     _require_complete(g)
-    bs = as_edge_set(g, b)
-    if not is_negation_set(g, bs):
-        raise PreconditionError("b is not a negation set of g")
+    bs = _negation_set(g, b)
     if not bs:
         return ()
     support = sorted({v for e in bs for v in e})
@@ -197,12 +195,8 @@ def misra_gries_edge_coloring(n: int, edges: Iterable[Edge]) -> dict[Edge, int]:
         raise AssertionError("no free color at a vertex of degree <= delta")
 
     def assign(x: int, y: int, c: int) -> None:
-        e = edge_key(x, y)
-        old = color_of.get(e)
-        if old is not None:
-            del at[x][old]
-            del at[y][old]
-        color_of[e] = c
+        # every call colours the new edge or an edge just unassigned
+        color_of[edge_key(x, y)] = c
         at[x][c] = y
         at[y][c] = x
 

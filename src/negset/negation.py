@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .balance import check_balance, is_balanced, is_negation_set
+from .balance import check_balance, is_balanced
 from .errors import IterationBudgetError, MinusK5Detected, PreconditionError
 from .graph import (
     NEG,
@@ -187,62 +187,52 @@ class AcyclicResult:
 
 
 class _Work:
-    """Mutable switching state over a fixed host graph.
+    """Switching state over a fixed host graph: one ±1 factor per vertex.
 
-    ``switch`` flips all host edges at a vertex (active or not), so the final
-    signs always equal the host switched by the accumulated vertex set.  The
-    degree/neighbor queries are restricted to the active vertex set, which
-    grows as peeled layers are reattached.  ``rows[v]`` lists v's host
-    neighbors in order, each with the key of the joining edge in ``sign``.
+    The current sign of host edge uw is its host sign times ``factor[u] *
+    factor[w]``, so ``switch`` flips one factor in O(1) and the signs always
+    equal the host switched by :meth:`switching`.  The degree/neighbor
+    queries read the host's signed rows, restricted to the active vertex
+    set, which grows as peeled layers are reattached.
     """
 
-    __slots__ = ("host", "rows", "sign", "active", "switched")
+    __slots__ = ("host", "rows", "factor", "active")
 
     def __init__(self, host: SignedGraph):
         self.host = host
-        self.sign: dict[tuple[int, int], int] = {}
-        rows: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(host.n)]
-        # u ascends and each signed row is in neighbour order, so every row
-        # is appended in ascending neighbour order; both rows of an edge
-        # share one key object
-        for u, signed in enumerate(host.signed_rows()):
-            for v, s in signed:
-                if u < v:
-                    e = (u, v)
-                    self.sign[e] = s
-                    rows[u].append((v, e))
-                    rows[v].append((u, e))
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = host.signed_rows()
+        self.factor = [POS] * host.n
         self.active: set[int] = set()
-        self.switched: set[int] = set()
 
     def switch(self, v: int) -> None:
-        self.switched ^= {v}
-        sign = self.sign
-        for _, e in self.rows[v]:
-            sign[e] = -sign[e]
+        self.factor[v] = -self.factor[v]
 
     def switch_all(self, vs: Iterable[int]) -> None:
-        for v in sorted(set(vs)):
+        for v in set(vs):
             self.switch(v)
+
+    def switching(self) -> frozenset[int]:
+        return frozenset(v for v, f in enumerate(self.factor) if f == NEG)
 
     def neighbors(self, v: int) -> list[int]:
         active = self.active
         return [w for w, _ in self.rows[v] if w in active]
 
     def neg_neighbors(self, v: int) -> list[int]:
-        active, sign = self.active, self.sign
-        return [w for w, e in self.rows[v] if w in active and sign[e] == NEG]
+        active, factor = self.active, self.factor
+        want = NEG * factor[v]
+        return [w for w, s in self.rows[v] if w in active and s * factor[w] == want]
 
     def pos_neighbors(self, v: int) -> list[int]:
-        active, sign = self.active, self.sign
-        return [w for w, e in self.rows[v] if w in active and sign[e] == POS]
+        active, factor = self.active, self.factor
+        want = factor[v]
+        return [w for w, s in self.rows[v] if w in active and s * factor[w] == want]
 
     def neg_degree(self, v: int) -> int:
         return len(self.neg_neighbors(v))
 
     def edge_sign(self, u: int, v: int) -> int:
-        return self.sign[edge_key(u, v)]
+        return self.host.sign(u, v) * self.factor[u] * self.factor[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.active and v in self.active and self.host.has_edge(u, v)
@@ -513,10 +503,9 @@ def _component_k5_check(w: _Work, comp: tuple[int, ...]) -> None:
     """
     if len(comp) != 5:
         return
-    sign = w.sign
     hub = comp[0]
     if all(
-        sign[edge_key(hub, a)] * sign[edge_key(hub, b)] * sign[edge_key(a, b)] == NEG
+        w.edge_sign(hub, a) * w.edge_sign(hub, b) * w.edge_sign(a, b) == NEG
         for a, b in combinations(comp[1:], 2)
     ):
         raise MinusK5Detected(comp)
@@ -708,11 +697,10 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
         for v in _sweep(w, batch, 2):
             tracer.record_sweep("reattach", v)
 
-    negation = frozenset(e for e, s in w.sign.items() if s == NEG)
-    switching = frozenset(w.switched)
-    assert g.switch(switching).negative_edges() == negation
-    assert is_negation_set(g, negation)
-    assert _is_forest(g.n, negation), "negative subgraph still contains a circle"
+    switching = w.switching()
+    negation = g.switch(switching).negative_edges()
+    if not _is_forest(g.n, negation):
+        raise RuntimeError("negative subgraph still contains a circle")
     stats = AcyclicStats(tracer.passes, tuple(tracer.entries) if trace else None)
     return AcyclicResult(EdgeSubset(g, negation), VertexSubset(g, switching), stats)
 

@@ -302,8 +302,8 @@ def _exact_packing(
     class vertex has no edge leaving it; in a connected graph it would be
     the whole graph, which would then have no negative edge and be
     balanced, and balanced input is rejected upstream.  The search is
-    exponential and kept behind an explicit budget; the scan family seeds
-    the branch and bound so only strict improvements are explored.
+    exponential and kept behind an explicit budget; the scan family's size
+    seeds the branch and bound so only strict improvements are explored.
     """
     in_class = frozenset().union(*classes.flat())
     free = [v for v in g.vertices() if v not in in_class]
@@ -328,24 +328,18 @@ def _exact_packing(
             mask ^= incidence[v]
         return mask
 
-    class_masks = tuple((fold(first), fold(second)) for first, second in classes.classes)
-    free_masks = tuple(incidence[v] for v in free)
-
     # The cut of a switching set is the GF(2) sum of its members' incidence
-    # vectors: edges inside the set toggle twice and cancel.  A Gray-code
-    # sweep over the free vertices keeps each step to a single toggle.
-    cuts: set[int] = set()
-    for pattern in range(1 << (classes.m - 1)):
-        mask = class_masks[0][0]
-        for i in range(1, classes.m):
-            mask ^= class_masks[i][(pattern >> (i - 1)) & 1]
+    # vectors: edges inside the set toggle twice and cancel.  One Gray-code
+    # walk from the cut of all first classes reaches every class-respecting
+    # switching, each step swapping the classes of one component 1..m-1 or
+    # toggling one free vertex.
+    toggles = [fold(first | second) for first, second in classes.classes[1:]]
+    toggles += [incidence[v] for v in free]
+    mask = fold(v for first, _ in classes.classes for v in first)
+    cuts = {mask}
+    for x in range(1, 1 << len(toggles)):
+        mask ^= toggles[(x & -x).bit_length() - 1]
         cuts.add(mask)
-        previous = 0
-        for x in range(1, 1 << len(free)):
-            gray = x ^ (x >> 1)
-            mask ^= free_masks[(gray ^ previous).bit_length() - 1]
-            previous = gray
-            cuts.add(mask)
     # An empty cut would mean some switching removes every negative edge,
     # contradicting unbalance.
     assert 0 not in cuts, "empty cut found in an unbalanced graph"
@@ -358,23 +352,16 @@ def _exact_packing(
             mask ^= low
         return frozenset(out)
 
-    index = {e: i for i, e in enumerate(pos_edges)}
-    incumbent: list[int] = []
-    for member in scan.family[1:]:
-        mask = 0
-        for e in member.edges:
-            mask |= 1 << index[e]
-        incumbent.append(mask)
-
     order = sorted(cuts, key=lambda c: (c.bit_count(), c))
-    best = list(incumbent)
+    best: list[int] = []
+    best_size = scan.packing_number - 1
 
     def extend(start: int, used: int, chosen: list[int]) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
+        nonlocal best, best_size
+        if len(chosen) > best_size:
+            best, best_size = list(chosen), len(chosen)
         for idx in range(start, len(order)):
-            if len(chosen) + (len(order) - idx) <= len(best):
+            if len(chosen) + (len(order) - idx) <= best_size:
                 break
             cut = order[idx]
             if used & cut:
@@ -385,8 +372,7 @@ def _exact_packing(
 
     extend(0, 0, [])
 
-    assert len(best) >= scan.packing_number - 1
-    if len(best) == scan.packing_number - 1:
+    if not best:
         # No mixed-bipartition family beats the scan, so keep its richer
         # result (explicit bipartition and distance).
         return scan

@@ -86,6 +86,10 @@ class TestMembershipCommands:
     def test_malformed_edge_list_is_usage_error(self, c5_one_negative):
         assert main(["negation-check", c5_one_negative, "--edges", "zap"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("spec", [",", "0-x"], ids=["empty", "non-integer"])
+    def test_empty_or_non_integer_edge_list_is_usage_error(self, c5_one_negative, spec):
+        assert main(["negation-check", c5_one_negative, "--edges", spec]) == EXIT_USAGE
+
 
 class TestCertificateCommands:
     def test_certify_minimum_on_a_complete_graph(self, capsys, write_sg):
@@ -297,6 +301,10 @@ class TestExportDot:
             if "color=" in part
         }
         assert len(colors) == 5
+
+    def test_packing_on_disconnected_input_is_a_precondition_error(self, write_sg):
+        path = write_sg(SignedGraph(4, [(0, 1, NEG), (2, 3, NEG)]))
+        assert main(["export-dot", path, "--packing"]) == EXIT_PRECONDITION
 
     def test_edge_highlight(self, capsys, c5_one_negative):
         assert main(["export-dot", c5_one_negative, "--edges", "2-3"]) == EXIT_HOLDS

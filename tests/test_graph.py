@@ -196,6 +196,8 @@ class TestSubsetWrappers:
         assert (0, 1) in b and len(b) == 1
         with pytest.raises(ValueError):
             EdgeSubset(g, frozenset({(0, 5)}))
+        ys = frozenset({(0, 1), (1, 2)})
+        assert EdgeSubset(g, ys).edges is ys
 
     def test_vertex_subset_validates_membership(self):
         g = triangle()
@@ -203,6 +205,8 @@ class TestSubsetWrappers:
         assert 2 in x and len(x) == 2 and sorted(x) == [0, 2]
         with pytest.raises(ValueError):
             VertexSubset(g, frozenset({3}))
+        with pytest.raises(ValueError):
+            VertexSubset(g, frozenset({1.0}))
 
     def test_isdisjoint(self):
         g = triangle()

@@ -187,6 +187,15 @@ class TestTwoCircleCertificate:
         pairs = [((0, 1), (0, 1, 2), (0, 2, 3))]  # second circle positive
         assert not verify_two_circle_certificate(g, [(0, 1)], pairs)
 
+    def test_rejects_pairs_whose_unions_share_an_edge(self):
+        g = complete_graph(7).negate_edges([(0, 1), (2, 3)])
+        first = ((0, 1), (0, 1, 4), (0, 1, 5))
+        apart = ((2, 3), (2, 3, 4), (2, 3, 6))
+        assert verify_two_circle_certificate(g, g.negative_edges(), [first, apart])
+        # (2, 3, 0, 5) also uses the edge (0, 5) of the first pair's union
+        touching = ((2, 3), (2, 3, 4), (2, 3, 0, 5))
+        assert not verify_two_circle_certificate(g, g.negative_edges(), [first, touching])
+
 
 class TestUniqueMinimumBySize:
     def test_bound_boundary(self):

@@ -3,7 +3,10 @@ antibalanced graphs, and the acyclic (forest) construction for max degree 4."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,6 +232,32 @@ class TestAcyclicNegation:
         if result is None:
             return
         assert len(result.negation_set) >= oracle.frustration_index(g)
+
+
+_FOREST_CHECK_SCRIPT = """
+from negset import NEG, SignedGraph, negation
+
+assert not __debug__
+negation._solve_core_component = lambda w, comp, tracer: None
+n = 8
+g = SignedGraph(n, [(i, (i + d) % n, NEG) for i in range(n) for d in (1, 2)])
+try:
+    negation.acyclic_negation(g)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_forest_check_survives_python_O():
+    src = Path(negation.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FOREST_CHECK_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines() == ["negative subgraph still contains a circle"]
 
 
 def golden_graph(stem: str) -> SignedGraph:

@@ -92,13 +92,13 @@ def test_heap_sweep_switches_like_the_rescan(case, data):
     fast, slow = work_on(g, switched), work_on(g, switched)
     everything = range(g.n)
     assert _sweep(fast, everything, 3) == reference_sweep(slow, everything, 3)
-    assert fast.sign == slow.sign
+    assert fast.switching() == slow.switching()
     # threshold two terminates on vertices of degree at most three, the
     # peeled layers the reattach sweep works on
     low = [v for v in everything if g.degree(v) <= 3]
     batch = data.draw(st.sets(st.sampled_from(low)) if low else st.just(set()))
     assert _sweep(fast, batch, 2) == reference_sweep(slow, batch, 2)
-    assert fast.sign == slow.sign
+    assert fast.switching() == slow.switching()
 
 
 @given(signings, st.data())
