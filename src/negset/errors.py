@@ -29,7 +29,8 @@ class MalformedCertificateError(ValueError):
 
 
 class IterationBudgetError(RuntimeError):
-    """The main loop exceeded its iteration budget (indicates a bug, not bad input)."""
+    """A search ran out of its budget: in the acyclic main loop a bug, not bad
+    input; in packing's exact search a valid input too large to settle."""
 
 
 class MinusK5Detected(Exception):

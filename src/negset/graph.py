@@ -389,7 +389,9 @@ def as_vertex_set(g: SignedGraph, x: "VertexSubset | Iterable[int]") -> frozense
         return x.vertices
     xs = frozenset(x)
     for v in xs:
-        if not isinstance(v, int) or not (0 <= v < g.n):
+        if not isinstance(v, int):
+            raise ValueError(f"vertex {v!r} is not an integer")
+        if not 0 <= v < g.n:
             raise ValueError(f"vertex {v!r} outside host range")
     return xs
 

@@ -6,20 +6,24 @@ negative subgraph is bipartite, the number equals ``d + 1`` where ``d`` is
 the largest positive-subgraph distance between the two sides of a stable
 bipartition of the negative subgraph, maximized over all such bipartitions.
 
-:func:`packing_number` first runs a threshold scan: it builds a sequence of
-small signed "class graphs" on the 2m bipartition classes and finds the
-first unbalanced one.  The scan threshold ``w_p`` is the best distance over
-single bipartitions, and switching distance layers measured from one side
-turns it into an explicit family of ``w_p + 1`` disjoint negation sets.
+:func:`packing_number` goes classes, distances, scan, bound, family.  A
+threshold scan builds a sequence of small signed "class graphs" on the 2m
+bipartition classes and finds the first unbalanced one; its threshold
+``w_p`` is the best distance over single bipartitions.
 
 The scan value is exact whenever it matches the shortest-path upper bound:
 every member of a disjoint family must separate the two classes of every
 negative component, so no family can be larger than the distance between a
-component's classes measured in the positive multigraph with classes
-contracted.  With one negative component the two figures always coincide.
-With several components they can genuinely differ — families may mix cuts
-from different bipartitions — and then an exact (exponential, budget-kept)
-search over class-respecting switchings settles the answer.
+component's classes in the positive subgraph with classes contracted.  The
+bound is one BFS per component over the host's positive rows.  With one
+negative component the two figures always coincide.  With several they can
+genuinely differ — families may mix cuts from different bipartitions — and
+then an exact (exponential, budget-kept) search over class-respecting
+switchings decides whether a mixed family beats the scan.
+
+Only then is one family built and certified: the mixed family when the
+search found one, else the ``w_p + 1`` layered switchings measured from one
+side of the last balanced class graph's bipartition.
 """
 
 from __future__ import annotations
@@ -244,55 +248,52 @@ def _contracted_pair_distances(
 ) -> tuple[float, ...]:
     """Distance between the two classes of each component, classes contracted.
 
-    Works in the positive multigraph whose nodes are the 2m classes (one
-    node each) plus every class-free vertex.  Contraction can only shorten
-    paths compared with plain positive distances, and the shorter figure is
-    the sound family-size bound: every family member is a cut separating
-    the two contracted nodes, so it spends at least one edge of any fixed
-    shortest path between them.
+    The distance is measured in the positive multigraph with every class
+    contracted to one node.  Contraction can only shorten paths compared
+    with plain positive distances, and the shorter figure is the sound
+    family-size bound: every family member is a cut separating the two
+    contracted nodes, so it spends at least one edge of any fixed shortest
+    path between them.  One BFS per component over the host's positive
+    rows, from class 2i: the first vertex reached in a class brings in its
+    whole class at the same distance, and the BFS stops as soon as class
+    2i + 1 is reached.
     """
     flat = classes.flat()
-    node_of = [-1] * g.n
+    class_of = [-1] * g.n
     for idx, cls in enumerate(flat):
         for v in cls:
-            node_of[v] = idx
-    count = len(flat)
-    for v in g.vertices():
-        if node_of[v] < 0:
-            node_of[v] = count
-            count += 1
-    adjacency: list[set[int]] = [set() for _ in range(count)]
-    for u, row in enumerate(g.positive_rows()):
-        a = node_of[u]
-        for v in row:
-            if node_of[v] != a:
-                adjacency[a].add(node_of[v])
-    return tuple(_bfs_distance(adjacency, 2 * i, 2 * i + 1) for i in range(classes.m))
+            class_of[v] = idx
+    positive = g.positive_rows()
 
-
-def _bfs_distance(adjacency: list[set[int]], source: int, target: int) -> float:
-    """Breadth-first distance, stopping as soon as ``target`` is reached."""
-    dist: list[float] = [math.inf] * len(adjacency)
-    dist[source] = 0
-    queue = [source]
-    for x in queue:
-        step = dist[x] + 1
-        for y in adjacency[x]:
-            if dist[y] == math.inf:
-                if y == target:
+    def distance(source: int) -> float:
+        dist = [-1] * g.n
+        queue = list(flat[source])
+        for v in queue:
+            dist[v] = 0
+        for u in queue:
+            step = dist[u] + 1
+            for w in positive[u]:
+                if dist[w] >= 0:
+                    continue
+                c = class_of[w]
+                if c == source + 1:
                     return step
-                dist[y] = step
-                queue.append(y)
-    return dist[target]
+                reached = flat[c] if c >= 0 else (w,)
+                for x in reached:
+                    dist[x] = step
+                queue.extend(reached)
+        return math.inf
+
+    return tuple(distance(2 * i) for i in range(classes.m))
 
 
 _EXACT_SEARCH_BITS = 20
 
 
 def _exact_packing(
-    g: SignedGraph, classes: NegativeComponentClasses, scan: PackingResult
-) -> PackingResult:
-    """Settle the packing number by exhausting class-respecting switchings.
+    g: SignedGraph, classes: NegativeComponentClasses, scan_size: int
+) -> list[frozenset[Edge]]:
+    """Members beyond E⁻ of a family larger than ``scan_size``, else ``[]``.
 
     A switching yields a negation set disjoint from E⁻(g) exactly when it
     takes one whole class from every negative component plus any set of
@@ -313,7 +314,7 @@ def _exact_packing(
         raise IterationBudgetError(
             f"exact packing search needs 2^{bits} switchings "
             f"(budget 2^{_EXACT_SEARCH_BITS}); the scan lower bound is "
-            f"{scan.packing_number}"
+            f"{scan_size}"
         )
 
     pos_edges = tuple(sorted(g.positive_edges()))
@@ -354,7 +355,7 @@ def _exact_packing(
 
     order = sorted(cuts, key=lambda c: (c.bit_count(), c))
     best: list[int] = []
-    best_size = scan.packing_number - 1
+    best_size = scan_size - 1
 
     def extend(start: int, used: int, chosen: list[int]) -> None:
         nonlocal best, best_size
@@ -371,22 +372,7 @@ def _exact_packing(
             chosen.pop()
 
     extend(0, 0, [])
-
-    if not best:
-        # No mixed-bipartition family beats the scan, so keep its richer
-        # result (explicit bipartition and distance).
-        return scan
-
-    family = [scan.family[0]]
-    for mask in sorted(best, key=lambda c: (c.bit_count(), c)):
-        family.append(EdgeSubset(g, edge_bits(mask)))
-    _check_family(g, family)
-    return PackingResult(
-        packing_number=len(best) + 1,
-        family=tuple(family),
-        realizing_bipartition=None,
-        distance=None,
-    )
+    return [edge_bits(mask) for mask in sorted(best, key=lambda c: (c.bit_count(), c))]
 
 
 def _check_family(g: SignedGraph, family: list[EdgeSubset]) -> None:
@@ -409,12 +395,12 @@ def packing_number(g: SignedGraph) -> PackingResult:
     The graph must be connected and unbalanced.  When the negative subgraph
     is not bipartite no second disjoint negation set can exist, so the
     family is just ``(E⁻(g),)``.  Otherwise the class-graph scan finds the
-    best single-bipartition distance ``w_p`` and a witnessing family of
-    ``w_p + 1`` layered switchings.  That value is returned as exact when
-    it meets the contracted shortest-path bound (always true for one
-    negative component); otherwise an exhaustive search over
-    class-respecting switchings decides whether a family that mixes
-    bipartitions does better.  Results from the mixed search carry
+    best single-bipartition distance ``w_p``, which is exact when it meets
+    the contracted shortest-path bound (always true for one negative
+    component); otherwise an exhaustive search over class-respecting
+    switchings decides whether a family that mixes bipartitions does better.
+    The family returned is the mixed one, else ``w_p + 1`` layered
+    switchings.  Results from the mixed search carry
     ``realizing_bipartition=None`` and ``distance=None``.
     """
     if not g.is_connected():
@@ -433,53 +419,46 @@ def packing_number(g: SignedGraph) -> PackingResult:
         return PackingResult(1, (base,), None, None)
     dist = class_distances(g, classes)
     ws = thresholds(dist)
-    p = None
+    # The last balanced class graph of the scan; the empty one, whose Harary
+    # sides are exactly the first classes, stands in before the first step.
+    last = ClassGraph(classes.m, 0, frozenset())
     for k in range(1, len(ws) + 1):
-        if not build_class_graph(classes, dist, k).balanced():
-            p = k
+        cg = build_class_graph(classes, dist, k)
+        if not cg.balanced():
             break
-    # An unbalanced graph always has a finite optimal distance, so some
-    # class graph in the scan must be unbalanced.
-    assert p is not None, "balance scan found no unbalanced class graph"
-    w_p = ws[p - 1]
-
-    flat = classes.flat()
-    if p == 1:
-        # Nothing constrains the classes beyond the in-component mirror
-        # swap, so put every first class on side one.
-        side = frozenset(range(0, 2 * classes.m, 2))
+        last = cg
     else:
-        side = build_class_graph(classes, dist, p - 1).harary_sides()
-    b1 = frozenset().union(*(flat[c] for c in side))
-    b2 = frozenset().union(*(flat[c] for c in range(2 * classes.m) if c not in side))
-
-    reach = _positive_distances(g, b1)
-    realized = min(reach[v] for v in b2)
-    assert realized == w_p, f"bipartition realizes {realized}, scan found {w_p}"
-
-    # Member i is E⁻ switched by the layer {v : reach[v] <= i}.  Every
-    # negative edge joins b1 to b2 and so lies in that layer's cut, which
-    # leaves exactly the positive edges from distance i to distance i + 1.
-    layers: list[set[Edge]] = [set() for _ in range(w_p)]
-    for u, v in g.positive_edges():
-        low = min(reach[u], reach[v])
-        if low < w_p and reach[u] != reach[v]:
-            layers[low].add((u, v))
-    family = [base, *(EdgeSubset(g, frozenset(layer)) for layer in layers)]
-    _check_family(g, family)
-    scan_result = PackingResult(
-        packing_number=w_p + 1,
-        family=tuple(family),
-        realizing_bipartition=(VertexSubset(g, b1), VertexSubset(g, b2)),
-        distance=w_p,
-    )
+        # An unbalanced graph always has a finite optimal distance, so some
+        # class graph in the scan must be unbalanced.
+        raise RuntimeError("balance scan found no unbalanced class graph")
+    w_p = cg.threshold
 
     pair_distances = _contracted_pair_distances(g, classes)
     bound = min((d for d in pair_distances if math.isfinite(d)), default=math.inf)
     # The witnessed family can never beat the shortest-path bound.
     assert w_p <= bound, f"scan distance {w_p} exceeds cut bound {bound}"
-    if w_p == bound:
-        # Pinched between the layered family below and the bound above:
-        # the scan value is exact and comes with a realizing bipartition.
-        return scan_result
-    return _exact_packing(g, classes, scan_result)
+    # Pinched between the layered family below and the bound above, the scan
+    # value is exact; otherwise a family mixing bipartitions may do better.
+    members = _exact_packing(g, classes, w_p + 1) if w_p < bound else []
+    bipartition = distance = None
+    if not members:
+        flat = classes.flat()
+        side = last.harary_sides()
+        b1 = frozenset().union(*(flat[c] for c in side))
+        b2 = frozenset().union(*(flat[c] for c in range(2 * classes.m) if c not in side))
+        reach = _positive_distances(g, b1)
+        realized = min(reach[v] for v in b2)
+        assert realized == w_p, f"bipartition realizes {realized}, scan found {w_p}"
+        # Member i is E⁻ switched by the layer {v : reach[v] <= i}.  Every
+        # negative edge joins b1 to b2 and so lies in that layer's cut, which
+        # leaves exactly the positive edges from distance i to distance i + 1.
+        layers: list[set[Edge]] = [set() for _ in range(w_p)]
+        for u, v in g.positive_edges():
+            low = min(reach[u], reach[v])
+            if low < w_p and reach[u] != reach[v]:
+                layers[low].add((u, v))
+        members = [frozenset(layer) for layer in layers]
+        bipartition, distance = (VertexSubset(g, b1), VertexSubset(g, b2)), w_p
+    family = [base, *(EdgeSubset(g, member) for member in members)]
+    _check_family(g, family)
+    return PackingResult(len(family), tuple(family), bipartition, distance)

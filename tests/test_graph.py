@@ -203,10 +203,12 @@ class TestSubsetWrappers:
         g = triangle()
         x = VertexSubset(g, frozenset({0, 2}))
         assert 2 in x and len(x) == 2 and sorted(x) == [0, 2]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vertex 3 outside host range"):
             VertexSubset(g, frozenset({3}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"vertex 1\.0 is not an integer"):
             VertexSubset(g, frozenset({1.0}))
+        with pytest.raises(ValueError, match="vertex 'a' is not an integer"):
+            VertexSubset(g, frozenset({"a"}))
 
     def test_isdisjoint(self):
         g = triangle()

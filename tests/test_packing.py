@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negset import (
     NEG,
@@ -153,6 +154,15 @@ class TestMixedBipartitionInstances:
         with pytest.raises(IterationBudgetError, match="lower bound is 3"):
             packing_number(counterexample_hexagon())
 
+    def test_budget_runs_out_before_any_family_is_built(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a family was certified before the budget check")
+
+        monkeypatch.setattr(packing, "_EXACT_SEARCH_BITS", 0)
+        monkeypatch.setattr(packing, "_check_family", forbidden)
+        with pytest.raises(IterationBudgetError, match="lower bound is 3"):
+            packing_number(counterexample_hexagon())
+
     @given(connected_signed_graphs(max_n=9))
     @settings(max_examples=120)
     def test_every_class_free_vertex_reaches_a_class(self, g):
@@ -167,6 +177,54 @@ class TestMixedBipartitionInstances:
         positive = SignedGraph(g.n, [(u, v, POS) for u, v in g.positive_edges()])
         for comp in positive.connected_components():
             assert in_class.intersection(comp)
+
+
+@st.composite
+def split_negative_graphs(draw, max_n: int = 9):
+    """Connected signed graph whose E⁻ is bipartite with at least two components.
+
+    A negative edge joins two vertices of one drawn group with opposite drawn
+    colours; edges 01 (group 0) and 23 (group 1) are always negative.
+    """
+    g = draw(connected_signed_graphs(min_n=4, max_n=max_n))
+    rest = g.n - 4
+    group = [0, 0, 1, 1] + draw(st.lists(st.integers(0, 2), min_size=rest, max_size=rest))
+    color = [0, 1, 0, 1] + draw(st.lists(st.integers(0, 1), min_size=rest, max_size=rest))
+    signs = {(u, v): s for u, v, s in g.edges()} | {(0, 1): NEG, (2, 3): NEG}
+    return SignedGraph(g.n, [
+        (u, v, s if group[u] == group[v] and color[u] != color[v] else POS)
+        for (u, v), s in signs.items()
+    ])
+
+
+class TestContractedBound:
+    @given(split_negative_graphs())
+    @settings(max_examples=150)
+    def test_matches_bfs_over_the_contracted_multigraph(self, g):
+        classes = negative_component_classes(g)
+        assert classes.m >= 2
+        # Reference: the positive multigraph with every class contracted to
+        # one node and every class-free vertex a node of its own.
+        flat = classes.flat()
+        node_of = {v: idx for idx, cls in enumerate(flat) for v in cls}
+        for v in g.vertices():
+            node_of.setdefault(v, len(flat) + v)
+        adjacency: dict[int, set[int]] = {node: set() for node in node_of.values()}
+        for u, v in g.positive_edges():
+            if node_of[u] != node_of[v]:
+                adjacency[node_of[u]].add(node_of[v])
+                adjacency[node_of[v]].add(node_of[u])
+        expected = []
+        for i in range(classes.m):
+            dist = {2 * i: 0}
+            queue = [2 * i]
+            for x in queue:
+                for y in adjacency[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        queue.append(y)
+            expected.append(dist.get(2 * i + 1, math.inf))
+        assert packing._contracted_pair_distances(g, classes) == tuple(expected)
 
 
 class TestAgainstBruteForce:
