@@ -179,6 +179,6 @@ def switching_for_negation_set(
     # Switching one side of the product's bipartition flips exactly the edges
     # where g and the target signing disagree.
     x = frozenset(v for v, c in enumerate(color) if c == 1)
-    got = g.switch(x).negative_edges()
-    assert got == bs, "switching reconstruction failed"
+    if g.switch(x).negative_edges() != bs:
+        raise RuntimeError("switching does not realize the negation set")
     return VertexSubset(g, x)

@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     SgParseError,
 )
-from .graph import NEG, Edge, InducedSubgraph, SignedGraph, edge_key
+from .graph import NEG, Edge, InducedSubgraph, SignedGraph, as_edge_set, edge_key
 from .minimality import (
     is_minimal,
     triangle_certificate_for_complete,
@@ -127,7 +127,6 @@ def _cmd_balance(g: SignedGraph, args, report: _Report) -> int:
     result = check_balance(g)
     report.data["balanced"] = result.balanced
     if result.balanced:
-        assert result.bipartition is not None
         left = sorted(result.bipartition.left.vertices)
         right = sorted(result.bipartition.right.vertices)
         report.data["bipartition"] = {"left": left, "right": right}
@@ -136,7 +135,6 @@ def _cmd_balance(g: SignedGraph, args, report: _Report) -> int:
         report.say("left:  " + " ".join(map(str, left)))
         report.say("right: " + " ".join(map(str, right)))
         return EXIT_HOLDS
-    assert result.negative_circle is not None
     report.data["bipartition"] = None
     report.data["negative_circle"] = list(result.negative_circle)
     report.say("unbalanced")
@@ -402,7 +400,7 @@ def _cmd_export_dot(g: SignedGraph, args, report: _Report) -> int:
             raise PreconditionError("--packing needs a connected graph")
         annotations = [m.edges for m in packing_number(g).family]
     elif args.edges:
-        annotations = [frozenset(_parse_edge_list(args.edges))]
+        annotations = [as_edge_set(g, _parse_edge_list(args.edges))]
     text = export_dot(g, annotations)
     report.data["dot"] = text
     report.say(text)

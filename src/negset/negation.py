@@ -57,10 +57,10 @@ def disjoint_partner(g: SignedGraph) -> EdgeSubset:
         raise PreconditionError(
             "the negative subgraph contains an odd circle; no disjoint partner exists"
         )
-    assert result.bipartition is not None
     x = result.bipartition.left.vertices
     partner = g.switch(x).negative_edges()
-    assert partner.isdisjoint(g.negative_edges())
+    if not partner.isdisjoint(g.negative_edges()):
+        raise RuntimeError("partner negation set shares an edge with E⁻")
     return EdgeSubset(g, partner)
 
 
@@ -97,16 +97,12 @@ def bipartite_negation_for_antibalanced_planar(
     result = check_balance(g.negate_all())
     if not result.balanced:
         raise PreconditionError("graph is not antibalanced")
-    assert result.bipartition is not None
     w = result.bipartition.right.vertices
     x = frozenset(w) ^ frozenset(v for v in range(g.n) if colors[v] >= 2)
     switched = g.switch(x)
-    neg = switched.negative_edges()
-    for u, v in neg:
-        assert (colors[u] >= 2) == (colors[v] >= 2)
-        assert colors[u] != colors[v]
-    assert is_balanced(switched.negative_subgraph()), "negation set is not bipartite"
-    return BipartiteNegation(EdgeSubset(g, neg), VertexSubset(g, x))
+    if not is_balanced(switched.negative_subgraph()):
+        raise RuntimeError("negation set is not bipartite")
+    return BipartiteNegation(EdgeSubset(g, switched.negative_edges()), VertexSubset(g, x))
 
 
 # -- fully negative circles -----------------------------------------------------
@@ -344,10 +340,8 @@ def _corridor(w: _Work, start: int) -> tuple[list[int], str]:
     paths out of ``start``.  Returns the walked vertices (inclusive) and how
     the walk ended: at a ``"junction"`` or at a ``"leaf"``.
     """
-    nd = w.neg_neighbors(start)
-    assert len(nd) == 1, "corridor must start at a vertex of negative degree 1"
     path = [start]
-    prev, cur = start, nd[0]
+    prev, cur = start, w.neg_neighbors(start)[0]
     while True:
         path.append(cur)
         around = w.neg_neighbors(cur)
@@ -356,7 +350,6 @@ def _corridor(w: _Work, start: int) -> tuple[list[int], str]:
         if len(around) == 1:
             return path, "leaf"
         nxt = around[0] if around[1] == prev else around[1]
-        assert nxt not in path, "negative corridor closed on itself"
         prev, cur = cur, nxt
 
 
@@ -417,7 +410,6 @@ def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
     pos_of = {v: w.pos_neighbors(v) for v in sorted(cset)}
     for v in sorted(cset):
         pns = pos_of[v]
-        assert len(pns) == 2, "core circle vertex must have exactly two positive edges"
         if _negative_label(w, labels, pns[0]) != _negative_label(w, labels, pns[1]):
             return _Action("split-positive-neighbors", (v,), True)
 
@@ -482,11 +474,9 @@ def _derive_replacement(w: _Work, v: int) -> tuple[tuple[int, ...] | None, int |
     when the corridor branches first — in which case switching ``{v,
     junction}`` kills every candidate replacement at once.
     """
-    x, y = sorted(w.pos_neighbors(v))
-    path, kind = _corridor(w, x)
+    path, kind = _corridor(w, min(w.pos_neighbors(v)))
     if kind == "junction":
         return None, path[-1]
-    assert path[-1] == y, "corridor ended at a leaf that is not the other neighbor"
     return (v, *path), None
 
 
@@ -517,7 +507,6 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> N
     # grind every negative degree down to two before touching circles
     for v in _sweep(w, comp, 3):
         tracer.record_sweep("preprocess", v)
-    assert all(w.neg_degree(u) <= 2 for u in comp)
 
     edge_total = sum(len(w.neighbors(u)) for u in comp) // 2
     budget = max(100, 10 * len(comp) * edge_total)
@@ -578,10 +567,7 @@ def _case_three(
         # contact above), and nothing else switched touches that path either
         cset = set(circle)
         on_path = [j for j, p in enumerate(episode.path) if p in cset]
-        assert on_path, "marched circle lost the connecting path"
-        i = on_path[-1]
-        wi, wi1 = episode.path[i], episode.path[i + 1]
-        assert w.edge_sign(wi, wi1) == POS
+        wi = episode.path[on_path[-1]]
         replacement, junction = _derive_replacement(w, wi)
         if junction is not None:
             w.switch_all((wi, junction))
@@ -589,7 +575,6 @@ def _case_three(
             return None, None
         w.switch(wi)
         tracer.record_pass("march-advance", (wi,), False)
-        assert replacement is not None and _still_fully_negative(w, replacement)
         return replacement, episode
 
     # new episode: first prefer any circle that still matches an earlier case
@@ -606,7 +591,6 @@ def _case_three(
             w.switch_all((v, junction))
             tracer.record_pass("replacement-junction", (v, junction), True)
             return None, None
-        assert replacement is not None
         replacements[v] = replacement
 
     pick = _pick_episode_pair(w, circle, replacements)
@@ -617,9 +601,7 @@ def _case_three(
     v1, v2, path = pick
     w.switch(v1)
     tracer.record_pass("episode-start", (v1,), False)
-    marched = replacements[v1]
-    assert _still_fully_negative(w, marched)
-    return marched, _Episode(v2, path)
+    return replacements[v1], _Episode(v2, path)
 
 
 def _pick_episode_pair(
@@ -634,7 +616,6 @@ def _pick_episode_pair(
             if v2 == v1:
                 continue
             d2 = set(replacements[v2]) - {v2}
-            assert d1.isdisjoint(d2 | {v2}) and v1 not in d2
             path = _connecting_path(w, d1, d2, cset)
             if path is not None:
                 return v1, v2, path

@@ -121,8 +121,8 @@ class ClassGraph:
         is disconnected.
         """
         result = check_balance(self.signed_graph())
-        assert result.balanced, "harary_sides called on an unbalanced class graph"
-        assert result.bipartition is not None
+        if not result.balanced:
+            raise ValueError("harary_sides called on an unbalanced class graph")
         return result.bipartition.left.vertices
 
 
@@ -341,9 +341,6 @@ def _exact_packing(
     for x in range(1, 1 << len(toggles)):
         mask ^= toggles[(x & -x).bit_length() - 1]
         cuts.add(mask)
-    # An empty cut would mean some switching removes every negative edge,
-    # contradicting unbalance.
-    assert 0 not in cuts, "empty cut found in an unbalanced graph"
 
     def edge_bits(mask: int) -> frozenset[Edge]:
         out = set()
@@ -378,7 +375,7 @@ def _exact_packing(
 def _check_family(g: SignedGraph, family: list[EdgeSubset]) -> None:
     """Certify a packing family: every member a negation set, no edge in two.
 
-    Raises ``RuntimeError`` (not ``assert``, so ``python -O`` keeps the check).
+    Raises ``RuntimeError`` on the first member that fails.
     """
     used: set[Edge] = set()
     for i, member in enumerate(family):
@@ -436,7 +433,8 @@ def packing_number(g: SignedGraph) -> PackingResult:
     pair_distances = _contracted_pair_distances(g, classes)
     bound = min((d for d in pair_distances if math.isfinite(d)), default=math.inf)
     # The witnessed family can never beat the shortest-path bound.
-    assert w_p <= bound, f"scan distance {w_p} exceeds cut bound {bound}"
+    if w_p > bound:
+        raise RuntimeError(f"scan distance {w_p} exceeds cut bound {bound}")
     # Pinched between the layered family below and the bound above, the scan
     # value is exact; otherwise a family mixing bipartitions may do better.
     members = _exact_packing(g, classes, w_p + 1) if w_p < bound else []
@@ -447,8 +445,6 @@ def packing_number(g: SignedGraph) -> PackingResult:
         b1 = frozenset().union(*(flat[c] for c in side))
         b2 = frozenset().union(*(flat[c] for c in range(2 * classes.m) if c not in side))
         reach = _positive_distances(g, b1)
-        realized = min(reach[v] for v in b2)
-        assert realized == w_p, f"bipartition realizes {realized}, scan found {w_p}"
         # Member i is E⁻ switched by the layer {v : reach[v] <= i}.  Every
         # negative edge joins b1 to b2 and so lies in that layer's cut, which
         # leaves exactly the positive edges from distance i to distance i + 1.

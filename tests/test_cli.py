@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import random
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from negset import NEG, POS, SignedGraph, cli, oracle, serialize
 from negset.cli import (
@@ -311,6 +315,12 @@ class TestExportDot:
         out = capsys.readouterr().out
         assert "2 -- 3 [style=solid, color=blue, penwidth=2]" in out
 
+    def test_edge_highlight_of_a_non_edge_is_a_usage_error(self, capsys, c5_one_negative):
+        assert main(["export-dot", c5_one_negative, "--edges", "0-9"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: (0, 9) is not an edge of the host graph\n"
+
     def test_json_report_carries_the_dot_text(self, capsys, c5_one_negative):
         code, report = run_json(capsys, ["export-dot", c5_one_negative, "--json"])
         assert code == EXIT_HOLDS
@@ -440,3 +450,74 @@ class TestCollectorPause:
             gc.enable() if was else gc.disable()
         assert seen == [False]
 
+
+
+# -- fuzz ------------------------------------------------------------------------
+
+_SG_TOKENS = ["p", "sg", "e", "c", "+", "-", "0", "1", "2", "3", "7", "8", "9", "-1", "2.5", "x"]
+_EDGE_COMMANDS = {"negation-check", "minimal", "certify-minimum", "certify-unique", "export-dot"}
+_EDGE_SPECS = st.one_of(
+    st.lists(
+        st.tuples(st.integers(-1, 9), st.integers(-1, 9)), min_size=1, max_size=4
+    ).map(lambda pairs: ",".join(f"{u}-{v}" for u, v in pairs)),
+    st.sampled_from(["", "zap", "0-", "1-2-3", "a-b", " , "]),
+)
+
+
+@st.composite
+def sg_texts(draw):
+    """Short ``.sg`` text with n <= 8; half of it gets one to three line edits."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(u, v, draw(st.sampled_from([POS, NEG]))) for u, v in chosen]
+    lines = serialize(SignedGraph(n, edges)).splitlines()
+    for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
+        i = draw(st.integers(0, len(lines)))
+        junk = " ".join(draw(st.lists(st.sampled_from(_SG_TOKENS), max_size=5)))
+        edit = draw(st.sampled_from(["insert", "replace", "drop"]))
+        if edit == "insert":
+            lines.insert(i, junk)
+        else:
+            lines[i : i + 1] = [junk] if edit == "replace" else []
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def cli_argvs(draw, path: str):
+    """A command on ``path`` with a random selection of its flags."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command, path]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if command in _EDGE_COMMANDS and draw(st.booleans()):
+        argv += ["--edges", draw(_EDGE_SPECS)]
+    if command == "acyclic" and draw(st.booleans()):
+        argv.append("--trace")
+    if command in {"frustration", "oracle-verify"} and draw(st.booleans()):
+        argv += ["--max-n", str(draw(st.integers(-1, 10)))]
+    if command == "oracle-verify" and draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 5)))]
+    if command == "export-dot" and draw(st.booleans()):
+        argv.append("--packing")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "input.sg")
+
+
+@given(text=sg_texts(), data=st.data())
+def test_fuzzed_input_and_flags_exit_in_range_without_traceback(fuzz_path, text, data):
+    with open(fuzz_path, "w", encoding="utf-8") as fp:
+        fp.write(text)
+    argv = data.draw(cli_argvs(fuzz_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert code in range(6), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
