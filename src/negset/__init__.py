@@ -19,6 +19,7 @@ from .balance import (
 )
 from .errors import (
     HostMismatchError,
+    InvariantError,
     IterationBudgetError,
     MalformedCertificateError,
     MinusK5Detected,
@@ -74,6 +75,7 @@ __all__ = [
     "HararyBipartition",
     "HostMismatchError",
     "InducedSubgraph",
+    "InvariantError",
     "IterationBudgetError",
     "MalformedCertificateError",
     "MinusK5Detected",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .graph import (
     NEG,
     Edge,
@@ -180,5 +180,5 @@ def switching_for_negation_set(
     # where g and the target signing disagree.
     x = frozenset(v for v, c in enumerate(color) if c == 1)
     if g.switch(x).negative_edges() != bs:
-        raise RuntimeError("switching does not realize the negation set")
+        raise InvariantError("switching does not realize the negation set")
     return VertexSubset(g, x)

@@ -65,23 +65,6 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_edge_list(spec: str) -> tuple[Edge, ...]:
-    """Parse ``0-1,2-3`` (commas or spaces between pairs) into edge keys."""
-    out = []
-    for chunk in spec.replace(",", " ").split():
-        parts = chunk.split("-")
-        if len(parts) != 2:
-            raise _UsageError(f"bad edge {chunk!r}: expected the form u-v")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise _UsageError(f"bad edge {chunk!r}: endpoints must be integers") from None
-        out.append(edge_key(u, v))
-    if not out:
-        raise _UsageError("--edges is empty")
-    return tuple(out)
-
-
 def _sorted_edges(edges) -> list[list[int]]:
     return [list(e) for e in sorted(edges)]
 
@@ -113,11 +96,28 @@ class _Report:
             print(text)
 
 
-def _edges_or_negative(g: SignedGraph, args) -> tuple[Edge, ...]:
-    """The --edges argument, defaulting to the input's negative edge set."""
+def _edges_or_negative(g: SignedGraph, args) -> frozenset[Edge]:
+    """``--edges`` (``0-1,2-3``, commas or spaces between pairs) as an edge set of g.
+
+    Defaults to E⁻.  The one place where a bad pair becomes a usage error."""
     if not args.edges:
-        return tuple(sorted(g.negative_edges()))
-    return _parse_edge_list(args.edges)
+        return g.negative_edges()
+    out = []
+    for chunk in args.edges.replace(",", " ").split():
+        parts = chunk.split("-")
+        if len(parts) != 2:
+            raise _UsageError(f"bad edge {chunk!r}: expected the form u-v")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise _UsageError(f"bad edge {chunk!r}: endpoints must be integers") from None
+        out.append((u, v))
+    if not out:
+        raise _UsageError("--edges is empty")
+    try:
+        return as_edge_set(g, out)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 # -- commands -------------------------------------------------------------------
@@ -400,7 +400,7 @@ def _cmd_export_dot(g: SignedGraph, args, report: _Report) -> int:
             raise PreconditionError("--packing needs a connected graph")
         annotations = [m.edges for m in packing_number(g).family]
     elif args.edges:
-        annotations = [as_edge_set(g, _parse_edge_list(args.edges))]
+        annotations = [_edges_or_negative(g, args)]
     text = export_dot(g, annotations)
     report.data["dot"] = text
     report.say(text)
@@ -504,10 +504,6 @@ def _run(argv: Sequence[str] | None) -> int:
     except (PreconditionError, IterationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as exc:
-        # e.g. --edges naming a pair that is not an edge of the graph
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MinusK5Detected as exc:
         print(
             "antibalanced K5 block on vertices "

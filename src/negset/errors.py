@@ -29,8 +29,11 @@ class MalformedCertificateError(ValueError):
 
 
 class IterationBudgetError(RuntimeError):
-    """A search ran out of its budget: in the acyclic main loop a bug, not bad
-    input; in packing's exact search a valid input too large to settle."""
+    """Packing's exact search ran out of budget: a valid input too large to settle."""
+
+
+class InvariantError(RuntimeError):
+    """A result failed its check or an invariant broke: a bug, never bad input."""
 
 
 class MinusK5Detected(Exception):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .balance import is_negation_set
-from .errors import MalformedCertificateError, PreconditionError
+from .errors import InvariantError, MalformedCertificateError, PreconditionError
 from .graph import NEG, Edge, SignedGraph, as_edge_set, edge_key
 
 Triangle = tuple[int, int, int]
@@ -153,7 +153,7 @@ def triangle_certificate_for_complete(
     two spare edges are positive).  Triangles of one class share the spare
     but not edges; across classes they are disjoint by coloring.  Returns
     ``None`` when fewer spare vertices exist than colors used; raises
-    ``RuntimeError`` when the triangles fail
+    ``InvariantError`` when the triangles fail
     :func:`verify_disjoint_circle_certificate`.
     """
     _require_complete(g)
@@ -169,7 +169,7 @@ def triangle_certificate_for_complete(
     spare_of = dict(zip(colors_used, spare_pool))
     cert = tuple((u, v, spare_of[coloring[(u, v)]]) for u, v in sorted(bs))
     if not verify_disjoint_circle_certificate(g, bs, cert):
-        raise RuntimeError("triangle certificate is not edge-disjoint and negative")
+        raise InvariantError("triangle certificate is not edge-disjoint and negative")
     return cert
 
 
@@ -195,7 +195,7 @@ def misra_gries_edge_coloring(n: int, edges: Iterable[Edge]) -> dict[Edge, int]:
         for c in range(ncolors):
             if c not in at[x]:
                 return c
-        raise AssertionError("no free color at a vertex of degree <= delta")
+        raise InvariantError("no free color at a vertex of degree <= delta")
 
     def assign(x: int, y: int, c: int) -> None:
         # every call colours the new edge or an edge just unassigned
@@ -235,7 +235,7 @@ def misra_gries_edge_coloring(n: int, edges: Iterable[Edge]) -> dict[Edge, int]:
             while want in at[cur]:
                 cur = at[cur][want]
                 if cur in path:  # pragma: no cover - cd paths cannot cycle
-                    raise AssertionError("cd path loops")
+                    raise InvariantError("cd path loops")
                 path.append(cur)
                 want = c if want == d else d
             seq = [(path[i], path[i + 1]) for i in range(len(path) - 1)]

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .balance import check_balance, is_balanced
-from .errors import IterationBudgetError, MinusK5Detected, PreconditionError
+from . import verify
+from .balance import check_balance
+from .errors import InvariantError, MinusK5Detected, PreconditionError
 from .graph import (
     NEG,
     POS,
@@ -58,10 +59,9 @@ def disjoint_partner(g: SignedGraph) -> EdgeSubset:
             "the negative subgraph contains an odd circle; no disjoint partner exists"
         )
     x = result.bipartition.left.vertices
-    partner = g.switch(x).negative_edges()
-    if not partner.isdisjoint(g.negative_edges()):
-        raise RuntimeError("partner negation set shares an edge with E⁻")
-    return EdgeSubset(g, partner)
+    partner = EdgeSubset(g, g.switch(x).negative_edges())
+    verify.family(g, [g.negative_edges(), partner])
+    return partner
 
 
 # -- antibalanced planar construction ------------------------------------------
@@ -99,10 +99,9 @@ def bipartite_negation_for_antibalanced_planar(
         raise PreconditionError("graph is not antibalanced")
     w = result.bipartition.right.vertices
     x = frozenset(w) ^ frozenset(v for v in range(g.n) if colors[v] >= 2)
-    switched = g.switch(x)
-    if not is_balanced(switched.negative_subgraph()):
-        raise RuntimeError("negation set is not bipartite")
-    return BipartiteNegation(EdgeSubset(g, switched.negative_edges()), VertexSubset(g, x))
+    negation = g.switch(x).negative_edges()
+    verify.bipartite(g.n, negation)
+    return BipartiteNegation(EdgeSubset(g, negation), VertexSubset(g, x))
 
 
 # -- fully negative circles -----------------------------------------------------
@@ -435,7 +434,7 @@ def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
                 s = shared.pop()
                 path, kind = _corridor(w, s)
                 if kind != "junction":
-                    raise RuntimeError(
+                    raise InvariantError(
                         "shared positive neighbor has an unbranched negative corridor"
                     )
                 return _Action("shared-neighbor-junction", (a, path[-1]), True)
@@ -531,7 +530,7 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> N
         tracer.record_pass(action.label, action.switched, action.strict)
         preferred = action.follow
 
-    raise IterationBudgetError(
+    raise InvariantError(
         f"component {comp} exceeded the rewrite budget of {budget} passes"
     )
 
@@ -595,7 +594,7 @@ def _case_three(
 
     pick = _pick_episode_pair(w, circle, replacements)
     if pick is None:
-        raise RuntimeError(
+        raise InvariantError(
             "no vertex-disjoint replacement circles joined by a path avoiding the circle"
         )
     v1, v2, path = pick
@@ -680,25 +679,7 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
 
     switching = w.switching()
     negation = g.switch(switching).negative_edges()
-    if not _is_forest(g.n, negation):
-        raise RuntimeError("negative subgraph still contains a circle")
+    verify.forest(g.n, negation)
     stats = AcyclicStats(tracer.passes, tuple(tracer.entries) if trace else None)
     return AcyclicResult(EdgeSubset(g, negation), VertexSubset(g, switching), stats)
 
-
-def _is_forest(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """Union-find cycle test: whether ``edges`` on vertices ``0..n-1`` form a forest."""
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .graph import (
     NEG,
     POS,
@@ -161,7 +161,7 @@ def brute_packing_number(
         raise PreconditionError("packing number is defined for unbalanced graphs")
     b = g.negative_edges()
     if b not in sets:  # pragma: no cover - E⁻ is always a negation set
-        raise AssertionError("E⁻(g) missing from its own enumeration")
+        raise InvariantError("E⁻(g) missing from its own enumeration")
     candidates = [s for s in sets if s.isdisjoint(b)]
     candidates.sort(key=len)
     best = 0

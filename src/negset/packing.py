@@ -32,8 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .balance import check_balance, is_balanced, is_negation_set
-from .errors import IterationBudgetError, PreconditionError
+from . import verify
+from .balance import check_balance, is_balanced
+from .errors import InvariantError, IterationBudgetError, PreconditionError
 from .graph import NEG, POS, Edge, EdgeSubset, SignedGraph, VertexSubset, edge_key
 
 __all__ = [
@@ -122,7 +123,7 @@ class ClassGraph:
         """
         result = check_balance(self.signed_graph())
         if not result.balanced:
-            raise ValueError("harary_sides called on an unbalanced class graph")
+            raise InvariantError("harary_sides called on an unbalanced class graph")
         return result.bipartition.left.vertices
 
 
@@ -372,20 +373,6 @@ def _exact_packing(
     return [edge_bits(mask) for mask in sorted(best, key=lambda c: (c.bit_count(), c))]
 
 
-def _check_family(g: SignedGraph, family: list[EdgeSubset]) -> None:
-    """Certify a packing family: every member a negation set, no edge in two.
-
-    Raises ``RuntimeError`` on the first member that fails.
-    """
-    used: set[Edge] = set()
-    for i, member in enumerate(family):
-        if not is_negation_set(g, member):
-            raise RuntimeError(f"packing family member {i} is not a negation set")
-        if not used.isdisjoint(member.edges):
-            raise RuntimeError(f"packing family member {i} overlaps an earlier member")
-        used |= member.edges
-
-
 def packing_number(g: SignedGraph) -> PackingResult:
     """Largest family of pairwise disjoint negation sets containing E⁻(g).
 
@@ -427,14 +414,14 @@ def packing_number(g: SignedGraph) -> PackingResult:
     else:
         # An unbalanced graph always has a finite optimal distance, so some
         # class graph in the scan must be unbalanced.
-        raise RuntimeError("balance scan found no unbalanced class graph")
+        raise InvariantError("balance scan found no unbalanced class graph")
     w_p = cg.threshold
 
     pair_distances = _contracted_pair_distances(g, classes)
     bound = min((d for d in pair_distances if math.isfinite(d)), default=math.inf)
     # The witnessed family can never beat the shortest-path bound.
     if w_p > bound:
-        raise RuntimeError(f"scan distance {w_p} exceeds cut bound {bound}")
+        raise InvariantError(f"scan distance {w_p} exceeds cut bound {bound}")
     # Pinched between the layered family below and the bound above, the scan
     # value is exact; otherwise a family mixing bipartitions may do better.
     members = _exact_packing(g, classes, w_p + 1) if w_p < bound else []
@@ -456,5 +443,5 @@ def packing_number(g: SignedGraph) -> PackingResult:
         members = [frozenset(layer) for layer in layers]
         bipartition, distance = (VertexSubset(g, b1), VertexSubset(g, b2)), w_p
     family = [base, *(EdgeSubset(g, member) for member in members)]
-    _check_family(g, family)
+    verify.family(g, family)
     return PackingResult(len(family), tuple(family), bipartition, distance)

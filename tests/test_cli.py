@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from negset import NEG, POS, SignedGraph, cli, oracle, serialize
+from negset import NEG, POS, SignedGraph, cli, negation, oracle, packing, serialize
 from negset.cli import (
     EXIT_FAILS,
     EXIT_HOLDS,
@@ -83,6 +83,12 @@ class TestMembershipCommands:
         path = write_sg(cycle_graph(5, NEG))
         assert main(["minimal", path]) == EXIT_FAILS
         assert "not minimal" in capsys.readouterr().out
+
+    def test_repeated_edge_is_listed_once(self, capsys, c5_one_negative):
+        argv = ["negation-check", c5_one_negative, "--edges", "2-3,3-2", "--json"]
+        code, report = run_json(capsys, argv)
+        assert code == EXIT_HOLDS
+        assert report["edges"] == [[2, 3]]
 
     def test_edge_argument_naming_a_non_edge_is_usage_error(self, c5_one_negative):
         assert main(["negation-check", c5_one_negative, "--edges", "0-2"]) == EXIT_USAGE
@@ -387,6 +393,22 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError: no such case\n"
+
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch, c5_one_negative):
+        def broken(dist):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(packing, "thresholds", broken)
+        assert main(["packing", c5_one_negative]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+    def test_exhausted_rewrite_budget_exits_five(self, capsys, monkeypatch, write_sg):
+        monkeypatch.setattr(
+            negation, "_classify", lambda w, circle: negation._Action("chord", (), True)
+        )
+        path = write_sg(SignedGraph(8, [(i, (i + d) % 8, NEG) for i in range(8) for d in (1, 2)]))
+        assert main(["acyclic", path]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: InvariantError: component ")
 
     def test_output_file(self, capsys, tmp_path, c5_one_negative):
         target = tmp_path / "report.json"

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from negset import (
     NEG,
     POS,
+    InvariantError,
     MinusK5Detected,
     PreconditionError,
     SignedGraph,
@@ -24,7 +25,7 @@ from negset import (
     is_balanced,
     is_negation_set,
 )
-from negset import negation, oracle
+from negset import negation, oracle, verify
 from negset.graph import complete_graph, cube_graph, cycle_graph
 from negset.negation import negative_circles
 from negset.sgio import load_path
@@ -37,28 +38,11 @@ from conftest import (
 )
 
 
-def is_forest(n: int, edges) -> bool:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
 def assert_valid_acyclic(g: SignedGraph, result) -> None:
     """The three output contracts: switching-consistent, forest, balancing."""
     switched = g.switch(result.switching.vertices)
     assert switched.negative_edges() == result.negation_set.edges
-    assert is_forest(g.n, result.negation_set.edges)
+    verify.forest(g.n, result.negation_set.edges)
     assert is_balanced(g.negate_edges(result.negation_set))
 
 
@@ -235,7 +219,7 @@ class TestAcyclicNegation:
 
 
 _FOREST_CHECK_SCRIPT = """
-from negset import NEG, SignedGraph, negation
+from negset import NEG, InvariantError, SignedGraph, negation
 
 assert not __debug__
 negation._solve_core_component = lambda w, comp, tracer: None
@@ -243,7 +227,7 @@ n = 8
 g = SignedGraph(n, [(i, (i + d) % n, NEG) for i in range(n) for d in (1, 2)])
 try:
     negation.acyclic_negation(g)
-except RuntimeError as exc:
+except InvariantError as exc:
     print(exc)
 """
 
@@ -257,7 +241,9 @@ def test_forest_check_survives_python_O():
         text=True,
         check=True,
     )
-    assert proc.stdout.splitlines() == ["negative subgraph still contains a circle"]
+    # the unsolved circulant's negative edges are the whole graph
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("closes a circle")
 
 
 def golden_graph(stem: str) -> SignedGraph:
@@ -286,7 +272,7 @@ class TestAcyclicHardInstances:
 
     @pytest.mark.xfail(
         strict=True,
-        raises=RuntimeError,
+        raises=InvariantError,
         reason="open: removing the residual triangle separates its replacement circles, "
         "and no rewrite handles that case yet",
     )
@@ -325,6 +311,15 @@ class TestAcyclicHardInstances:
             g = golden_graph(stem)
             result = acyclic_negation(g)
             assert result.stats.passes <= max(100, 10 * g.n * g.edge_count)
+
+    def test_exhausted_rewrite_budget_is_an_invariant_failure(self, monkeypatch):
+        # a rewrite that switches nothing meets the same circle on every pass
+        monkeypatch.setattr(
+            negation, "_classify", lambda w, circle: negation._Action("chord", (), True)
+        )
+        g = SignedGraph(8, [(i, (i + d) % 8, NEG) for i in range(8) for d in (1, 2)])
+        with pytest.raises(InvariantError, match="rewrite budget of 1280 passes"):
+            acyclic_negation(g)
 
 
 class TestClassifyCases:

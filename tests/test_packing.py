@@ -21,12 +21,11 @@ from negset import (
     SignedGraph,
     build_class_graph,
     class_distances,
-    is_negation_set,
     negative_component_classes,
     packing_number,
     thresholds,
 )
-from negset import oracle, packing
+from negset import oracle, packing, verify
 from negset.graph import complete_graph, cycle_graph, path_graph
 
 from conftest import connected_signed_graphs, edge_set_is_bipartite
@@ -35,11 +34,7 @@ from conftest import connected_signed_graphs, edge_set_is_bipartite
 def assert_valid_family(g: SignedGraph, result) -> None:
     assert result.packing_number == len(result.family)
     assert result.family[0].edges == g.negative_edges()
-    for member in result.family:
-        assert is_negation_set(g, member)
-    for i in range(len(result.family)):
-        for j in range(i + 1, len(result.family)):
-            assert result.family[i].isdisjoint(result.family[j])
+    verify.family(g, result.family)
 
 
 def counterexample_hexagon() -> SignedGraph:
@@ -159,7 +154,7 @@ class TestMixedBipartitionInstances:
             raise AssertionError("a family was certified before the budget check")
 
         monkeypatch.setattr(packing, "_EXACT_SEARCH_BITS", 0)
-        monkeypatch.setattr(packing, "_check_family", forbidden)
+        monkeypatch.setattr(verify, "family", forbidden)
         with pytest.raises(IterationBudgetError, match="lower bound is 3"):
             packing_number(counterexample_hexagon())
 
@@ -384,16 +379,16 @@ class TestBalanceScanShape:
 
 
 _CHECK_FAMILY_SCRIPT = """
+from negset import InvariantError, verify
 from negset.graph import EdgeSubset, cycle_graph
-from negset.packing import _check_family
 
 assert not __debug__
 g = cycle_graph(5).negate_edges([(0, 1)])
 member = EdgeSubset(g, g.negative_edges())
 for family in ([member, member], [member, EdgeSubset(g, frozenset())]):
     try:
-        _check_family(g, family)
-    except RuntimeError as exc:
+        verify.family(g, family)
+    except InvariantError as exc:
         print(exc)
 """
 
@@ -408,6 +403,6 @@ def test_family_check_survives_python_O():
         check=True,
     )
     assert proc.stdout.splitlines() == [
-        "packing family member 1 overlaps an earlier member",
-        "packing family member 1 is not a negation set",
+        "family member 1 overlaps an earlier member",
+        "family member 1 is not a negation set",
     ]
