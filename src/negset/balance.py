@@ -53,11 +53,24 @@ def check_balance(g: SignedGraph) -> BalanceResult:
 
     Runs a signed BFS two-coloring per component.  On a coloring conflict the
     tree paths to the conflict edge close into a circle whose sign is
-    necessarily negative, which is returned as the witness.
+    necessarily negative, which is returned as the witness.  Either witness
+    is checked against ``g`` before it is returned: the circle's sign, or
+    every edge against the coloring, in one pass over the rows.
     """
     color, circle = _two_color(g, frozenset())
     if color is None:
+        try:
+            negative = g.circle_sign(circle) == NEG
+        except ValueError:
+            negative = False
+        if not negative:
+            raise InvariantError(f"balance witness {circle} is not a negative circle")
         return BalanceResult(False, None, circle)
+    for u, row in enumerate(g.signed_rows()):
+        cu = color[u]
+        for w, s in row:
+            if (cu != color[w]) != (s == NEG):
+                raise InvariantError(f"edge ({u}, {w}) disagrees with the Harary bipartition")
     left = frozenset(v for v, c in enumerate(color) if c == 0)
     right = frozenset(v for v, c in enumerate(color) if c == 1)
     bip = HararyBipartition(VertexSubset(g, left), VertexSubset(g, right))

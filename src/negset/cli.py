@@ -16,6 +16,7 @@ they are allocated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import gc
 import heapq
@@ -39,7 +40,7 @@ from .minimality import (
     unique_minimum_by_size,
 )
 from .negation import acyclic_negation
-from .packing import packing_number
+from .packing import BALANCED_MESSAGE, packing_number
 from .sgio import load_path
 
 EXIT_HOLDS = 0
@@ -63,10 +64,6 @@ _DOT_PALETTE = (
 
 class _UsageError(Exception):
     pass
-
-
-def _sorted_edges(edges) -> list[list[int]]:
-    return [list(e) for e in sorted(edges)]
 
 
 class _Report:
@@ -136,7 +133,7 @@ def _cmd_balance(g: SignedGraph, args, report: _Report) -> int:
         report.say("right: " + " ".join(map(str, right)))
         return EXIT_HOLDS
     report.data["bipartition"] = None
-    report.data["negative_circle"] = list(result.negative_circle)
+    report.data["negative_circle"] = result.negative_circle
     report.say("unbalanced")
     report.say("negative circle: " + " ".join(map(str, result.negative_circle)))
     return EXIT_FAILS
@@ -145,7 +142,7 @@ def _cmd_balance(g: SignedGraph, args, report: _Report) -> int:
 def _cmd_negation_check(g: SignedGraph, args, report: _Report) -> int:
     edges = _edges_or_negative(g, args)
     ok = is_negation_set(g, edges)
-    report.data["edges"] = _sorted_edges(edges)
+    report.data["edges"] = sorted(edges)
     report.data["negation_set"] = ok
     report.say("negation set" if ok else "not a negation set")
     return EXIT_HOLDS if ok else EXIT_FAILS
@@ -154,7 +151,7 @@ def _cmd_negation_check(g: SignedGraph, args, report: _Report) -> int:
 def _cmd_minimal(g: SignedGraph, args, report: _Report) -> int:
     edges = _edges_or_negative(g, args)
     ok = is_minimal(g, edges)
-    report.data["edges"] = _sorted_edges(edges)
+    report.data["edges"] = sorted(edges)
     report.data["minimal"] = ok
     report.say("minimal" if ok else "not minimal: a proper subset is a negation set")
     return EXIT_HOLDS if ok else EXIT_FAILS
@@ -163,12 +160,12 @@ def _cmd_minimal(g: SignedGraph, args, report: _Report) -> int:
 def _cmd_certify_minimum(g: SignedGraph, args, report: _Report) -> int:
     edges = _edges_or_negative(g, args)
     cert = triangle_certificate_for_complete(g, edges)
-    report.data["edges"] = _sorted_edges(edges)
+    report.data["edges"] = sorted(edges)
     if cert is None:
         report.data["certificate"] = None
         report.say("inconclusive: not enough spare vertices for a triangle certificate")
         return EXIT_FAILS
-    report.data["certificate"] = [list(tri) for tri in cert]
+    report.data["certificate"] = cert
     report.say(f"minimum certified by {len(cert)} edge-disjoint negative triangles")
     for tri in cert:
         report.say("  triangle: " + " ".join(map(str, tri)))
@@ -178,7 +175,7 @@ def _cmd_certify_minimum(g: SignedGraph, args, report: _Report) -> int:
 def _cmd_certify_unique(g: SignedGraph, args, report: _Report) -> int:
     edges = _edges_or_negative(g, args)
     ok = unique_minimum_by_size(g, edges)
-    report.data["edges"] = _sorted_edges(edges)
+    report.data["edges"] = sorted(edges)
     report.data["unique_minimum"] = ok
     report.say(
         "unique minimum (size bound 2|b| <= n - 2 holds)"
@@ -191,22 +188,14 @@ def _cmd_certify_unique(g: SignedGraph, args, report: _Report) -> int:
 def _cmd_acyclic(g: SignedGraph, args, report: _Report) -> int:
     result = acyclic_negation(g, trace=args.trace)
     edges = sorted(result.negation_set.edges)
-    report.data["negation_set"] = _sorted_edges(edges)
+    report.data["negation_set"] = edges
     report.data["switching"] = sorted(result.switching.vertices)
     report.data["passes"] = result.stats.passes
     report.say(f"acyclic negation set with {len(edges)} edges")
     report.say("edges: " + " ".join(f"{u}-{v}" for u, v in edges))
     report.say("switching: " + " ".join(map(str, sorted(result.switching.vertices))))
-    if args.trace and result.stats.trace is not None:
-        report.data["trace"] = [
-            {
-                "phase": t.phase,
-                "label": t.label,
-                "switched": list(t.switched),
-                "strict": t.strict,
-            }
-            for t in result.stats.trace
-        ]
+    if args.trace:
+        report.data["trace"] = [dataclasses.asdict(t) for t in result.stats.trace]
         report.say(f"trace ({len(result.stats.trace)} rewrites):")
         for t in result.stats.trace:
             report.say(
@@ -239,10 +228,7 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
             report.say(f"component {host}: balanced, no packing number")
             continue
         result = packing_number(comp)
-        family = [
-            _sorted_edges(view.host_edge(e) for e in member.edges)
-            for member in result.family
-        ]
+        family = [sorted(view.host_edge(e) for e in member.edges) for member in result.family]
         section = {
             "vertices": host,
             "balanced": False,
@@ -267,10 +253,7 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
         if result.distance is not None:
             report.say(f"  realizing distance: {result.distance}")
     if all(section["balanced"] for section in sections):
-        raise PreconditionError(
-            "the graph is balanced: every cut is a negation set, and packing "
-            "them is the cut-packing problem, which this solver does not attempt"
-        )
+        raise PreconditionError(BALANCED_MESSAGE)
     return EXIT_HOLDS
 
 

@@ -154,12 +154,13 @@ def _circle_order(circle: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One rewrite of the construction, as captured by ``trace=True``.
+    """One rewrite of the construction, logged by the call that switches it.
 
-    Entries with ``strict`` set are the documented rewrites that strictly
-    reduce the number of fully negative circles in the 4-core.  Replaying
-    every entry's ``switched`` set, in order, on the input reproduces the
-    construction's signs after each rewrite.
+    Every run keeps the log, and ``trace=True`` returns it as
+    ``stats.trace``.  Entries with ``strict`` set are the documented rewrites
+    that strictly reduce the number of fully negative circles in the 4-core.
+    Replaying every entry's ``switched`` set, in order, on the input
+    reproduces the construction's signs after each rewrite.
     """
 
     phase: str  # "preprocess" | "main" | "reattach"
@@ -170,6 +171,8 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class AcyclicStats:
+    """``passes`` counts the log's main-phase entries: each pass logs exactly one."""
+
     passes: int
     trace: tuple[TraceEntry, ...] | None
 
@@ -185,26 +188,29 @@ class _Work:
     """Switching state over a fixed host graph: one ±1 factor per vertex.
 
     The current sign of host edge uw is its host sign times ``factor[u] *
-    factor[w]``, so ``switch`` flips one factor in O(1) and the signs always
-    equal the host switched by :meth:`switching`.  The degree/neighbor
-    queries read the host's signed rows, restricted to the active vertex
-    set, which grows as peeled layers are reattached.
+    factor[w]``, so a switch flips one factor in O(1) and the signs always
+    equal the host switched by :meth:`switching`.  Every switch goes through
+    :meth:`rewrite`, which logs it, so replaying ``log`` reproduces the
+    factors.  The degree/neighbor queries read the host's signed rows,
+    restricted to the active vertex set, which grows as peeled layers are
+    reattached.
     """
 
-    __slots__ = ("host", "rows", "factor", "active")
+    __slots__ = ("host", "rows", "factor", "active", "log")
 
     def __init__(self, host: SignedGraph):
         self.host = host
         self.rows = host.signed_rows()
         self.factor = [POS] * host.n
         self.active: set[int] = set()
+        self.log: list[TraceEntry] = []
 
-    def switch(self, v: int) -> None:
-        self.factor[v] = -self.factor[v]
-
-    def switch_all(self, vs: Iterable[int]) -> None:
-        for v in set(vs):
-            self.switch(v)
+    def rewrite(self, phase: str, label: str, vertices: Sequence[int], strict: bool) -> None:
+        """Switch ``vertices`` and log the switch as one :class:`TraceEntry`."""
+        factor = self.factor
+        for v in set(vertices):
+            factor[v] = -factor[v]
+        self.log.append(TraceEntry(phase, label, tuple(sorted(vertices)), strict))
 
     def switching(self) -> frozenset[int]:
         return frozenset(v for v, f in enumerate(self.factor) if f == NEG)
@@ -233,10 +239,10 @@ class _Work:
         return u in self.active and v in self.active and self.host.has_edge(u, v)
 
 
-def _sweep(w: _Work, verts: Iterable[int], threshold: int) -> list[int]:
+def _sweep(w: _Work, verts: Iterable[int], threshold: int, phase: str) -> None:
     """Switch the smallest vertex of negative degree >= threshold until none is left.
 
-    Returns the switched vertices in order.  A switch changes negative
+    Each switch is logged as its own ``phase`` rewrite.  A switch changes negative
     degrees only at the switched vertex and its neighbors, so a min-heap
     that holds every violator (plus stale entries, dropped when popped) and
     takes back just those vertices picks the same vertex as rescanning
@@ -245,17 +251,14 @@ def _sweep(w: _Work, verts: Iterable[int], threshold: int) -> list[int]:
     """
     members = set(verts)
     heap = [v for v in sorted(members) if w.neg_degree(v) >= threshold]
-    switched: list[int] = []
     while heap:
         v = heapq.heappop(heap)
         if w.neg_degree(v) < threshold:
             continue
-        w.switch(v)
-        switched.append(v)
+        w.rewrite(phase, phase, (v,), False)
         for x in (v, *(x for x, _ in w.rows[v])):
             if x in members and w.neg_degree(x) >= threshold:
                 heapq.heappush(heap, x)
-    return switched
 
 
 def _work_circles(w: _Work, verts: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -304,21 +307,6 @@ def _negative_core(w: _Work, verts: Iterable[int]) -> dict[int, list[int]]:
     return {
         v: [x for x in a if x not in removed] for v, a in nbrs.items() if v not in removed
     }
-
-
-class _Tracer:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.entries: list[TraceEntry] = []
-        self.passes = 0
-
-    def record_pass(self, label, switched, strict) -> None:
-        if self.enabled:
-            self.entries.append(TraceEntry("main", label, tuple(sorted(switched)), strict))
-
-    def record_sweep(self, phase: str, v: int) -> None:
-        if self.enabled:
-            self.entries.append(TraceEntry(phase, phase, (v,), False))
 
 
 def _find_circle(w: _Work, verts: Iterable[int]) -> tuple[int, ...] | None:
@@ -426,37 +414,30 @@ def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
     # neighbor and the two unshared ones are three leaves of one negative
     # component, so the shared neighbor's corridor ends at a branch vertex,
     # and switching the anchor together with it removes the circle and every
-    # candidate replacement at once
+    # candidate replacement at once; failing that, the first pair sharing both
+    pair = None
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
             shared = set(pos_of[a]) & set(pos_of[b])
             if len(shared) == 1:
-                s = shared.pop()
-                path, kind = _corridor(w, s)
+                path, kind = _corridor(w, shared.pop())
                 if kind != "junction":
                     raise InvariantError(
                         "shared positive neighbor has an unbranched negative corridor"
                     )
                 return _Action("shared-neighbor-junction", (a, path[-1]), True)
+            if len(shared) == 2 and pair is None:
+                pair = a, b, sorted(shared)
+    if pair is None:
+        return None
 
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            shared = set(pos_of[a]) & set(pos_of[b])
-            if len(shared) == 2:
-                v3, v4 = sorted(shared)
-                negatively_adjacent = (
-                    w.host.has_edge(v3, v4) and w.edge_sign(v3, v4) == NEG
-                )
-                if not negatively_adjacent:
-                    return _Action("shared-pair-rectangle", (a, b, v3, v4), True)
-                if edge_key(a, b) in circle_edges:
-                    # trade the circle for the fully negative triangle a b v3
-                    return _Action(
-                        "shared-pair-shift", (a, b, v4), False, follow=(a, b, v3)
-                    )
-                return _Action("nonadjacent-shared-collapse", (a, b, v3), True)
-
-    return None
+    a, b, (v3, v4) = pair
+    if not (w.host.has_edge(v3, v4) and w.edge_sign(v3, v4) == NEG):
+        return _Action("shared-pair-rectangle", (a, b, v3, v4), True)
+    if edge_key(a, b) in circle_edges:
+        # trade the circle for the fully negative triangle a b v3
+        return _Action("shared-pair-shift", (a, b, v4), False, follow=(a, b, v3))
+    return _Action("nonadjacent-shared-collapse", (a, b, v3), True)
 
 
 @dataclass
@@ -500,12 +481,11 @@ def _component_k5_check(w: _Work, comp: tuple[int, ...]) -> None:
         raise MinusK5Detected(comp)
 
 
-def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> None:
+def _solve_core_component(w: _Work, comp: tuple[int, ...]) -> None:
     _component_k5_check(w, comp)
 
     # grind every negative degree down to two before touching circles
-    for v in _sweep(w, comp, 3):
-        tracer.record_sweep("preprocess", v)
+    _sweep(w, comp, 3, "preprocess")
 
     edge_total = sum(len(w.neighbors(u)) for u in comp) // 2
     budget = max(100, 10 * len(comp) * edge_total)
@@ -519,15 +499,13 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...], tracer: _Tracer) -> N
         circle = preferred if preferred is not None else _find_circle(w, comp)
         if circle is None:
             return
-        tracer.passes += 1
 
         action = _classify(w, circle)
         if action is None:
-            preferred, episode = _case_three(w, comp, circle, episode, tracer)
+            preferred, episode = _case_three(w, comp, circle, episode)
             continue
         episode = None
-        w.switch_all(action.switched)
-        tracer.record_pass(action.label, action.switched, action.strict)
+        w.rewrite("main", action.label, action.switched, action.strict)
         preferred = action.follow
 
     raise InvariantError(
@@ -540,7 +518,6 @@ def _case_three(
     comp: tuple[int, ...],
     circle: tuple[int, ...],
     episode: _Episode | None,
-    tracer: _Tracer,
 ) -> tuple[tuple[int, ...] | None, _Episode | None]:
     """Residual case: vertex-disjoint circles linked through the positive part.
 
@@ -557,8 +534,7 @@ def _case_three(
             default=None,
         )
         if contact is not None:
-            w.switch_all((episode.far_vertex, contact, wn))
-            tracer.record_pass("episode-finale", (episode.far_vertex, contact, wn), False)
+            w.rewrite("main", "episode-finale", (episode.far_vertex, contact, wn), False)
             return None, None
         # the marched circle holds a path vertex but never the far endpoint:
         # the path is a shortest one, so only its vertex next to the endpoint
@@ -569,17 +545,15 @@ def _case_three(
         wi = episode.path[on_path[-1]]
         replacement, junction = _derive_replacement(w, wi)
         if junction is not None:
-            w.switch_all((wi, junction))
-            tracer.record_pass("march-junction", (wi, junction), True)
+            w.rewrite("main", "march-junction", (wi, junction), True)
             return None, None
-        w.switch(wi)
-        tracer.record_pass("march-advance", (wi,), False)
+        w.rewrite("main", "march-advance", (wi,), False)
         return replacement, episode
 
     # new episode: first prefer any circle that still matches an earlier case
     for other in _work_circles(w, comp):
         if other != circle and _classify(w, other) is not None:
-            tracer.record_pass("circle-preference", (), False)
+            w.rewrite("main", "circle-preference", (), False)
             return other, None
 
     # junction guard on each replacement circle
@@ -587,8 +561,7 @@ def _case_three(
     for v in sorted(circle):
         replacement, junction = _derive_replacement(w, v)
         if junction is not None:
-            w.switch_all((v, junction))
-            tracer.record_pass("replacement-junction", (v, junction), True)
+            w.rewrite("main", "replacement-junction", (v, junction), True)
             return None, None
         replacements[v] = replacement
 
@@ -598,8 +571,7 @@ def _case_three(
             "no vertex-disjoint replacement circles joined by a path avoiding the circle"
         )
     v1, v2, path = pick
-    w.switch(v1)
-    tracer.record_pass("episode-start", (v1,), False)
+    w.rewrite("main", "episode-start", (v1,), False)
     return replacements[v1], _Episode(v2, path)
 
 
@@ -657,7 +629,8 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
     most one negative edge.  Raises :class:`MinusK5Detected` when a core
     component is switching-equivalent to the all-negative K5 (the one graph
     without an acyclic negation set), and :class:`PreconditionError` for
-    disconnected input or a core vertex of degree above four.
+    disconnected input or a core vertex of degree above four.  Every run logs
+    its rewrites; ``trace=True`` returns the log as ``stats.trace``.
     """
     if not g.is_connected():
         raise PreconditionError("acyclic negation construction requires a connected graph")
@@ -665,21 +638,20 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
     if core.graph.max_degree() > 4:
         raise PreconditionError("the 4-core has a vertex of degree above four")
 
-    tracer = _Tracer(trace)
     w = _Work(g)
     w.active |= set(core.to_host)
 
     for c in core.graph.connected_components():
-        _solve_core_component(w, tuple(sorted(core.host_vertices(c))), tracer)
+        _solve_core_component(w, tuple(sorted(core.host_vertices(c))))
 
     for batch in reversed(batches):
         w.active |= batch
-        for v in _sweep(w, batch, 2):
-            tracer.record_sweep("reattach", v)
+        _sweep(w, batch, 2, "reattach")
 
     switching = w.switching()
     negation = g.switch(switching).negative_edges()
     verify.forest(g.n, negation)
-    stats = AcyclicStats(tracer.passes, tuple(tracer.entries) if trace else None)
+    passes = sum(entry.phase == "main" for entry in w.log)
+    stats = AcyclicStats(passes, tuple(w.log) if trace else None)
     return AcyclicResult(EdgeSubset(g, negation), VertexSubset(g, switching), stats)
 

@@ -48,6 +48,11 @@ __all__ = [
     "packing_number",
 ]
 
+BALANCED_MESSAGE = (
+    "the graph is balanced: every cut is a negation set, and packing "
+    "them is the cut-packing problem, which this solver does not attempt"
+)
+
 
 @dataclass(frozen=True)
 class NegativeComponentClasses:
@@ -58,7 +63,6 @@ class NegativeComponentClasses:
     smallest vertex.
     """
 
-    host: SignedGraph
     classes: tuple[tuple[frozenset[int], frozenset[int]], ...]
 
     @property
@@ -172,7 +176,7 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
         raise PreconditionError(
             "the graph has no negative edges; there are no classes to build"
         )
-    return NegativeComponentClasses(g, tuple(classes))
+    return NegativeComponentClasses(tuple(classes))
 
 
 def _positive_distances(g: SignedGraph, sources: Iterable[int]) -> list[float]:
@@ -390,10 +394,7 @@ def packing_number(g: SignedGraph) -> PackingResult:
     if not g.is_connected():
         raise PreconditionError("packing numbers are defined for connected graphs")
     if is_balanced(g):
-        raise PreconditionError(
-            "the graph is balanced: every cut is a negation set, and packing "
-            "them is the cut-packing problem, which this solver does not attempt"
-        )
+        raise PreconditionError(BALANCED_MESSAGE)
     base = EdgeSubset(g, g.negative_edges())
     try:
         classes = negative_component_classes(g)

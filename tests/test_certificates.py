@@ -16,6 +16,7 @@ import pytest
 import negset
 from negset import (
     NEG,
+    POS,
     BalanceResult,
     ClassGraph,
     HararyBipartition,
@@ -105,6 +106,23 @@ def test_scan_distance_must_not_exceed_the_contracted_bound(monkeypatch):
     monkeypatch.setattr(packing, "_contracted_pair_distances", lambda g, classes: (0,))
     with pytest.raises(InvariantError, match="exceeds cut bound 0"):
         packing_number(g)
+
+
+def test_balance_witness_colouring_must_agree_with_every_edge(monkeypatch):
+    g = cycle_graph(4).negate_edges([(0, 1), (2, 3)])
+    # one colour for every vertex puts the negative edge 0-1 inside a side
+    monkeypatch.setattr(balance, "_two_color", lambda g, flips: ([0] * g.n, None))
+    with pytest.raises(InvariantError, match="disagrees with the Harary bipartition"):
+        balance.check_balance(g)
+
+
+@pytest.mark.parametrize("circle", [(1, 2, 3), (0, 2, 1)], ids=["positive", "non-circle"])
+def test_balance_witness_circle_must_be_negative(monkeypatch, circle):
+    # K4 minus the edge 0-2, negative on 0-1: 1 2 3 is a positive triangle
+    g = SignedGraph(4, [(0, 1, NEG), (0, 3, POS), (1, 2, POS), (1, 3, POS), (2, 3, POS)])
+    monkeypatch.setattr(balance, "_tree_circle", lambda parent, depth, u, w: circle)
+    with pytest.raises(InvariantError, match="not a negative circle"):
+        balance.check_balance(g)
 
 
 def test_harary_sides_needs_a_balanced_class_graph():

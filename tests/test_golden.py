@@ -92,19 +92,23 @@ TRACED = sorted(
 
 
 def rewrite_labels() -> set[str]:
-    """Label literals that ``negation.py`` passes to ``_Action`` or ``record_pass``."""
+    """Label literals that ``negation.py`` passes to ``_Action`` or to a main-phase ``rewrite``."""
     labels = set()
     for node in ast.walk(ast.parse(Path(negation.__file__).read_text())):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("_Action", "record_pass"):
+        if name == "_Action":
             label = node.args[0]
-            if isinstance(label, ast.Constant):
-                labels.add(label.value)
-            else:  # logging an _Action's label, collected at the _Action call
-                assert getattr(label, "attr", None) == "label", f"line {node.lineno}"
+        elif name == "rewrite" and getattr(node.args[0], "value", None) == "main":
+            label = node.args[1]
+        else:
+            continue
+        if isinstance(label, ast.Constant):
+            labels.add(label.value)
+        else:  # logging an _Action's label, collected at the _Action call
+            assert getattr(label, "attr", None) == "label", f"line {node.lineno}"
     return labels
 
 

@@ -211,6 +211,22 @@ class TestAcyclicNegation:
         )
 
     @given(subquartic_signed_graphs(max_n=12))
+    def test_tracing_only_returns_the_log_that_replays_to_the_switching(self, g):
+        plain = acyclic_unless_minus_k5(g)
+        if plain is None:
+            return
+        traced = acyclic_negation(g, trace=True)
+        assert traced.negation_set == plain.negation_set
+        assert traced.switching == plain.switching
+        assert traced.stats.passes == plain.stats.passes
+        log = traced.stats.trace
+        assert plain.stats.passes == sum(entry.phase == "main" for entry in log)
+        replayed: set[int] = set()
+        for entry in log:
+            replayed ^= set(entry.switched)
+        assert replayed == traced.switching.vertices
+
+    @given(subquartic_signed_graphs(max_n=12))
     def test_oracle_frustration_lower_bound(self, g):
         result = acyclic_unless_minus_k5(g)
         if result is None:
@@ -222,7 +238,7 @@ _FOREST_CHECK_SCRIPT = """
 from negset import NEG, InvariantError, SignedGraph, negation
 
 assert not __debug__
-negation._solve_core_component = lambda w, comp, tracer: None
+negation._solve_core_component = lambda w, comp: None
 n = 8
 g = SignedGraph(n, [(i, (i + d) % n, NEG) for i in range(n) for d in (1, 2)])
 try:

@@ -54,7 +54,8 @@ GOLDEN = Path(__file__).parent / "golden"
 def work_on(g: SignedGraph, switched) -> _Work:
     w = _Work(g)
     w.active |= set(range(g.n))
-    w.switch_all(switched)
+    for v in switched:
+        w.rewrite("setup", "setup", (v,), False)
     return w
 
 
@@ -65,8 +66,15 @@ def reference_sweep(w: _Work, verts, threshold: int) -> list[int]:
         v = min((u for u in verts if w.neg_degree(u) >= threshold), default=None)
         if v is None:
             return order
-        w.switch(v)
+        w.rewrite("reference", "reference", (v,), False)
         order.append(v)
+
+
+def swept(w: _Work, verts, threshold: int) -> list[int]:
+    """The vertices one heap sweep switches, in order, read from the log."""
+    start = len(w.log)
+    _sweep(w, verts, threshold, "sweep")
+    return [v for entry in w.log[start:] for v in entry.switched]
 
 
 signings = st.tuples(
@@ -82,7 +90,7 @@ def test_core_circle_search_matches_the_enumerator(case):
     assert _work_circles(w, everything) == _enumerate_circles(everything, w.neg_neighbors)
     # after the preprocess sweep every negative degree is at most two, so
     # the core is 2-regular and its cycles are walked directly
-    _sweep(w, everything, 3)
+    _sweep(w, everything, 3, "preprocess")
     assert _work_circles(w, everything) == _enumerate_circles(everything, w.neg_neighbors)
 
 
@@ -91,13 +99,13 @@ def test_heap_sweep_switches_like_the_rescan(case, data):
     g, switched = case
     fast, slow = work_on(g, switched), work_on(g, switched)
     everything = range(g.n)
-    assert _sweep(fast, everything, 3) == reference_sweep(slow, everything, 3)
+    assert swept(fast, everything, 3) == reference_sweep(slow, everything, 3)
     assert fast.switching() == slow.switching()
     # threshold two terminates on vertices of degree at most three, the
     # peeled layers the reattach sweep works on
     low = [v for v in everything if g.degree(v) <= 3]
     batch = data.draw(st.sets(st.sampled_from(low)) if low else st.just(set()))
-    assert _sweep(fast, batch, 2) == reference_sweep(slow, batch, 2)
+    assert swept(fast, batch, 2) == reference_sweep(slow, batch, 2)
     assert fast.switching() == slow.switching()
 
 
