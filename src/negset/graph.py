@@ -167,6 +167,8 @@ class SignedGraph:
     # -- value semantics -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, SignedGraph):
             return NotImplemented
         return self._n == other._n and self._signs == other._signs

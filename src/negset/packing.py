@@ -6,8 +6,8 @@ negative subgraph is bipartite, the number equals ``d + 1`` where ``d`` is
 the largest positive-subgraph distance between the two sides of a stable
 bipartition of the negative subgraph, maximized over all such bipartitions.
 
-:func:`packing_number` goes classes, distances, scan, bound, family.  A
-threshold scan builds a sequence of small signed "class graphs" on the 2m
+:func:`packing_number` goes classes, bound, distances, scan, family.  The
+scan builds a sequence of small signed "class graphs" on the 2m
 bipartition classes and finds the first unbalanced one; its threshold
 ``w_p`` is the best distance over single bipartitions.
 
@@ -15,15 +15,19 @@ The scan value is exact whenever it matches the shortest-path upper bound:
 every member of a disjoint family must separate the two classes of every
 negative component, so no family can be larger than the distance between a
 component's classes in the positive subgraph with classes contracted.  The
-bound is one BFS per component over the host's positive rows.  With one
-negative component the two figures always coincide.  With several they can
-genuinely differ — families may mix cuts from different bipartitions — and
-then an exact (exponential, budget-kept) search over class-respecting
-switchings decides whether a mixed family beats the scan.
+bound is one BFS per component over the host's positive rows, each stopped
+once it can no longer beat the best so far.  It comes first, because
+``w_p`` never exceeds it: every class BFS stops at the bound's depth, and a
+class distance beyond it reads ``inf``.  With one negative component the
+two figures always coincide.  With several they can genuinely differ —
+families may mix cuts from different bipartitions — and then an exact
+(exponential, budget-kept) search over class-respecting switchings decides
+whether a mixed family beats the scan.
 
 Only then is one family built and certified: the mixed family when the
 search found one, else the ``w_p + 1`` layered switchings measured from one
-side of the last balanced class graph's bipartition.
+side of the last balanced class graph's bipartition.  The certificate
+two-colours every member at once in one bit-parallel signed BFS.
 """
 
 from __future__ import annotations
@@ -179,14 +183,19 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
     return NegativeComponentClasses(tuple(classes))
 
 
-def _positive_distances(g: SignedGraph, sources: Iterable[int]) -> list[float]:
-    """Multi-source BFS distances in the positive subgraph."""
+def _positive_distances(
+    g: SignedGraph, sources: Iterable[int], limit: float = math.inf
+) -> list[float]:
+    """Multi-source BFS distances in the positive subgraph; beyond ``limit``, ``inf``."""
     positive = g.positive_rows()
     dist: list[float] = [math.inf] * g.n
     queue = sorted(set(sources))
     for s in queue:
         dist[s] = 0
     for u in queue:
+        if dist[u] >= limit:
+            # BFS order: every vertex still queued is at least this deep.
+            break
         step = dist[u] + 1
         for w in positive[u]:
             if dist[w] == math.inf:
@@ -196,17 +205,18 @@ def _positive_distances(g: SignedGraph, sources: Iterable[int]) -> list[float]:
 
 
 def class_distances(
-    g: SignedGraph, classes: NegativeComponentClasses
+    g: SignedGraph, classes: NegativeComponentClasses, limit: float = math.inf
 ) -> tuple[tuple[float, ...], ...]:
     """Minimum positive-subgraph distance between every pair of classes.
 
     Row and column order follow :meth:`NegativeComponentClasses.flat`;
-    unreachable pairs get ``math.inf``.  One BFS per class.
+    unreachable pairs, and pairs farther apart than ``limit``, get
+    ``math.inf``.  One BFS per class, each stopped at depth ``limit``.
     """
     flat = classes.flat()
     rows = []
     for cls in flat:
-        dist = _positive_distances(g, cls)
+        dist = _positive_distances(g, cls, limit)
         rows.append(tuple(min(dist[v] for v in other) for other in flat))
     return tuple(rows)
 
@@ -248,20 +258,20 @@ def build_class_graph(
     return ClassGraph(classes.m, wk, frozenset(positive))
 
 
-def _contracted_pair_distances(
-    g: SignedGraph, classes: NegativeComponentClasses
-) -> tuple[float, ...]:
-    """Distance between the two classes of each component, classes contracted.
+def _contracted_bound(g: SignedGraph, classes: NegativeComponentClasses) -> float:
+    """Least distance between the two classes of a component, classes contracted.
 
     The distance is measured in the positive multigraph with every class
     contracted to one node.  Contraction can only shorten paths compared
     with plain positive distances, and the shorter figure is the sound
     family-size bound: every family member is a cut separating the two
-    contracted nodes, so it spends at least one edge of any fixed shortest
-    path between them.  One BFS per component over the host's positive
-    rows, from class 2i: the first vertex reached in a class brings in its
-    whole class at the same distance, and the BFS stops as soon as class
-    2i + 1 is reached.
+    contracted nodes of every component, so it spends at least one edge of
+    any fixed shortest path between them.  One BFS per component over the
+    host's positive rows, from class 2i: the first vertex reached in a class
+    brings in its whole class at the same distance.  A BFS stops as soon as
+    class 2i + 1 is reached, or once it would go no shorter than the best
+    component so far, since only the minimum is used.  ``inf`` when no
+    component's classes are joined by a positive path.
     """
     flat = classes.flat()
     class_of = [-1] * g.n
@@ -270,13 +280,15 @@ def _contracted_pair_distances(
             class_of[v] = idx
     positive = g.positive_rows()
 
-    def distance(source: int) -> float:
+    def distance(source: int, cutoff: float) -> float:
         dist = [-1] * g.n
         queue = list(flat[source])
         for v in queue:
             dist[v] = 0
         for u in queue:
             step = dist[u] + 1
+            if step >= cutoff:
+                return math.inf
             for w in positive[u]:
                 if dist[w] >= 0:
                     continue
@@ -289,7 +301,10 @@ def _contracted_pair_distances(
                 queue.extend(reached)
         return math.inf
 
-    return tuple(distance(2 * i) for i in range(classes.m))
+    bound = math.inf
+    for i in range(classes.m):
+        bound = min(bound, distance(2 * i, bound))
+    return bound
 
 
 _EXACT_SEARCH_BITS = 20
@@ -402,7 +417,10 @@ def packing_number(g: SignedGraph) -> PackingResult:
         # An unbalanced graph has a negative edge, so the error is an odd
         # fully negative circle: no second disjoint negation set exists.
         return PackingResult(1, (base,), None, None)
-    dist = class_distances(g, classes)
+    # The witnessed family can never beat the contracted shortest-path bound,
+    # so the scan's answer lies within it and farther class distances read inf.
+    bound = _contracted_bound(g, classes)
+    dist = class_distances(g, classes, bound)
     ws = thresholds(dist)
     # The last balanced class graph of the scan; the empty one, whose Harary
     # sides are exactly the first classes, stands in before the first step.
@@ -413,16 +431,10 @@ def packing_number(g: SignedGraph) -> PackingResult:
             break
         last = cg
     else:
-        # An unbalanced graph always has a finite optimal distance, so some
-        # class graph in the scan must be unbalanced.
-        raise InvariantError("balance scan found no unbalanced class graph")
+        # An unbalanced graph always has a finite optimal distance, at most
+        # the bound, so some class graph in the cut scan must be unbalanced.
+        raise InvariantError(f"no class graph within the cut bound {bound} is unbalanced")
     w_p = cg.threshold
-
-    pair_distances = _contracted_pair_distances(g, classes)
-    bound = min((d for d in pair_distances if math.isfinite(d)), default=math.inf)
-    # The witnessed family can never beat the shortest-path bound.
-    if w_p > bound:
-        raise InvariantError(f"scan distance {w_p} exceeds cut bound {bound}")
     # Pinched between the layered family below and the bound above, the scan
     # value is exact; otherwise a family mixing bipartitions may do better.
     members = _exact_packing(g, classes, w_p + 1) if w_p < bound else []
@@ -432,7 +444,7 @@ def packing_number(g: SignedGraph) -> PackingResult:
         side = last.harary_sides()
         b1 = frozenset().union(*(flat[c] for c in side))
         b2 = frozenset().union(*(flat[c] for c in range(2 * classes.m) if c not in side))
-        reach = _positive_distances(g, b1)
+        reach = _positive_distances(g, b1, w_p)
         # Member i is E⁻ switched by the layer {v : reach[v] <= i}.  Every
         # negative edge joins b1 to b2 and so lies in that layer's cut, which
         # leaves exactly the positive edges from distance i to distance i + 1.

@@ -103,8 +103,10 @@ def test_antibalanced_construction_must_be_bipartite(monkeypatch):
 
 def test_scan_distance_must_not_exceed_the_contracted_bound(monkeypatch):
     g = cycle_graph(5).negate_edges([(0, 1)])
-    monkeypatch.setattr(packing, "_contracted_pair_distances", lambda g, classes: (0,))
-    with pytest.raises(InvariantError, match="exceeds cut bound 0"):
+    # Distances are cut at the bound, so a bound below the scan's answer
+    # leaves the scan no unbalanced class graph.
+    monkeypatch.setattr(packing, "_contracted_bound", lambda g, classes: 0)
+    with pytest.raises(InvariantError, match="no class graph within the cut bound 0 is unbalanced"):
         packing_number(g)
 
 

@@ -219,7 +219,7 @@ class TestContractedBound:
                         dist[y] = dist[x] + 1
                         queue.append(y)
             expected.append(dist.get(2 * i + 1, math.inf))
-        assert packing._contracted_pair_distances(g, classes) == tuple(expected)
+        assert packing._contracted_bound(g, classes) == min(expected)
 
 
 class TestAgainstBruteForce:
@@ -288,6 +288,19 @@ class TestClassMachinery:
         classes = negative_component_classes(g)
         dist = class_distances(g, classes)
         assert dist[0][1] == math.inf
+
+    @given(connected_signed_graphs(max_n=9), st.integers(0, 9))
+    @settings(max_examples=120)
+    def test_cut_off_distances_are_the_full_matrix_capped(self, g, limit):
+        negative = g.negative_edges()
+        if not negative or not edge_set_is_bipartite(g.n, negative):
+            return
+        classes = negative_component_classes(g)
+        capped = tuple(
+            tuple(d if d <= limit else math.inf for d in row)
+            for row in class_distances(g, classes)
+        )
+        assert class_distances(g, classes, limit) == capped
 
     def test_thresholds_are_distinct_ascending_finite(self):
         g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
