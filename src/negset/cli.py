@@ -40,7 +40,7 @@ from .minimality import (
     unique_minimum_by_size,
 )
 from .negation import acyclic_negation
-from .packing import BALANCED_MESSAGE, packing_number
+from .packing import BALANCED_MESSAGE, component_packing_number, packing_number
 from .sgio import load_path
 
 EXIT_HOLDS = 0
@@ -227,7 +227,7 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
             sections.append({"vertices": host, "balanced": True})
             report.say(f"component {host}: balanced, no packing number")
             continue
-        result = packing_number(comp)
+        result = component_packing_number(comp)
         family = [sorted(view.host_edge(e) for e in member.edges) for member in result.family]
         section = {
             "vertices": host,

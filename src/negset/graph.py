@@ -30,6 +30,17 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _edge_fault(n: int, u: int, v: int, s: int) -> str:
+    """Why :class:`SignedGraph` rejects edge ``(u, v, s)``, checked in this order."""
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}"
+    if u == v:
+        return f"loop at vertex {u} is not allowed"
+    if s not in (POS, NEG):
+        return f"edge ({u}, {v}) has invalid sign {s!r}"
+    return f"parallel edge ({u}, {v})"
+
+
 class SignedGraph:
     """Immutable simple signed graph.
 
@@ -46,16 +57,11 @@ class SignedGraph:
             raise ValueError("vertex count must be nonnegative")
         signs: dict[Edge, int] = {}
         for u, v, s in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} is not allowed")
-            if s not in (POS, NEG):
-                raise ValueError(f"edge ({u}, {v}) has invalid sign {s!r}")
-            e = edge_key(u, v)
-            if e in signs:
-                raise ValueError(f"parallel edge ({u}, {v})")
-            signs[e] = s
+            e = (u, v) if u < v else (v, u)
+            if 0 <= e[0] and e[1] < n and u != v and (s == POS or s == NEG) and e not in signs:
+                signs[e] = s
+            else:
+                raise ValueError(_edge_fault(n, u, v, s))
         self._n = n
         self._signs = signs
         self._hash: int | None = None
@@ -199,6 +205,13 @@ class SignedGraph:
         ys = as_edge_set(self, y)
         return self._resigned({e: -s if e in ys else s for e, s in self._signs.items()})
 
+    def delete_edges(self, y: "EdgeSubset | Iterable[Edge]") -> "SignedGraph":
+        """Drop exactly the edges in ``y``; the others keep their signs."""
+        ys = as_edge_set(self, y)
+        return SignedGraph(
+            self._n, [(u, v, s) for (u, v), s in self._signs.items() if (u, v) not in ys]
+        )
+
     def negate_all(self) -> "SignedGraph":
         return self._resigned({e: -s for e, s in self._signs.items()})
 
@@ -290,7 +303,21 @@ class SignedGraph:
         return tuple(comps)
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        """Whether one search from vertex 0 reaches every vertex."""
+        if self._n == 0:
+            return True
+        rows = self.signed_rows()
+        seen = [False] * self._n
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            for w, _ in rows[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    reached += 1
+                    stack.append(w)
+        return reached == self._n
 
     # -- cores -------------------------------------------------------------------
 

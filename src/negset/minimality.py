@@ -37,9 +37,7 @@ def is_minimal(g: SignedGraph, b: Iterable[Edge]) -> bool:
     """
     if not g.is_connected():
         raise PreconditionError("minimality characterization requires a connected graph")
-    bs = _negation_set(g, b)
-    remainder = SignedGraph(g.n, [(u, v, s) for u, v, s in g.edges() if (u, v) not in bs])
-    return remainder.is_connected()
+    return g.delete_edges(_negation_set(g, b)).is_connected()
 
 
 def _negation_set(g: SignedGraph, b: Iterable[Edge]) -> frozenset[Edge]:

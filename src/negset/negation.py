@@ -193,10 +193,12 @@ class _Work:
     :meth:`rewrite`, which logs it, so replaying ``log`` reproduces the
     factors.  The degree/neighbor queries read the host's signed rows,
     restricted to the active vertex set, which grows as peeled layers are
-    reattached.
+    reattached.  While a core component is being ground down, ``circles``
+    holds its :class:`_CircleIndex`, and each rewrite marks the vertices it
+    switched and their neighbours there.
     """
 
-    __slots__ = ("host", "rows", "factor", "active", "log")
+    __slots__ = ("host", "rows", "factor", "active", "log", "circles")
 
     def __init__(self, host: SignedGraph):
         self.host = host
@@ -204,12 +206,19 @@ class _Work:
         self.factor = [POS] * host.n
         self.active: set[int] = set()
         self.log: list[TraceEntry] = []
+        self.circles: _CircleIndex | None = None
 
     def rewrite(self, phase: str, label: str, vertices: Sequence[int], strict: bool) -> None:
         """Switch ``vertices`` and log the switch as one :class:`TraceEntry`."""
         factor = self.factor
         for v in set(vertices):
             factor[v] = -factor[v]
+        if self.circles is not None:
+            # only edges at a switched vertex change sign
+            dirty = self.circles.dirty
+            for v in vertices:
+                dirty.add(v)
+                dirty.update(x for x, _ in self.rows[v])
         self.log.append(TraceEntry(phase, label, tuple(sorted(vertices)), strict))
 
     def switching(self) -> frozenset[int]:
@@ -261,18 +270,94 @@ def _sweep(w: _Work, verts: Iterable[int], threshold: int, phase: str) -> None:
                 heapq.heappush(heap, x)
 
 
-def _work_circles(w: _Work, verts: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Every fully negative circle through the active ``verts``, canonical and sorted.
+class _CircleIndex:
+    """The fully negative circles of one core component, kept across rewrites.
 
-    ``verts`` must be closed under active adjacency (a component).  Circles
-    live in the 2-core of the negative subgraph, so vertices of negative
-    degree below two are peeled first.  A 2-regular core is a disjoint union
-    of cycles, each read off by one walk; a core vertex of negative degree
-    three or more falls back to the exhaustive enumerator on the core alone.
-    Either way the result equals ``_enumerate_circles`` on all of ``verts``.
+    Circles lie inside components of the negative subgraph, so the index
+    keeps each negative component's circles under its smallest vertex, plus
+    one min-heap of every circle under :func:`_circle_order` whose entries go
+    stale (and are dropped when they reach the top) once their component is
+    recomputed.  A rewrite changes signs only on edges at the vertices it
+    switches, so every negative component it changes holds one of those
+    vertices or their neighbours, which :meth:`_Work.rewrite` adds to
+    ``dirty``.  :meth:`refresh` drops the old components of the dirty
+    vertices and reads the new ones off by a walk from each, so a pass costs
+    the size of the components it touched rather than of the whole core.
+    ``verts`` must be closed under active adjacency (a component), so the
+    only other vertices a rewrite in it marks are inactive; every vertex
+    starts dirty.
     """
-    core = _negative_core(w, verts)
-    if any(len(nbrs) > 2 for nbrs in core.values()):
+
+    __slots__ = ("work", "label", "by_label", "heap", "dirty", "stamp")
+
+    def __init__(self, w: _Work, verts: Iterable[int]):
+        self.work = w
+        self.label: dict[int, int] = {}
+        self.by_label: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+        self.heap: list[tuple[tuple, int, int]] = []
+        self.dirty = set(verts)
+        self.stamp = 0
+
+    def refresh(self) -> None:
+        """Recompute the circles of every negative component holding a dirty vertex."""
+        dirty, label, by_label = self.dirty, self.label, self.by_label
+        active = self.work.active
+        for v in dirty:
+            by_label.pop(label.get(v), None)
+        seen: set[int] = set()
+        for v in dirty:
+            if v in seen or v not in active:
+                continue
+            seen.add(v)
+            nbrs: dict[int, list[int]] = {}
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                nbrs[u] = around = self.work.neg_neighbors(u)
+                for x in around:
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+            root = min(nbrs)
+            for u in nbrs:
+                label[u] = root
+            found = _component_circles(nbrs)
+            if found:
+                self.stamp += 1
+                by_label[root] = self.stamp, found
+                for circle in found:
+                    heapq.heappush(self.heap, (_circle_order(circle), self.stamp, root))
+        dirty.clear()
+
+    def first(self) -> tuple[int, ...] | None:
+        """The least fully negative circle under :func:`_circle_order`, or None."""
+        self.refresh()
+        heap, by_label = self.heap, self.by_label
+        while heap:
+            key, stamp, root = heap[0]
+            if by_label.get(root, (None,))[0] == stamp:
+                return key[1]
+            heapq.heappop(heap)
+        return None
+
+    def every(self) -> tuple[tuple[int, ...], ...]:
+        """Every fully negative circle, canonical and sorted."""
+        self.refresh()
+        found = [c for _, cs in self.by_label.values() for c in cs]
+        return tuple(sorted(found, key=_circle_order))
+
+
+def _component_circles(nbrs: dict[int, list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The circles of one negative component, given as adjacency lists, canonical and sorted.
+
+    Circles live in the 2-core, so vertices of negative degree below two are
+    peeled first.  A 2-regular core is a disjoint union of cycles, each read
+    off by one walk; a core vertex of negative degree three or more falls
+    back to the exhaustive enumerator on the core alone.  Either way the
+    result equals ``_enumerate_circles`` on the whole component.
+    """
+    core = _negative_core(nbrs)
+    if any(len(around) > 2 for around in core.values()):
         return _enumerate_circles(core, core.__getitem__)
     circles = []
     seen: set[int] = set()
@@ -292,9 +377,8 @@ def _work_circles(w: _Work, verts: Iterable[int]) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(circles, key=_circle_order))
 
 
-def _negative_core(w: _Work, verts: Iterable[int]) -> dict[int, list[int]]:
-    """The 2-core of the negative subgraph on the active ``verts``, as adjacency lists."""
-    nbrs = {v: w.neg_neighbors(v) for v in verts if v in w.active}
+def _negative_core(nbrs: dict[int, list[int]]) -> dict[int, list[int]]:
+    """The 2-core of a negative adjacency, as adjacency lists."""
     degree = {v: len(a) for v, a in nbrs.items()}
     peel = [v for v, d in degree.items() if d < 2]
     removed = set(peel)
@@ -307,11 +391,6 @@ def _negative_core(w: _Work, verts: Iterable[int]) -> dict[int, list[int]]:
     return {
         v: [x for x in a if x not in removed] for v, a in nbrs.items() if v not in removed
     }
-
-
-def _find_circle(w: _Work, verts: Iterable[int]) -> tuple[int, ...] | None:
-    circles = _work_circles(w, verts)
-    return circles[0] if circles else None
 
 
 def _still_fully_negative(w: _Work, circle: tuple[int, ...]) -> bool:
@@ -492,17 +571,19 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...]) -> None:
     preferred: tuple[int, ...] | None = None
     episode: _Episode | None = None
 
+    w.circles = _CircleIndex(w, comp)
     for _ in range(budget):
         if preferred is not None and not _still_fully_negative(w, preferred):
             preferred = None
             episode = None
-        circle = preferred if preferred is not None else _find_circle(w, comp)
+        circle = preferred if preferred is not None else w.circles.first()
         if circle is None:
+            w.circles = None
             return
 
         action = _classify(w, circle)
         if action is None:
-            preferred, episode = _case_three(w, comp, circle, episode)
+            preferred, episode = _case_three(w, circle, episode)
             continue
         episode = None
         w.rewrite("main", action.label, action.switched, action.strict)
@@ -515,7 +596,6 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...]) -> None:
 
 def _case_three(
     w: _Work,
-    comp: tuple[int, ...],
     circle: tuple[int, ...],
     episode: _Episode | None,
 ) -> tuple[tuple[int, ...] | None, _Episode | None]:
@@ -551,7 +631,7 @@ def _case_three(
         return replacement, episode
 
     # new episode: first prefer any circle that still matches an earlier case
-    for other in _work_circles(w, comp):
+    for other in w.circles.every():
         if other != circle and _classify(w, other) is not None:
             w.rewrite("main", "circle-preference", (), False)
             return other, None

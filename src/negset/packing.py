@@ -50,6 +50,7 @@ __all__ = [
     "thresholds",
     "build_class_graph",
     "packing_number",
+    "component_packing_number",
 ]
 
 BALANCED_MESSAGE = (
@@ -395,7 +396,20 @@ def _exact_packing(
 def packing_number(g: SignedGraph) -> PackingResult:
     """Largest family of pairwise disjoint negation sets containing E⁻(g).
 
-    The graph must be connected and unbalanced.  When the negative subgraph
+    The graph must be connected and unbalanced; :class:`PreconditionError`
+    is raised otherwise.  :func:`component_packing_number` computes it.
+    """
+    if not g.is_connected():
+        raise PreconditionError("packing numbers are defined for connected graphs")
+    if is_balanced(g):
+        raise PreconditionError(BALANCED_MESSAGE)
+    return component_packing_number(g)
+
+
+def component_packing_number(g: SignedGraph) -> PackingResult:
+    """:func:`packing_number` of a graph already known to be connected and unbalanced.
+
+    Neither precondition is checked again.  When the negative subgraph
     is not bipartite no second disjoint negation set can exist, so the
     family is just ``(E⁻(g),)``.  Otherwise the class-graph scan finds the
     best single-bipartition distance ``w_p``, which is exact when it meets
@@ -406,10 +420,6 @@ def packing_number(g: SignedGraph) -> PackingResult:
     switchings.  Results from the mixed search carry
     ``realizing_bipartition=None`` and ``distance=None``.
     """
-    if not g.is_connected():
-        raise PreconditionError("packing numbers are defined for connected graphs")
-    if is_balanced(g):
-        raise PreconditionError(BALANCED_MESSAGE)
     base = EdgeSubset(g, g.negative_edges())
     try:
         classes = negative_component_classes(g)

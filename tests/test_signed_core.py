@@ -1,8 +1,9 @@
 """The signed-adjacency hot paths against the slower code they replace.
 
-* The acyclic construction's circle search reads the negative 2-core and
-  must return exactly the tuple the exhaustive enumerator gives on the whole
-  active set.
+* The acyclic construction's circle index reads the negative 2-core of the
+  components each rewrite touched, and after every rewrite must return
+  exactly the tuple the exhaustive enumerator gives on the whole component.
+  On plaquette tori its work grows linearly with the vertex count.
 * Its heap sweeps must switch the same vertices, in the same order, as
   rescanning for the smallest violator after every switch (kept here as the
   reference).
@@ -37,11 +38,11 @@ from negset import (
 from negset import negation
 from negset.graph import cycle_graph, edge_key
 from negset.negation import (
+    _CircleIndex,
     _component_k5_check,
     _enumerate_circles,
     _sweep,
     _Work,
-    _work_circles,
     negative_circles,
 )
 from negset.sgio import load_path
@@ -82,16 +83,75 @@ signings = st.tuples(
 ).map(lambda t: (t[0], {v for v in t[1] if v < t[0].n}))
 
 
+def assert_index_matches_the_enumerator(w: _Work, verts) -> None:
+    circles = _enumerate_circles(verts, w.neg_neighbors)
+    assert w.circles.every() == circles
+    assert w.circles.first() == (circles[0] if circles else None)
+
+
 @given(signings)
 def test_core_circle_search_matches_the_enumerator(case):
     g, switched = case
     w = work_on(g, switched)
     everything = range(g.n)
-    assert _work_circles(w, everything) == _enumerate_circles(everything, w.neg_neighbors)
+    w.circles = _CircleIndex(w, everything)
+    assert_index_matches_the_enumerator(w, everything)
     # after the preprocess sweep every negative degree is at most two, so
     # the core is 2-regular and its cycles are walked directly
     _sweep(w, everything, 3, "preprocess")
-    assert _work_circles(w, everything) == _enumerate_circles(everything, w.neg_neighbors)
+    assert_index_matches_the_enumerator(w, everything)
+
+
+@given(signings, st.lists(st.sets(st.integers(0, 13), max_size=3), max_size=12))
+def test_circle_index_follows_every_rewrite(case, rewrites):
+    g, switched = case
+    w = work_on(g, switched)
+    everything = range(g.n)
+    w.circles = _CircleIndex(w, everything)
+    for vertices in rewrites:
+        w.rewrite("main", "test", [v for v in vertices if v < g.n], False)
+        assert_index_matches_the_enumerator(w, everything)
+
+
+def plaquette_torus(side: int) -> SignedGraph:
+    """The side x side torus grid whose negative edges are unit squares, every third cell.
+
+    The same signing as the benchmark's ``torus-plaquettes`` family, without
+    its random offset and relabelling.
+    """
+    pairs = set()
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            pairs.add(edge_key(v, r * side + (c + 1) % side))
+            pairs.add(edge_key(v, ((r + 1) % side) * side + c))
+    negative = set()
+    for r in range(0, side - 1, 3):
+        for c in range(0, side - 1, 3):
+            a, b = r * side + c, r * side + c + 1
+            d, e = (r + 1) * side + c, (r + 1) * side + c + 1
+            negative |= {edge_key(a, b), edge_key(d, e), edge_key(a, d), edge_key(b, e)}
+    edges = [(u, v, NEG if (u, v) in negative else POS) for u, v in sorted(pairs)]
+    return SignedGraph(side * side, edges)
+
+
+def test_circle_search_work_grows_linearly_on_plaquette_tori(monkeypatch):
+    # 4x the vertices reads about 4x the negative rows; re-peeling the whole
+    # core on every pass reads about 16x
+    neg_neighbors = _Work.neg_neighbors
+    calls = []
+
+    def counted(self, v):
+        calls.append(v)
+        return neg_neighbors(self, v)
+
+    monkeypatch.setattr(_Work, "neg_neighbors", counted)
+    counts = []
+    for side in (24, 48):
+        calls.clear()
+        acyclic_negation(plaquette_torus(side))
+        counts.append(len(calls))
+    assert counts[1] <= 5 * counts[0]
 
 
 @given(signings, st.data())
@@ -163,17 +223,17 @@ def test_k5_check_matches_antibalance_on_every_signing():
 @pytest.mark.parametrize("stem", ["torus12", "quartic200-negative"])
 def test_tracing_adds_no_circle_search(stem, monkeypatch):
     g = load_path(GOLDEN / f"{stem}.sg")
-    search = negation._work_circles
+    refresh = negation._CircleIndex.refresh
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
+    def counted(index):
+        calls.append(index)
+        return refresh(index)
 
-    monkeypatch.setattr(negation, "_work_circles", counted)
+    monkeypatch.setattr(negation._CircleIndex, "refresh", counted)
     counts = []
     for trace in (False, True):
         calls.clear()
         acyclic_negation(g, trace=trace)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
