@@ -15,7 +15,7 @@ are switching equivalent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .graph import (
@@ -57,8 +57,8 @@ def check_balance(g: SignedGraph) -> BalanceResult:
     is checked against ``g`` before it is returned: the circle's sign, or
     every edge against the coloring, in one pass over the rows.
     """
-    color, circle = _two_color(g, frozenset())
-    if color is None:
+    color, conflict, circle = _two_color(g.signed_rows())
+    if conflict:
         try:
             negative = g.circle_sign(circle) == NEG
         except ValueError:
@@ -78,40 +78,52 @@ def check_balance(g: SignedGraph) -> BalanceResult:
 
 
 def _two_color(
-    g: SignedGraph, flipped: frozenset[Edge]
-) -> tuple[list[int] | None, tuple[int, ...] | None]:
-    """Signed BFS two-coloring of ``g`` with the edges in ``flipped`` negated.
+    rows: Sequence[Sequence[tuple[int, int]]],
+    flips: Mapping[Edge, int] = {},
+    full: int = 1,
+) -> tuple[list[int], int, tuple[int, ...] | None]:
+    """Signed BFS two-colouring of up to ``full.bit_length()`` signings at once.
 
-    Returns ``(color, None)`` with a 0/1 color per vertex when the flipped
-    signing is balanced, else ``(None, circle)`` with a negative circle.  The
-    flips are applied on the fly while reading the signed adjacency, so
-    balance of ``g.negate_edges(flipped)`` is decided without building it.
+    ``rows`` are per-vertex ``(neighbour, sign)`` rows.  Signing i negates,
+    besides the negative edges, every edge whose ``flips`` mask has bit i,
+    and bit i of a vertex's potential is its colour under signing i.  The
+    BFS tree is the same for every signing, so an edge that disagrees with
+    its ends' potentials in bit i closes a negative circle of signing i.
+
+    Returns ``(potentials, conflict, circle)``: bit i of ``conflict`` is set
+    when signing i is unbalanced.  The BFS stops once every signing has
+    disagreed (``conflict == full``), with ``circle`` the tree circle
+    through that last edge; otherwise ``circle`` is ``None``.  Flips are
+    applied while reading the rows, so no negated graph is ever built.
     """
-    rows = g.signed_rows()
-    n = g.n
-    color = [-1] * n
+    n = len(rows)
+    flip = flips.get
+    potential = [-1] * n
     parent = [-1] * n
     depth = [0] * n
+    conflict = 0
     for root in range(n):
-        if color[root] >= 0:
+        if potential[root] >= 0:
             continue
-        color[root] = 0
+        potential[root] = 0
         queue = [root]
         for u in queue:
-            cu = color[u]
+            pu = potential[u]
             for w, s in rows[u]:
-                want = cu ^ (s == NEG)
-                if flipped and ((u, w) if u < w else (w, u)) in flipped:
-                    want ^= 1
-                cw = color[w]
-                if cw < 0:
-                    color[w] = want
+                want = pu ^ full if s == NEG else pu
+                if flips:
+                    want ^= flip((u, w) if u < w else (w, u), 0)
+                pw = potential[w]
+                if pw < 0:
+                    potential[w] = want
                     parent[w] = u
                     depth[w] = depth[u] + 1
                     queue.append(w)
-                elif cw != want:
-                    return None, _tree_circle(parent, depth, u, w)
-    return color, None
+                elif pw != want:
+                    conflict |= pw ^ want
+                    if conflict == full:
+                        return potential, conflict, _tree_circle(parent, depth, u, w)
+    return potential, conflict, None
 
 
 def _tree_circle(parent, depth, u: int, w: int) -> tuple[int, ...]:
@@ -135,7 +147,7 @@ def _tree_circle(parent, depth, u: int, w: int) -> tuple[int, ...]:
 
 
 def is_balanced(g: SignedGraph) -> bool:
-    return _two_color(g, frozenset())[0] is not None
+    return not _two_color(g.signed_rows())[1]
 
 
 def is_antibalanced(g: SignedGraph) -> bool:
@@ -153,7 +165,7 @@ def switching_equivalent(g: SignedGraph, h: SignedGraph) -> bool:
     if not g.underlying_matches(h):
         raise PreconditionError("graphs have different underlying edge sets")
     # the product signing is g with h's negative edges negated
-    return _two_color(g, h.negative_edges())[0] is not None
+    return not _two_color(g.signed_rows(), dict.fromkeys(h.negative_edges(), 1))[1]
 
 
 def is_negation_set(g: SignedGraph, b: EdgeSubset | Iterable[Edge]) -> bool:
@@ -165,7 +177,7 @@ def is_negation_set(g: SignedGraph, b: EdgeSubset | Iterable[Edge]) -> bool:
     decides in O(n + m) by flipping the edges of ``b`` as it reads them.
     """
     bs = as_edge_set(g, b)
-    return _two_color(g, bs)[0] is not None
+    return not _two_color(g.signed_rows(), dict.fromkeys(bs, 1))[1]
 
 
 def negation_set_from_switching(
@@ -186,8 +198,8 @@ def switching_for_negation_set(
     of the two complementary representatives per component.
     """
     bs = as_edge_set(g, b)
-    color, _ = _two_color(g, bs)
-    if color is None:
+    color, conflict, _ = _two_color(g.signed_rows(), dict.fromkeys(bs, 1))
+    if conflict:
         raise PreconditionError("the given edge set is not a negation set")
     # Switching one side of the product's bipartition flips exactly the edges
     # where g and the target signing disagree.

@@ -158,8 +158,8 @@ def triangle_certificate_for_complete(
     bs = _negation_set(g, b)
     if not bs:
         return ()
-    support = sorted({v for e in bs for v in e})
-    spare_pool = [v for v in range(g.n) if v not in set(support)]
+    support = {v for e in bs for v in e}
+    spare_pool = [v for v in range(g.n) if v not in support]
     coloring = misra_gries_edge_coloring(g.n, bs)
     colors_used = sorted(set(coloring.values()))
     if len(spare_pool) < len(colors_used):

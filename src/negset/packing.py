@@ -26,8 +26,10 @@ whether a mixed family beats the scan.
 
 Only then is one family built and certified: the mixed family when the
 search found one, else the ``w_p + 1`` layered switchings measured from one
-side of the last balanced class graph's bipartition.  The certificate
-two-colours every member at once in one bit-parallel signed BFS.
+side of the last balanced class graph's bipartition.  The class graphs
+and the certificate both go through the package's one signed BFS: a class
+graph is 2-coloured from its multigraph rows, and the certificate
+two-colours every member at once, bit-parallel.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import verify
-from .balance import check_balance, is_balanced
+from .balance import _two_color, is_balanced
 from .errors import InvariantError, IterationBudgetError, PreconditionError
 from .graph import NEG, POS, Edge, EdgeSubset, SignedGraph, VertexSubset, edge_key
 
@@ -89,8 +91,8 @@ class ClassGraph:
 
     Class ``2i`` and ``2i + 1`` are always joined by a negative edge; the
     positive edges come from a distance threshold.  A positive edge parallel
-    to a negative one forms a negative digon, so balance cannot be delegated
-    to the simple-graph checker until digons are ruled out.
+    to a negative one forms a negative digon, which the signed BFS over the
+    multigraph's rows meets as an ordinary colouring conflict.
     """
 
     m: int
@@ -103,6 +105,8 @@ class ClassGraph:
         for u, v in norm:
             if not (0 <= u < 2 * self.m and 0 <= v < 2 * self.m):
                 raise ValueError(f"class index out of range in edge ({u}, {v})")
+            if u == v:
+                raise ValueError(f"loop at class {u} is not allowed")
 
     def negative_edges(self) -> tuple[Edge, ...]:
         return tuple((2 * i, 2 * i + 1) for i in range(self.m))
@@ -110,18 +114,19 @@ class ClassGraph:
     def has_negative_digon(self) -> bool:
         return any(e in self.positive_edges for e in self.negative_edges())
 
-    def signed_graph(self) -> SignedGraph:
-        """The class graph as a simple signed graph (digon-free only)."""
-        if self.has_negative_digon():
-            raise ValueError("class graph with a digon is not a simple graph")
-        edges = [(u, v, NEG) for u, v in self.negative_edges()]
-        edges += [(u, v, POS) for u, v in self.positive_edges]
-        return SignedGraph(2 * self.m, edges)
+    def _rows(self) -> list[list[tuple[int, int]]]:
+        """Per-class ``(neighbour, sign)`` rows of the multigraph, sorted."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * self.m)]
+        for edges, sign in ((self.negative_edges(), NEG), (self.positive_edges, POS)):
+            for u, v in edges:
+                rows[u].append((v, sign))
+                rows[v].append((u, sign))
+        for row in rows:
+            row.sort()
+        return rows
 
     def balanced(self) -> bool:
-        if self.has_negative_digon():
-            return False
-        return is_balanced(self.signed_graph())
+        return not _two_color(self._rows())[1]
 
     def harary_sides(self) -> frozenset[int]:
         """Class indices on the left of the Harary split (balanced only).
@@ -130,10 +135,10 @@ class ClassGraph:
         the left), so the result is deterministic even when the class graph
         is disconnected.
         """
-        result = check_balance(self.signed_graph())
-        if not result.balanced:
+        color, conflict, _ = _two_color(self._rows())
+        if conflict:
             raise InvariantError("harary_sides called on an unbalanced class graph")
-        return result.bipartition.left.vertices
+        return frozenset(c for c, side in enumerate(color) if side == 0)
 
 
 @dataclass(frozen=True)

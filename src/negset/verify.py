@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .balance import is_balanced
+from .balance import _two_color, is_balanced
 from .errors import InvariantError
 from .graph import NEG, Edge, EdgeSubset, SignedGraph, as_edge_set
 
@@ -37,9 +37,9 @@ def family(g: SignedGraph, members: Iterable[EdgeSubset | Iterable[Edge]]) -> No
 
     Members are checked in order, and the first that fails raises.  Member i
     is a negation set when ``g`` with its edges negated is balanced; one
-    signed BFS two-colours all members at once, bit i of each potential
-    being the colour for member i.  A member that cannot be read as edges of
-    ``g`` raises once every member before it has passed.
+    signed BFS (:func:`negset.balance._two_color`) two-colours all members
+    at once, member i flipping bit i.  A member that cannot be read as
+    edges of ``g`` raises once every member before it has passed.
     """
     sets: list[frozenset[Edge]] = []
     unreadable = None
@@ -49,7 +49,11 @@ def family(g: SignedGraph, members: Iterable[EdgeSubset | Iterable[Edge]]) -> No
         except (TypeError, ValueError) as exc:
             unreadable = exc
             break
-    failing = _unbalanced_negations(g, sets)
+    flips: dict[Edge, int] = {}
+    for i, edges in enumerate(sets):
+        for e in edges:
+            flips[e] = flips.get(e, 0) | 1 << i
+    failing = _two_color(g.signed_rows(), flips, (1 << len(sets)) - 1)[1]
     used: set[Edge] = set()
     for i, edges in enumerate(sets):
         if failing >> i & 1:
@@ -59,40 +63,3 @@ def family(g: SignedGraph, members: Iterable[EdgeSubset | Iterable[Edge]]) -> No
         used |= edges
     if unreadable is not None:
         raise unreadable
-
-
-def _unbalanced_negations(g: SignedGraph, sets: list[frozenset[Edge]]) -> int:
-    """Bit mask of the sets whose negation leaves ``g`` unbalanced.
-
-    A bit-parallel signed BFS: bit i of a vertex's potential is its colour
-    in ``g`` with ``sets[i]`` negated.  The BFS tree is the same for every
-    set, so an edge that disagrees with its ends' potentials in bit i closes
-    a negative circle of that signing.
-    """
-    flips: dict[Edge, int] = {}
-    for i, edges in enumerate(sets):
-        bit = 1 << i
-        for e in edges:
-            flips[e] = flips.get(e, 0) | bit
-    negative = (1 << len(sets)) - 1
-    rows = g.signed_rows()
-    potential: list[int | None] = [None] * g.n
-    conflict = 0
-    for root in range(g.n):
-        if potential[root] is not None:
-            continue
-        potential[root] = 0
-        queue = [root]
-        for u in queue:
-            pu = potential[u]
-            for w, s in rows[u]:
-                want = pu ^ flips.get((u, w) if u < w else (w, u), 0)
-                if s == NEG:
-                    want ^= negative
-                pw = potential[w]
-                if pw is None:
-                    potential[w] = want
-                    queue.append(w)
-                else:
-                    conflict |= pw ^ want
-    return conflict

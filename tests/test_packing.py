@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from negset import (
     NEG,
     POS,
+    ClassGraph,
+    InvariantError,
     IterationBudgetError,
     PreconditionError,
     SignedGraph,
@@ -333,8 +335,29 @@ class TestClassMachinery:
         # are within reach of each other, closing a digon
         assert last.has_negative_digon()
         assert not last.balanced()
-        with pytest.raises(ValueError, match="digon"):
-            last.signed_graph()
+
+    def test_class_graph_rejects_a_loop(self):
+        with pytest.raises(ValueError, match="loop at class 1"):
+            ClassGraph(1, 1, frozenset({(1, 1)}))
+
+    def test_class_graph_balance_builds_no_signed_graph(self, monkeypatch):
+        builds = []
+        original = SignedGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SignedGraph, "__init__", counting)
+        # a +/- digon on classes 0 and 1, and a balanced square on two components
+        digon = ClassGraph(1, 1, frozenset({(0, 1)}))
+        square = ClassGraph(2, 1, frozenset({(0, 2), (1, 3)}))
+        assert not digon.balanced()
+        with pytest.raises(InvariantError, match="unbalanced class graph"):
+            digon.harary_sides()
+        assert square.balanced()
+        assert square.harary_sides() == frozenset({0, 2})
+        assert builds == []
 
 
 def scan_sequence(g: SignedGraph):

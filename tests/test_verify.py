@@ -1,10 +1,11 @@
 """The result checks of :mod:`negset.verify` against independent references.
 
 Each check is compared with a brute-force answer on every small input of a
-family, the one-BFS family check also with a per-member reference loop on
-random families, and the forest and bipartite rejections run once more under
-``python -O`` (the family and end-to-end forest rejections do so in
-``test_packing.py`` and ``test_negation.py``).
+family, the one-BFS family check also with a per-member lookup among the
+oracle's enumerated negation sets on random families, and the forest and
+bipartite rejections run once more under ``python -O`` (the family and
+end-to-end forest rejections do so in ``test_packing.py`` and
+``test_negation.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from negset import (
     InvariantError,
     SignedGraph,
     is_balanced,
-    is_negation_set,
     negation_set_from_switching,
     oracle,
     packing_number,
@@ -83,10 +83,15 @@ def family_failure(g, members) -> str | None:
 
 
 def reference_family_failure(g, members) -> str | None:
-    """One ``is_negation_set`` call and one disjointness test per member, in order."""
+    """One lookup among the enumerated negation sets and one disjointness test per member.
+
+    Membership comes from the brute-force oracle, not from a signed BFS, so
+    the reference shares no code with the one-BFS check it is compared with.
+    """
+    negation_sets = set(oracle.enumerate_negation_sets(g))
     used: set = set()
     for i, member in enumerate(members):
-        if not is_negation_set(g, member):
+        if frozenset(member) not in negation_sets:
             return f"family member {i} is not a negation set"
         if used & member:
             return f"family member {i} overlaps an earlier member"
