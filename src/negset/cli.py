@@ -207,27 +207,32 @@ def _cmd_acyclic(g: SignedGraph, args, report: _Report) -> int:
 
 
 def _component_views(g: SignedGraph):
-    """Induced subgraphs per connected component, largest host ids last.
+    """Yield ``(vertices, view)`` per connected component, ordered by smallest vertex.
 
     A connected input is its own view, with the identity vertex map.
+    Otherwise a component with no negative edge is balanced and gets view
+    None; only a component with a negative edge is copied.
     """
     comps = g.connected_components()
     if len(comps) == 1:
-        return [InducedSubgraph(g, comps[0])]
-    return [g.induced(comp) for comp in comps]
+        yield comps[0], InducedSubgraph(g, comps[0])
+        return
+    rows = g.signed_rows()
+    for comp in comps:
+        negative = any(s == NEG for u in comp for _, s in rows[u])
+        yield comp, g.induced(comp) if negative else None
 
 
 def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
     sections = []
     report.data["components"] = sections
-    for view in _component_views(g):
-        comp = view.graph
-        host = sorted(view.to_host)
-        if is_balanced(comp):
+    for vertices, view in _component_views(g):
+        host = list(vertices)
+        if view is None or is_balanced(view.graph):
             sections.append({"vertices": host, "balanced": True})
             report.say(f"component {host}: balanced, no packing number")
             continue
-        result = component_packing_number(comp)
+        result = component_packing_number(view.graph)
         family = [sorted(view.host_edge(e) for e in member.edges) for member in result.family]
         section = {
             "vertices": host,
@@ -260,13 +265,11 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
 def _cmd_frustration(g: SignedGraph, args, report: _Report) -> int:
     sections = []
     total = 0
-    for view in _component_views(g):
-        value = oracle.frustration_index(view.graph, max_n=args.max_n)
+    for vertices, view in _component_views(g):
+        value = 0 if view is None else oracle.frustration_index(view.graph, max_n=args.max_n)
         total += value
-        sections.append(
-            {"vertices": sorted(view.to_host), "frustration_index": value}
-        )
-        report.say(f"component {sorted(view.to_host)}: frustration index {value}")
+        sections.append({"vertices": list(vertices), "frustration_index": value})
+        report.say(f"component {list(vertices)}: frustration index {value}")
     report.data["components"] = sections
     report.data["total"] = total
     report.say(f"total: {total}")

@@ -259,16 +259,18 @@ class SignedGraph:
         """Subgraph induced on ``vertices``, reindexed densely.
 
         The result records the new→host vertex map so answers computed on the
-        reduced graph can be lifted back.
+        reduced graph can be lifted back.  It reads only the kept vertices' rows.
         """
         to_host = tuple(sorted(set(vertices)))
         for v in to_host:
             self._check_vertex(v)
         from_host = {v: i for i, v in enumerate(to_host)}
+        rows = self.signed_rows()
         edges = [
-            (from_host[u], from_host[v], s)
-            for (u, v), s in self._signs.items()
-            if u in from_host and v in from_host
+            (i, from_host[w], s)
+            for i, u in enumerate(to_host)
+            for w, s in rows[u]
+            if u < w and w in from_host
         ]
         return InducedSubgraph(SignedGraph(len(to_host), edges), to_host)
 
@@ -281,12 +283,22 @@ class SignedGraph:
 
     # -- connectivity -----------------------------------------------------------
 
-    def connected_components(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex sets of the components, each sorted, ordered by smallest vertex."""
+    def connected_components(
+        self, vertices: Iterable[int] | None = None
+    ) -> tuple[tuple[int, ...], ...]:
+        """Components of the subgraph induced on ``vertices`` (default: all).
+
+        Read through this graph's rows, without a copy; each is sorted, ordered by smallest vertex.
+        """
         rows = self.signed_rows()
-        seen = [False] * self._n
+        if vertices is None:
+            roots, seen = range(self._n), [False] * self._n
+        else:
+            roots, seen = sorted(as_vertex_set(self, vertices)), [True] * self._n
+            for v in roots:
+                seen[v] = False
         comps = []
-        for root in range(self._n):
+        for root in roots:
             if seen[root]:
                 continue
             seen[root] = True
@@ -321,13 +333,13 @@ class SignedGraph:
 
     # -- cores -------------------------------------------------------------------
 
-    def k_core(self, k: int) -> tuple["InducedSubgraph", tuple[frozenset[int], ...]]:
-        """The k-core plus the ordered peel batches that were deleted.
+    def k_core(self, k: int) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
+        """The k-core's vertices plus the ordered peel batches that were deleted.
 
-        Each batch holds the vertices whose degree dropped below ``k`` at that
-        stage (deleted simultaneously).  Reattaching the batches in reverse
-        order replays the intermediate graphs of the peeling, which is what
-        the acyclic-negation reattachment phase needs.
+        The core is a vertex set of this graph, not a copy.  Each batch holds
+        the vertices whose degree dropped below ``k`` at that stage (deleted
+        simultaneously).  Reattaching the batches in reverse order replays the
+        peeling's intermediate graphs, as the acyclic reattachment phase needs.
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
@@ -345,7 +357,7 @@ class SignedGraph:
                 for w, _ in rows[v]:
                     if w in alive:
                         deg[w] -= 1
-        return self.induced(alive), tuple(batches)
+        return frozenset(alive), tuple(batches)
 
 
 # -- subset wrappers ---------------------------------------------------------

@@ -274,9 +274,10 @@ class _CircleIndex:
     """The fully negative circles of one core component, kept across rewrites.
 
     Circles lie inside components of the negative subgraph, so the index
-    keeps each negative component's circles under its smallest vertex, plus
-    one min-heap of every circle under :func:`_circle_order` whose entries go
-    stale (and are dropped when they reach the top) once their component is
+    labels every vertex with its negative component's smallest vertex and
+    keeps each component's circles under that label, plus one min-heap of
+    every circle under :func:`_circle_order` whose entries go stale (and
+    are dropped when they reach the top) once their component is
     recomputed.  A rewrite changes signs only on edges at the vertices it
     switches, so every negative component it changes holds one of those
     vertices or their neighbours, which :meth:`_Work.rewrite` adds to
@@ -427,23 +428,6 @@ class _Action:
     follow: tuple[int, ...] | None = None  # circle to examine on the next pass
 
 
-def _negative_label(w: _Work, labels: dict[int, int], v: int) -> int:
-    """Label of v's negative component, labelling that component on first query.
-
-    A component is labelled by the vertex it was first queried through, so
-    only the components actually asked about are ever searched.
-    """
-    if v not in labels:
-        labels[v] = v
-        stack = [v]
-        while stack:
-            for x in w.neg_neighbors(stack.pop()):
-                if x not in labels:
-                    labels[x] = v
-                    stack.append(x)
-    return labels[v]
-
-
 def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
     """Match the current fully negative circle against the rewrite cases, in order.
 
@@ -472,11 +456,12 @@ def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
 
     # a circle vertex whose positive neighbors sit in different components of
     # the negative subgraph: switching it cannot close a new circle
-    labels: dict[int, int] = {}
+    w.circles.refresh()
+    label = w.circles.label
     pos_of = {v: w.pos_neighbors(v) for v in sorted(cset)}
     for v in sorted(cset):
         pns = pos_of[v]
-        if _negative_label(w, labels, pns[0]) != _negative_label(w, labels, pns[1]):
+        if label[pns[0]] != label[pns[1]]:
             return _Action("split-positive-neighbors", (v,), True)
 
     # a positive neighbor of the circle with negative degree two or more
@@ -566,8 +551,8 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...]) -> None:
     # grind every negative degree down to two before touching circles
     _sweep(w, comp, 3, "preprocess")
 
-    edge_total = sum(len(w.neighbors(u)) for u in comp) // 2
-    budget = max(100, 10 * len(comp) * edge_total)
+    # every core vertex has four core neighbours, so comp spans 2|comp| edges
+    budget = max(100, 10 * len(comp) * 2 * len(comp))
     preferred: tuple[int, ...] | None = None
     episode: _Episode | None = None
 
@@ -715,14 +700,13 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
     if not g.is_connected():
         raise PreconditionError("acyclic negation construction requires a connected graph")
     core, batches = g.k_core(4)
-    if core.graph.max_degree() > 4:
+    w = _Work(g)
+    w.active |= core
+    if any(len(w.neighbors(v)) > 4 for v in core):
         raise PreconditionError("the 4-core has a vertex of degree above four")
 
-    w = _Work(g)
-    w.active |= set(core.to_host)
-
-    for c in core.graph.connected_components():
-        _solve_core_component(w, tuple(sorted(core.host_vertices(c))))
+    for comp in g.connected_components(core):
+        _solve_core_component(w, comp)
 
     for batch in reversed(batches):
         w.active |= batch

@@ -79,7 +79,7 @@ def assert_trace_replays(g: SignedGraph, trace, negation_set) -> None:
     edge joins two core components, so the whole-core count drops exactly
     when the count in the component being rewritten does.
     """
-    core = g.k_core(4)[0].to_host
+    core = g.k_core(4)[0]
     switched: set[int] = set()
 
     def core_circles() -> int:

@@ -8,6 +8,7 @@ import io
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,8 @@ from negset.cli import (
     main,
 )
 from negset.graph import complete_graph, cycle_graph
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -45,6 +48,20 @@ def c5_one_negative(write_sg):
 def run_json(capsys, argv):
     code = main(argv)
     return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """A list that grows by one per ``SignedGraph.__init__`` call."""
+    calls = []
+    init = SignedGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SignedGraph, "__init__", counted)
+    return calls
 
 
 class TestBalanceCommand:
@@ -151,6 +168,11 @@ class TestAcyclicCommand:
     def test_degree_five_core_is_a_precondition_error(self, write_sg):
         assert main(["acyclic", write_sg(complete_graph(6))]) == EXIT_PRECONDITION
 
+    def test_builds_only_the_parsed_graph(self, capsys, builds):
+        # the 4-core and its components are read off the parsed graph
+        assert main(["acyclic", str(GOLDEN / "core-and-peel.sg"), "--trace"]) == EXIT_HOLDS
+        assert len(builds) == 1
+
 
 class TestPackingCommand:
     def test_single_component_report(self, capsys, c5_one_negative):
@@ -209,6 +231,53 @@ class TestFrustrationCommand:
     def test_cap_applies(self, capsys, write_sg):
         path = write_sg(cycle_graph(6).negate_edges([(0, 1)]))
         assert main(["frustration", path, "--max-n", "5"]) == EXIT_PRECONDITION
+
+    def test_all_positive_component_is_zero_above_the_cap(self, capsys, write_sg):
+        # a 20-vertex positive path beside a negative triangle: the path has
+        # no negative edge, so the oracle's vertex cap never applies to it
+        edges = [(i, i + 1, POS) for i in range(19)]
+        edges += [(20, 21, NEG), (21, 22, NEG), (20, 22, NEG)]
+        code, report = run_json(capsys, ["frustration", write_sg(SignedGraph(23, edges)), "--json"])
+        assert code == EXIT_HOLDS
+        assert [c["frustration_index"] for c in report["components"]] == [0, 1]
+        assert report["total"] == 1
+
+
+class TestComponentCopies:
+    """The per-component commands copy only the components with a negative edge."""
+
+    TRIANGLE = [0, 1, 2]
+
+    @pytest.fixture
+    def triangle_and_isolated(self, write_sg):
+        return write_sg(SignedGraph(2003, [(0, 1, NEG), (1, 2, POS), (0, 2, POS)]))
+
+    def test_packing(self, capsys, builds, triangle_and_isolated):
+        builds.clear()
+        code, report = run_json(capsys, ["packing", triangle_and_isolated, "--json"])
+        assert code == EXIT_HOLDS
+        assert len(builds) == 2  # the parse and the triangle's copy
+        triangle = {
+            "vertices": self.TRIANGLE,
+            "balanced": False,
+            "packing_number": 3,
+            "family": [[[0, 1]], [[0, 2]], [[1, 2]]],
+            "distance": 2,
+            "bipartition": {"left": [0], "right": [1]},
+        }
+        isolated = [{"vertices": [v], "balanced": True} for v in range(3, 2003)]
+        assert report["components"] == [triangle, *isolated]
+
+    def test_frustration(self, capsys, builds, triangle_and_isolated):
+        builds.clear()
+        code, report = run_json(capsys, ["frustration", triangle_and_isolated, "--json"])
+        assert code == EXIT_HOLDS
+        assert len(builds) == 2
+        isolated = [{"vertices": [v], "frustration_index": 0} for v in range(3, 2003)]
+        assert report["components"] == [
+            {"vertices": self.TRIANGLE, "frustration_index": 1}, *isolated
+        ]
+        assert report["total"] == 1
 
 
 class TestOracleVerifyCommand:

@@ -1,0 +1,183 @@
+"""Differential checks against networkx, at sizes the brute-force oracle cannot reach.
+
+The reference side never calls the package's own graph algorithms: forests,
+components and relabelling come from networkx, and signs after a switching
+are recomputed edge by edge.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+
+import networkx as nx
+import pytest
+
+from negset import NEG, POS, MinusK5Detected, SignedGraph, acyclic_negation, cli, serialize
+
+
+def signed_graph(nxg: nx.Graph) -> SignedGraph:
+    """A networkx graph on nodes 0..n-1 with a ``sign`` on every edge."""
+    edges = [(u, v, d["sign"]) for u, v, d in nxg.edges(data=True)]
+    return SignedGraph(nxg.number_of_nodes(), edges)
+
+
+def sign_edges(rng: random.Random, nxg: nx.Graph, p: float) -> nx.Graph:
+    for u, v in nxg.edges():
+        nxg[u][v]["sign"] = NEG if rng.random() < p else POS
+    return nxg
+
+
+def balanced(nxg: nx.Graph) -> bool:
+    """Harary's test on the signed double cover: no vertex meets its own copy."""
+    cover = nx.Graph()
+    cover.add_nodes_from((v, side) for v in nxg for side in (0, 1))
+    for u, v, d in nxg.edges(data=True):
+        flip = d["sign"] == NEG
+        cover.add_edges_from(((u, side), (v, side ^ flip)) for side in (0, 1))
+    return not any(nx.has_path(cover, (v, 0), (v, 1)) for v in nxg)
+
+
+def random_subquartic(rng: random.Random, n: int) -> nx.Graph:
+    """A connected graph of maximum degree four: a capped random tree plus capped extras."""
+    nxg = nx.empty_graph(n)
+    for v in range(1, n):
+        nxg.add_edge(rng.choice([u for u in range(v) if nxg.degree(u) < 4]), v)
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n), 2)
+        if nxg.degree(u) < 4 and nxg.degree(v) < 4:
+            nxg.add_edge(u, v)
+    return nxg
+
+
+def assert_acyclic_matches_reference(nxg: nx.Graph) -> None:
+    g = signed_graph(nxg)
+    try:
+        result = acyclic_negation(g)
+    except MinusK5Detected as exc:
+        block = nxg.subgraph(exc.vertices)
+        assert block.number_of_edges() == 10
+        # antibalanced: the six triangles through one vertex, which span the
+        # circle space of K5, are all negative
+        hub, *rest = sorted(exc.vertices)
+        assert all(
+            nxg[hub][a]["sign"] * nxg[hub][b]["sign"] * nxg[a][b]["sign"] == NEG
+            for i, a in enumerate(rest)
+            for b in rest[i + 1 :]
+        )
+        return
+    switched = result.switching.vertices
+    realized = {
+        (min(u, v), max(u, v))
+        for u, v, d in nxg.edges(data=True)
+        if d["sign"] * (-1 if (u in switched) != (v in switched) else 1) == NEG
+    }
+    assert realized == result.negation_set.edges
+    forest = nx.empty_graph(nxg.number_of_nodes())
+    forest.add_edges_from(realized)
+    assert nx.is_forest(forest)
+
+
+@pytest.mark.parametrize("n", [20, 50, 100, 200, 400, 600])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_acyclic_on_random_quartic_signings(n, p):
+    rng = random.Random(n * 100 + round(10 * p))
+    nxg = nx.random_regular_graph(4, n, seed=rng.randrange(1 << 30))
+    while not nx.is_connected(nxg):
+        nxg = nx.random_regular_graph(4, n, seed=rng.randrange(1 << 30))
+    assert_acyclic_matches_reference(sign_edges(rng, nxg, p))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_acyclic_on_random_plaquette_tori(seed):
+    # negating the four sides of random unit squares, plus scattered negative
+    # edges, leaves many fully negative circles for the main phase
+    rng = random.Random(seed)
+    side = rng.randint(5, 20)
+    grid = sign_edges(rng, nx.grid_2d_graph(side, side, periodic=True), 0.05)
+    for r in range(side):
+        for c in range(side):
+            if rng.random() < 0.2:
+                r1, c1 = (r + 1) % side, (c + 1) % side
+                square = [(r, c), (r, c1), (r1, c1), (r1, c)]
+                for i in range(4):
+                    grid.edges[square[i], square[(i + 1) % 4]]["sign"] *= -1
+    order = list(grid)
+    rng.shuffle(order)
+    assert_acyclic_matches_reference(nx.relabel_nodes(grid, {v: i for i, v in enumerate(order)}))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_acyclic_on_random_subquartic_signings(seed):
+    rng = random.Random(seed)
+    nxg = random_subquartic(rng, rng.randint(3, 14))
+    assert_acyclic_matches_reference(sign_edges(rng, nxg, rng.choice([0.2, 0.5, 0.8])))
+
+
+def run_cli(tmp_path, name: str, g: SignedGraph, command: str):
+    path = tmp_path / f"{name}.sg"
+    path.write_text(serialize(g))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, str(path), "--json"])
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
+def glued_host(rng: random.Random) -> nx.Graph:
+    """Random small connected components plus isolated vertices, ids shuffled together."""
+    parts = []
+    for _ in range(rng.randint(2, 6)):
+        k = rng.randint(2, 7)
+        part = nx.gnp_random_graph(k, 0.5, seed=rng.randrange(1 << 30))
+        for v in range(1, k):
+            part.add_edge(rng.randrange(v), v)
+        parts.append(sign_edges(rng, part, rng.choice([0.0, 0.3, 0.6])))
+    parts.append(nx.empty_graph(rng.randint(0, 5)))
+    host = nx.disjoint_union_all(parts)
+    order = list(host)
+    rng.shuffle(order)
+    return nx.relabel_nodes(host, dict(zip(host, order)))
+
+
+def lift(section: dict, to_host: list[int]) -> dict:
+    """A one-component report section with its vertex ids mapped back to the host."""
+    out = dict(section)
+    out["vertices"] = [to_host[v] for v in section["vertices"]]
+    if "family" in section:
+        out["family"] = [
+            [[to_host[u], to_host[v]] for u, v in member] for member in section["family"]
+        ]
+    if section.get("bipartition"):
+        out["bipartition"] = {
+            side: [to_host[v] for v in vs] for side, vs in section["bipartition"].items()
+        }
+    return out
+
+
+@pytest.mark.parametrize("command", ["packing", "frustration"])
+@pytest.mark.parametrize("seed", range(40))
+def test_per_component_sections_match_each_component_alone(tmp_path, command, seed):
+    rng = random.Random(seed)
+    host = glued_host(rng)
+    code, report = run_cli(tmp_path, "host", signed_graph(host), command)
+    if code != cli.EXIT_HOLDS:
+        # only packing refuses, and only when every component is balanced
+        assert command == "packing" and code == cli.EXIT_PRECONDITION
+        assert balanced(host)
+        return
+    sections = {tuple(s["vertices"]): s for s in report["components"]}
+    components = sorted(sorted(c) for c in nx.connected_components(host))
+    assert list(sections) == [tuple(c) for c in components]
+    for i, comp in enumerate(components):
+        alone = nx.relabel_nodes(host.subgraph(comp), {v: j for j, v in enumerate(comp)})
+        code, report = run_cli(tmp_path, f"component{i}", signed_graph(alone), command)
+        if command == "packing" and code == cli.EXIT_PRECONDITION:
+            assert balanced(alone)
+            expected = {"vertices": comp, "balanced": True}
+        else:
+            assert code == cli.EXIT_HOLDS
+            (section,) = report["components"]
+            expected = lift(section, comp)
+        assert sections[tuple(comp)] == expected

@@ -172,6 +172,28 @@ class TestSubgraphs:
             u, v = sub.host_edge(e)
             assert g.sign(u, v) == sub.graph.sign(*e)
 
+    @given(st.data())
+    def test_induced_and_components_of_a_vertex_set(self, data):
+        n = data.draw(st.integers(1, 9))
+        ends = st.integers(0, n - 1)
+        drawn = data.draw(st.lists(st.tuples(ends, ends, st.sampled_from([POS, NEG]))))
+        signs = {edge_key(u, v): s for u, v, s in drawn if u != v}
+        g = SignedGraph(n, [(u, v, s) for (u, v), s in signs.items()])
+        vs = data.draw(st.frozensets(st.integers(0, n - 1)))
+        sub = g.induced(vs)
+        to_host = tuple(sorted(vs))
+        index = {v: i for i, v in enumerate(to_host)}
+        assert sub.to_host == to_host
+        assert sub.graph.n == len(vs)
+        assert sub.graph.edges() == tuple(
+            (index[u], index[v], s) for u, v, s in g.edges() if u in vs and v in vs
+        )
+        lifted = tuple(
+            tuple(to_host[i] for i in comp) for comp in sub.graph.connected_components()
+        )
+        assert g.connected_components(vs) == lifted
+        assert g.connected_components(range(n)) == g.connected_components()
+
     def test_connected_components(self):
         g = SignedGraph(6, [(0, 1, POS), (1, 2, POS), (0, 2, POS), (2, 3, POS), (4, 5, NEG)])
         assert g.connected_components() == ((0, 1, 2, 3), (4, 5))
@@ -182,11 +204,11 @@ class TestSubgraphs:
         g = SignedGraph(6, [(u, v, POS) for u, v in
                             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]])
         core, batches = g.k_core(2)
-        assert core.host_vertices(range(core.graph.n)) == frozenset({0, 1, 2, 3})
+        assert core == frozenset({0, 1, 2, 3})
         assert batches == (frozenset({5}), frozenset({4}))
         full, none_removed = g.k_core(0)
         assert none_removed == ()
-        assert full.graph.n == g.n
+        assert full == frozenset(g.vertices())
 
 
 class TestSubsetWrappers:

@@ -343,10 +343,11 @@ class TestClassifyCases:
 
     @staticmethod
     def classify(g: SignedGraph, circle):
-        from negset.negation import _classify, _Work
+        from negset.negation import _CircleIndex, _classify, _Work
 
         w = _Work(g)
         w.active = set(range(g.n))
+        w.circles = _CircleIndex(w, range(g.n))
         return _classify(w, circle)
 
     def test_high_negative_degree(self):
