@@ -96,8 +96,9 @@ class _Report:
 def _edges_or_negative(g: SignedGraph, args) -> frozenset[Edge]:
     """``--edges`` (``0-1,2-3``, commas or spaces between pairs) as an edge set of g.
 
-    Defaults to E⁻.  The one place where a bad pair becomes a usage error."""
-    if not args.edges:
+    Defaults to E⁻ when the flag is absent; an explicit empty list is a usage
+    error.  The one place where a bad pair becomes a usage error."""
+    if args.edges is None:
         return g.negative_edges()
     out = []
     for chunk in args.edges.replace(",", " ").split():
@@ -209,18 +210,19 @@ def _cmd_acyclic(g: SignedGraph, args, report: _Report) -> int:
 def _component_views(g: SignedGraph):
     """Yield ``(vertices, view)`` per connected component, ordered by smallest vertex.
 
-    A connected input is its own view, with the identity vertex map.
-    Otherwise a component with no negative edge is balanced and gets view
-    None; only a component with a negative edge is copied.
+    The view is None exactly when the component is balanced: at once when
+    it has no negative edge, else after one :func:`is_balanced` call on the
+    view.  The only component's view is the input itself, with the identity
+    vertex map; otherwise only a component with a negative edge is copied.
     """
     comps = g.connected_components()
-    if len(comps) == 1:
-        yield comps[0], InducedSubgraph(g, comps[0])
-        return
     rows = g.signed_rows()
     for comp in comps:
-        negative = any(s == NEG for u in comp for _, s in rows[u])
-        yield comp, g.induced(comp) if negative else None
+        if all(s != NEG for u in comp for _, s in rows[u]):
+            yield comp, None
+            continue
+        view = InducedSubgraph(g, comp) if len(comps) == 1 else g.induced(comp)
+        yield comp, None if is_balanced(view.graph) else view
 
 
 def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
@@ -228,7 +230,7 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
     report.data["components"] = sections
     for vertices, view in _component_views(g):
         host = list(vertices)
-        if view is None or is_balanced(view.graph):
+        if view is None:
             sections.append({"vertices": host, "balanced": True})
             report.say(f"component {host}: balanced, no packing number")
             continue
@@ -316,7 +318,7 @@ def _oracle_checks(g: SignedGraph, args):
     yield row("minimality agrees with brute force", ok)
 
     if not base and is_balanced(g.negative_subgraph()):
-        mine = packing_number(g).packing_number
+        mine = component_packing_number(g).packing_number
         brute = oracle.brute_packing_number(g, max_n=args.max_n, sets=sets)
         yield row("packing number agrees with brute force", mine == brute, f"{mine} vs {brute}")
     else:
@@ -382,10 +384,8 @@ def export_dot(g: SignedGraph, annotations: Sequence[frozenset[Edge]] = ()) -> s
 def _cmd_export_dot(g: SignedGraph, args, report: _Report) -> int:
     annotations: list[frozenset[Edge]] = []
     if args.packing:
-        if not g.is_connected():
-            raise PreconditionError("--packing needs a connected graph")
         annotations = [m.edges for m in packing_number(g).family]
-    elif args.edges:
+    elif args.edges is not None:
         annotations = [_edges_or_negative(g, args)]
     text = export_dot(g, annotations)
     report.data["dot"] = text
@@ -443,7 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in {"frustration", "oracle-verify"}:
             p.add_argument(
                 "--max-n", type=int, default=oracle.DEFAULT_MAX_N,
-                help="largest vertex count the oracle will enumerate",
+                help="largest vertex count the oracle will enumerate; "
+                "frustration applies it per unbalanced component",
             )
         if name == "oracle-verify":
             p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")

@@ -50,7 +50,7 @@ class SignedGraph:
     well-formed simple signed graph.
     """
 
-    __slots__ = ("_n", "_signs", "_hash", "_rows", "_positive_rows")
+    __slots__ = ("_n", "_signs", "_hash", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         if n < 0:
@@ -66,7 +66,6 @@ class SignedGraph:
         self._signs = signs
         self._hash: int | None = None
         self._rows: tuple[tuple[tuple[int, int], ...], ...] | None = None
-        self._positive_rows: tuple[tuple[int, ...], ...] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -137,17 +136,9 @@ class SignedGraph:
             self._rows = tuple(tuple(sorted(row)) for row in rows)
         return self._rows
 
-    def positive_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex positive neighbours in order, derived from :meth:`signed_rows`."""
-        if self._positive_rows is None:
-            self._positive_rows = tuple(
-                tuple(w for w, s in row if s == POS) for row in self.signed_rows()
-            )
-        return self._positive_rows
-
     def positive_neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self.positive_rows()[v]
+        return tuple(w for w, s in self.signed_rows()[v] if s == POS)
 
     def negative_neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -226,7 +217,6 @@ class SignedGraph:
         g._signs = signs
         g._hash = None
         g._rows = None
-        g._positive_rows = None
         return g
 
     def circle_sign(self, cycle: Sequence[int]) -> int:
@@ -315,21 +305,8 @@ class SignedGraph:
         return tuple(comps)
 
     def is_connected(self) -> bool:
-        """Whether one search from vertex 0 reaches every vertex."""
-        if self._n == 0:
-            return True
-        rows = self.signed_rows()
-        seen = [False] * self._n
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            for w, _ in rows[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    reached += 1
-                    stack.append(w)
-        return reached == self._n
+        """At most one component; the empty graph counts as connected."""
+        return len(self.connected_components()) <= 1
 
     # -- cores -------------------------------------------------------------------
 

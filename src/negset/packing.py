@@ -15,14 +15,14 @@ The scan value is exact whenever it matches the shortest-path upper bound:
 every member of a disjoint family must separate the two classes of every
 negative component, so no family can be larger than the distance between a
 component's classes in the positive subgraph with classes contracted.  The
-bound is one BFS per component over the host's positive rows, each stopped
-once it can no longer beat the best so far.  It comes first, because
-``w_p`` never exceeds it: every class BFS stops at the bound's depth, and a
-class distance beyond it reads ``inf``.  With one negative component the
-two figures always coincide.  With several they can genuinely differ —
-families may mix cuts from different bipartitions — and then an exact
-(exponential, budget-kept) search over class-respecting switchings decides
-whether a mixed family beats the scan.
+bound is one BFS per component over the host's signed rows, stepping over
+negative entries, each stopped once it can no longer beat the best so far.
+It comes first, because ``w_p`` never exceeds it: every class BFS stops at
+the bound's depth, and a class distance beyond it reads ``inf``.  With one
+negative component the two figures always coincide.  With several they can
+genuinely differ — families may mix cuts from different bipartitions — and
+then an exact (exponential, budget-kept) search over class-respecting
+switchings decides whether a mixed family beats the scan.
 
 Only then is one family built and certified: the mixed family when the
 search found one, else the ``w_p + 1`` layered switchings measured from one
@@ -192,8 +192,8 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
 def _positive_distances(
     g: SignedGraph, sources: Iterable[int], limit: float = math.inf
 ) -> list[float]:
-    """Multi-source BFS distances in the positive subgraph; beyond ``limit``, ``inf``."""
-    positive = g.positive_rows()
+    """Multi-source BFS over the rows' positive entries; beyond ``limit``, distance ``inf``."""
+    rows = g.signed_rows()
     dist: list[float] = [math.inf] * g.n
     queue = sorted(set(sources))
     for s in queue:
@@ -203,8 +203,8 @@ def _positive_distances(
             # BFS order: every vertex still queued is at least this deep.
             break
         step = dist[u] + 1
-        for w in positive[u]:
-            if dist[w] == math.inf:
+        for w, sign in rows[u]:
+            if sign == POS and dist[w] == math.inf:
                 dist[w] = step
                 queue.append(w)
     return dist
@@ -273,18 +273,19 @@ def _contracted_bound(g: SignedGraph, classes: NegativeComponentClasses) -> floa
     family-size bound: every family member is a cut separating the two
     contracted nodes of every component, so it spends at least one edge of
     any fixed shortest path between them.  One BFS per component over the
-    host's positive rows, from class 2i: the first vertex reached in a class
-    brings in its whole class at the same distance.  A BFS stops as soon as
-    class 2i + 1 is reached, or once it would go no shorter than the best
-    component so far, since only the minimum is used.  ``inf`` when no
-    component's classes are joined by a positive path.
+    host's signed rows, negative entries skipped, from class 2i: the first
+    vertex reached in a class brings in its whole class at the same
+    distance.  A BFS stops as soon as class 2i + 1 is reached, or once it
+    would go no shorter than the best component so far, since only the
+    minimum is used.  ``inf`` when no component's classes are joined by a
+    positive path.
     """
     flat = classes.flat()
     class_of = [-1] * g.n
     for idx, cls in enumerate(flat):
         for v in cls:
             class_of[v] = idx
-    positive = g.positive_rows()
+    rows = g.signed_rows()
 
     def distance(source: int, cutoff: float) -> float:
         dist = [-1] * g.n
@@ -295,8 +296,8 @@ def _contracted_bound(g: SignedGraph, classes: NegativeComponentClasses) -> floa
             step = dist[u] + 1
             if step >= cutoff:
                 return math.inf
-            for w in positive[u]:
-                if dist[w] >= 0:
+            for w, sign in rows[u]:
+                if sign == NEG or dist[w] >= 0:
                     continue
                 c = class_of[w]
                 if c == source + 1:

@@ -117,6 +117,15 @@ class TestMembershipCommands:
     def test_empty_or_non_integer_edge_list_is_usage_error(self, c5_one_negative, spec):
         assert main(["negation-check", c5_one_negative, "--edges", spec]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["negation-check", "minimal", "export-dot"])
+    def test_explicit_empty_edge_list_does_not_mean_the_negative_edges(
+        self, capsys, c5_one_negative, command
+    ):
+        assert main([command, c5_one_negative, "--edges", ""]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --edges is empty\n"
+
 
 class TestCertificateCommands:
     def test_certify_minimum_on_a_complete_graph(self, capsys, write_sg):
@@ -231,6 +240,19 @@ class TestFrustrationCommand:
     def test_cap_applies(self, capsys, write_sg):
         path = write_sg(cycle_graph(6).negate_edges([(0, 1)]))
         assert main(["frustration", path, "--max-n", "5"]) == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("switched", [(), (0, 3, 4, 11)], ids=["positive", "switched"])
+    def test_balanced_connected_input_is_zero_above_the_cap(
+        self, capsys, monkeypatch, write_sg, switched
+    ):
+        calls = []
+        monkeypatch.setattr(oracle, "frustration_index", lambda *a, **k: calls.append(a))
+        path = write_sg(SignedGraph(20, [(i, i + 1, POS) for i in range(19)]).switch(switched))
+        code, report = run_json(capsys, ["frustration", path, "--json"])
+        assert code == EXIT_HOLDS
+        assert report["components"] == [{"vertices": list(range(20)), "frustration_index": 0}]
+        assert report["total"] == 0
+        assert calls == []
 
     def test_all_positive_component_is_zero_above_the_cap(self, capsys, write_sg):
         # a 20-vertex positive path beside a negative triangle: the path has
@@ -381,9 +403,11 @@ class TestExportDot:
         }
         assert len(colors) == 5
 
-    def test_packing_on_disconnected_input_is_a_precondition_error(self, write_sg):
+    def test_packing_on_disconnected_input_is_a_precondition_error(self, capsys, write_sg):
         path = write_sg(SignedGraph(4, [(0, 1, NEG), (2, 3, NEG)]))
         assert main(["export-dot", path, "--packing"]) == EXIT_PRECONDITION
+        message = "packing numbers are defined for connected graphs"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_edge_highlight(self, capsys, c5_one_negative):
         assert main(["export-dot", c5_one_negative, "--edges", "2-3"]) == EXIT_HOLDS

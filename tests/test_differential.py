@@ -1,7 +1,8 @@
 """Differential checks against networkx, at sizes the brute-force oracle cannot reach.
 
-The reference side never calls the package's own graph algorithms: forests,
-components and relabelling come from networkx, and signs after a switching
+The reference side never calls the package's own graph algorithms: balance
+(on the signed double cover), forests, connectivity, components and
+relabelling come from networkx, and signs after a switching or a negation
 are recomputed edge by edge.
 """
 
@@ -15,7 +16,19 @@ import random
 import networkx as nx
 import pytest
 
-from negset import NEG, POS, MinusK5Detected, SignedGraph, acyclic_negation, cli, serialize
+from negset import (
+    NEG,
+    POS,
+    MinusK5Detected,
+    SignedGraph,
+    acyclic_negation,
+    check_balance,
+    cli,
+    is_balanced,
+    is_minimal,
+    is_negation_set,
+    serialize,
+)
 
 
 def signed_graph(nxg: nx.Graph) -> SignedGraph:
@@ -37,7 +50,34 @@ def balanced(nxg: nx.Graph) -> bool:
     for u, v, d in nxg.edges(data=True):
         flip = d["sign"] == NEG
         cover.add_edges_from(((u, side), (v, side ^ flip)) for side in (0, 1))
-    return not any(nx.has_path(cover, (v, 0), (v, 1)) for v in nxg)
+    label = {x: i for i, comp in enumerate(nx.connected_components(cover)) for x in comp}
+    return all(label[(v, 0)] != label[(v, 1)] for v in nxg)
+
+
+def random_switching(rng: random.Random, nxg: nx.Graph) -> nx.Graph:
+    """``nxg`` signed as a random proper switching of all-positive: balanced, an edge negative."""
+    side = {v for v in nxg if rng.random() < 0.5}
+    first, last = rng.sample(list(nxg), 2)
+    side = (side | {first}) - {last}
+    for u, v in nxg.edges():
+        nxg[u][v]["sign"] = NEG if (u in side) != (v in side) else POS
+    return nxg
+
+
+def negated(nxg: nx.Graph, edges) -> nx.Graph:
+    """A copy of ``nxg`` with the signs of ``edges`` flipped."""
+    out = nxg.copy()
+    for u, v in edges:
+        out[u][v]["sign"] = -out[u][v]["sign"]
+    return out
+
+
+def random_quartic(rng: random.Random, n: int) -> nx.Graph:
+    """A connected random 4-regular graph on 0..n-1."""
+    while True:
+        nxg = nx.random_regular_graph(4, n, seed=rng.randrange(1 << 30))
+        if nx.is_connected(nxg):
+            return nxg
 
 
 def random_subquartic(rng: random.Random, n: int) -> nx.Graph:
@@ -84,10 +124,60 @@ def assert_acyclic_matches_reference(nxg: nx.Graph) -> None:
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 def test_acyclic_on_random_quartic_signings(n, p):
     rng = random.Random(n * 100 + round(10 * p))
-    nxg = nx.random_regular_graph(4, n, seed=rng.randrange(1 << 30))
-    while not nx.is_connected(nxg):
-        nxg = nx.random_regular_graph(4, n, seed=rng.randrange(1 << 30))
-    assert_acyclic_matches_reference(sign_edges(rng, nxg, p))
+    assert_acyclic_matches_reference(sign_edges(rng, random_quartic(rng, n), p))
+
+
+def assert_balance_matches_reference(nxg: nx.Graph) -> None:
+    g = signed_graph(nxg)
+    result = check_balance(g)
+    assert result.balanced == is_balanced(g) == balanced(nxg)
+    if result.balanced:
+        left, right = result.bipartition.left.vertices, result.bipartition.right.vertices
+        assert left.isdisjoint(right) and left | right == set(nxg)
+        assert all(
+            ((u in left) != (v in left)) == (d["sign"] == NEG)
+            for u, v, d in nxg.edges(data=True)
+        )
+    else:
+        circle = result.negative_circle
+        k = len(circle)
+        assert k == len(set(circle)) >= 3
+        sign = POS
+        for i in range(k):
+            sign *= nxg.edges[circle[i], circle[(i + 1) % k]]["sign"]
+        assert sign == NEG
+
+
+def assert_membership_matches_reference(rng: random.Random, nxg: nx.Graph) -> None:
+    """Three edge sets: E-, E- plus a random cut, and E- with one edge toggled.
+
+    A set is a negation set iff negating it leaves the graph balanced, and a
+    negation set is minimal iff deleting it leaves the graph connected.
+    """
+    g = signed_graph(nxg)
+    pairs = [(min(u, v), max(u, v)) for u, v in nxg.edges()]
+    negative = {e for e in pairs if nxg.edges[e]["sign"] == NEG}
+    side = {v for v in nxg if rng.random() < 0.5}
+    cut = {(u, v) for u, v in pairs if (u in side) != (v in side)}
+    for b in (negative, negative ^ cut, negative ^ {rng.choice(pairs)}):
+        expected = balanced(negated(nxg, b))
+        assert is_negation_set(g, b) == expected
+        if expected:
+            rest = nxg.copy()
+            rest.remove_edges_from(b)
+            assert is_minimal(g, b) == nx.is_connected(rest)
+
+
+@pytest.mark.parametrize("n", [20, 50, 100, 200, 400, 600])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_balance_membership_and_minimality_on_random_quartic_signings(n, p):
+    # each graph is checked twice: randomly signed, and as a random switching
+    # of the all-positive signing, which is balanced
+    rng = random.Random(n * 100 + round(10 * p))
+    nxg = sign_edges(rng, random_quartic(rng, n), p)
+    for signed in (nxg, random_switching(rng, nxg.copy())):
+        assert_balance_matches_reference(signed)
+        assert_membership_matches_reference(rng, signed)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -125,15 +215,29 @@ def run_cli(tmp_path, name: str, g: SignedGraph, command: str):
     return code, json.loads(out.getvalue()) if out.getvalue() else None
 
 
+def random_connected(rng: random.Random, k: int) -> nx.Graph:
+    part = nx.gnp_random_graph(k, 0.5, seed=rng.randrange(1 << 30))
+    for v in range(1, k):
+        part.add_edge(rng.randrange(v), v)
+    return part
+
+
+def balanced_above_the_cap(rng: random.Random) -> nx.Graph:
+    """A balanced connected graph with negative edges, larger than the oracle's default cap."""
+    return random_switching(rng, random_connected(rng, rng.randint(17, 24)))
+
+
 def glued_host(rng: random.Random) -> nx.Graph:
-    """Random small connected components plus isolated vertices, ids shuffled together."""
+    """Random small connected components plus isolated vertices, ids shuffled together.
+
+    Every other host or so also gets a balanced component above the oracle's cap.
+    """
     parts = []
     for _ in range(rng.randint(2, 6)):
-        k = rng.randint(2, 7)
-        part = nx.gnp_random_graph(k, 0.5, seed=rng.randrange(1 << 30))
-        for v in range(1, k):
-            part.add_edge(rng.randrange(v), v)
+        part = random_connected(rng, rng.randint(2, 7))
         parts.append(sign_edges(rng, part, rng.choice([0.0, 0.3, 0.6])))
+    if rng.random() < 0.5:
+        parts.append(balanced_above_the_cap(rng))
     parts.append(nx.empty_graph(rng.randint(0, 5)))
     host = nx.disjoint_union_all(parts)
     order = list(host)
@@ -156,11 +260,12 @@ def lift(section: dict, to_host: list[int]) -> dict:
     return out
 
 
-@pytest.mark.parametrize("command", ["packing", "frustration"])
-@pytest.mark.parametrize("seed", range(40))
-def test_per_component_sections_match_each_component_alone(tmp_path, command, seed):
-    rng = random.Random(seed)
-    host = glued_host(rng)
+def assert_sections_match_components(tmp_path, host: nx.Graph, command: str) -> None:
+    """Each section is the command's answer on that component alone.
+
+    A component the double cover finds balanced has no packing number and
+    frustration index 0, whatever its size; any other is run on its own.
+    """
     code, report = run_cli(tmp_path, "host", signed_graph(host), command)
     if code != cli.EXIT_HOLDS:
         # only packing refuses, and only when every component is balanced
@@ -172,12 +277,25 @@ def test_per_component_sections_match_each_component_alone(tmp_path, command, se
     assert list(sections) == [tuple(c) for c in components]
     for i, comp in enumerate(components):
         alone = nx.relabel_nodes(host.subgraph(comp), {v: j for j, v in enumerate(comp)})
-        code, report = run_cli(tmp_path, f"component{i}", signed_graph(alone), command)
-        if command == "packing" and code == cli.EXIT_PRECONDITION:
-            assert balanced(alone)
-            expected = {"vertices": comp, "balanced": True}
+        if balanced(alone):
+            answer = {"balanced": True} if command == "packing" else {"frustration_index": 0}
+            expected = {"vertices": comp, **answer}
         else:
+            code, report = run_cli(tmp_path, f"component{i}", signed_graph(alone), command)
             assert code == cli.EXIT_HOLDS
             (section,) = report["components"]
             expected = lift(section, comp)
         assert sections[tuple(comp)] == expected
+
+
+@pytest.mark.parametrize("command", ["packing", "frustration"])
+@pytest.mark.parametrize("seed", range(40))
+def test_per_component_sections_match_each_component_alone(tmp_path, command, seed):
+    assert_sections_match_components(tmp_path, glued_host(random.Random(seed)), command)
+
+
+@pytest.mark.parametrize("command", ["packing", "frustration"])
+@pytest.mark.parametrize("seed", range(5))
+def test_connected_balanced_input_above_the_cap(tmp_path, command, seed):
+    host = balanced_above_the_cap(random.Random(seed))
+    assert_sections_match_components(tmp_path, host, command)
