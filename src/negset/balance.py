@@ -25,7 +25,6 @@ from .graph import (
     SignedGraph,
     VertexSubset,
     as_edge_set,
-    as_vertex_set,
 )
 
 
@@ -151,8 +150,8 @@ def is_balanced(g: SignedGraph) -> bool:
 
 
 def is_antibalanced(g: SignedGraph) -> bool:
-    """True when negating every edge yields a balanced graph."""
-    return is_balanced(g.negate_all())
+    """True when negating every edge yields a balanced graph: when E is a negation set."""
+    return is_negation_set(g, g.edge_pairs())
 
 
 def switching_equivalent(g: SignedGraph, h: SignedGraph) -> bool:
@@ -183,9 +182,11 @@ def is_negation_set(g: SignedGraph, b: EdgeSubset | Iterable[Edge]) -> bool:
 def negation_set_from_switching(
     g: SignedGraph, x: VertexSubset | Iterable[int]
 ) -> EdgeSubset:
-    """The negation set realized by switching ``x``: ``E⁻(g) △ cut(x)``."""
-    xs = as_vertex_set(g, x)
-    return EdgeSubset(g, g.switch(xs).negative_edges())
+    """The negation set realized by switching ``x``: ``E⁻(g) △ cut(x)``.
+
+    Read off ``g`` itself, with no switched copy; every construction goes through here.
+    """
+    return EdgeSubset(g, g.negative_edges() ^ g.cut(x).edges)
 
 
 def switching_for_negation_set(
@@ -204,6 +205,6 @@ def switching_for_negation_set(
     # Switching one side of the product's bipartition flips exactly the edges
     # where g and the target signing disagree.
     x = frozenset(v for v, c in enumerate(color) if c == 1)
-    if g.switch(x).negative_edges() != bs:
+    if negation_set_from_switching(g, x).edges != bs:
         raise InvariantError("switching does not realize the negation set")
     return VertexSubset(g, x)

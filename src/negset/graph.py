@@ -280,6 +280,14 @@ class SignedGraph:
 
         Read through this graph's rows, without a copy; each is sorted, ordered by smallest vertex.
         """
+        return tuple(tuple(sorted(comp)) for comp in self._component_walk(vertices))
+
+    def is_connected(self) -> bool:
+        """At most one component; the empty graph counts as connected."""
+        return len(next(self._component_walk(None), ())) == self._n
+
+    def _component_walk(self, vertices: Iterable[int] | None) -> Iterator[list[int]]:
+        """The package's one component walk: each component, unsorted, by smallest vertex."""
         rows = self.signed_rows()
         if vertices is None:
             roots, seen = range(self._n), [False] * self._n
@@ -287,7 +295,6 @@ class SignedGraph:
             roots, seen = sorted(as_vertex_set(self, vertices)), [True] * self._n
             for v in roots:
                 seen[v] = False
-        comps = []
         for root in roots:
             if seen[root]:
                 continue
@@ -301,12 +308,7 @@ class SignedGraph:
                         seen[w] = True
                         comp.append(w)
                         stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    def is_connected(self) -> bool:
-        """At most one component; the empty graph counts as connected."""
-        return len(self.connected_components()) <= 1
+            yield comp
 
     # -- cores -------------------------------------------------------------------
 
@@ -317,24 +319,29 @@ class SignedGraph:
         the vertices whose degree dropped below ``k`` at that stage (deleted
         simultaneously).  Reattaching the batches in reverse order replays the
         peeling's intermediate graphs, as the acyclic reattachment phase needs.
+        A worklist peel: the next batch is the live neighbours of this batch
+        whose degree has just fallen below ``k``, so the peel is O(n + m).
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
         rows = self.signed_rows()
-        alive = set(range(self._n))
-        deg = {v: len(rows[v]) for v in alive}
+        deg = [len(row) for row in rows]
+        alive = [True] * self._n
+        batch = [v for v in range(self._n) if deg[v] < k]
         batches: list[frozenset[int]] = []
-        while True:
-            batch = frozenset(v for v in alive if deg[v] < k)
-            if not batch:
-                break
-            batches.append(batch)
-            alive -= batch
+        while batch:
+            batches.append(frozenset(batch))
+            for v in batch:
+                alive[v] = False
+            falling = []
             for v in batch:
                 for w, _ in rows[v]:
-                    if w in alive:
+                    if alive[w]:
                         deg[w] -= 1
-        return frozenset(alive), tuple(batches)
+                        if deg[w] == k - 1:
+                            falling.append(w)
+            batch = falling
+        return frozenset(v for v in range(self._n) if alive[v]), tuple(batches)
 
 
 # -- subset wrappers ---------------------------------------------------------

@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import verify
-from .balance import check_balance
+from .balance import negation_set_from_switching, switching_for_negation_set
 from .errors import InvariantError, MinusK5Detected, PreconditionError
 from .graph import (
     NEG,
@@ -40,6 +40,7 @@ from .graph import (
     VertexSubset,
     edge_key,
 )
+from .packing import negative_component_classes
 
 # -- disjoint partner ----------------------------------------------------------
 
@@ -47,19 +48,18 @@ from .graph import (
 def disjoint_partner(g: SignedGraph) -> EdgeSubset:
     """A negation set disjoint from E⁻(g), which exists iff E⁻(g) is bipartite.
 
-    Switches the union of one stable side per negative component (the side
-    holding the component's smallest vertex) together with every vertex not
-    touched by a negative edge.  Every negative edge then lies in the cut, so
-    the new negative edge set avoids the old one entirely.  Raises
-    :class:`PreconditionError` when the negative subgraph has an odd circle.
+    Switches every even class of ``negative_component_classes`` (the stable
+    side holding its component's smallest vertex) and every class-free
+    vertex, both read off ``class_of``.  Every negative edge then lies in the
+    cut, so the partner avoids E⁻ entirely; without negative edges it is
+    empty.  Raises :class:`PreconditionError` when the negative subgraph has
+    an odd circle.
     """
-    result = check_balance(g.negative_subgraph())
-    if not result.balanced:
-        raise PreconditionError(
-            "the negative subgraph contains an odd circle; no disjoint partner exists"
-        )
-    x = result.bipartition.left.vertices
-    partner = EdgeSubset(g, g.switch(x).negative_edges())
+    if not g.negative_edges():
+        return EdgeSubset(g, frozenset())
+    class_of = negative_component_classes(g).class_of
+    x = [v for v, c in enumerate(class_of) if c % 2 == 0 or c < 0]
+    partner = negation_set_from_switching(g, x)
     verify.family(g, [g.negative_edges(), partner])
     return partner
 
@@ -82,8 +82,8 @@ def bipartite_negation_for_antibalanced_planar(
 
     ``coloring`` assigns each vertex a color in ``0..3`` with adjacent
     vertices differing (for planar graphs such a coloring always exists; it
-    is the caller's job to supply one).  The construction first switches one
-    Harary side of the all-edges-negated graph, taking the signing to
+    is the caller's job to supply one).  The construction first takes the
+    switching that realizes the whole edge set, taking the signing to
     all-negative, then additionally switches color classes 2 and 3; the
     remaining negative edges only ever join classes {0,1} or {2,3}, hence
     form a bipartite graph.
@@ -94,14 +94,14 @@ def bipartite_negation_for_antibalanced_planar(
     for u, v, _ in g.edges():
         if colors[u] == colors[v]:
             raise PreconditionError(f"coloring is not proper at edge ({u}, {v})")
-    result = check_balance(g.negate_all())
-    if not result.balanced:
-        raise PreconditionError("graph is not antibalanced")
-    w = result.bipartition.right.vertices
-    x = frozenset(w) ^ frozenset(v for v in range(g.n) if colors[v] >= 2)
-    negation = g.switch(x).negative_edges()
-    verify.bipartite(g.n, negation)
-    return BipartiteNegation(EdgeSubset(g, negation), VertexSubset(g, x))
+    try:
+        w = switching_for_negation_set(g, g.edge_pairs()).vertices
+    except PreconditionError:
+        raise PreconditionError("graph is not antibalanced") from None
+    x = w ^ frozenset(v for v in range(g.n) if colors[v] >= 2)
+    negation = negation_set_from_switching(g, x)
+    verify.bipartite(g.n, negation.edges)
+    return BipartiteNegation(negation, VertexSubset(g, x))
 
 
 # -- fully negative circles -----------------------------------------------------
@@ -713,9 +713,9 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
         _sweep(w, batch, 2, "reattach")
 
     switching = w.switching()
-    negation = g.switch(switching).negative_edges()
-    verify.forest(g.n, negation)
+    negation = negation_set_from_switching(g, switching)
+    verify.forest(g.n, negation.edges)
     passes = sum(entry.phase == "main" for entry in w.log)
     stats = AcyclicStats(passes, tuple(w.log) if trace else None)
-    return AcyclicResult(EdgeSubset(g, negation), VertexSubset(g, switching), stats)
+    return AcyclicResult(negation, VertexSubset(g, switching), stats)
 

@@ -67,10 +67,12 @@ class NegativeComponentClasses:
 
     ``classes[i]`` holds the pair ``(V_i1, V_i2)`` for the i-th component,
     ordered by smallest vertex; ``V_i1`` is the class containing that
-    smallest vertex.
+    smallest vertex.  ``class_of[v]`` is v's class index in :meth:`flat`
+    order, or -1 when v is class-free (has no negative edge); one BFS fills both.
     """
 
     classes: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    class_of: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -78,11 +80,7 @@ class NegativeComponentClasses:
 
     def flat(self) -> tuple[frozenset[int], ...]:
         """The 2m classes interleaved: class index 2i is V_i1, 2i+1 is V_i2."""
-        out: list[frozenset[int]] = []
-        for first, second in self.classes:
-            out.append(first)
-            out.append(second)
-        return tuple(out)
+        return tuple(cls for pair in self.classes for cls in pair)
 
 
 @dataclass(frozen=True)
@@ -160,33 +158,36 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
     machinery never applies).
     """
     rows = g.signed_rows()
-    color = [-1] * g.n
+    class_of = [-1] * g.n
     classes: list[tuple[frozenset[int], frozenset[int]]] = []
     for root in range(g.n):
-        if color[root] >= 0 or all(s == POS for _, s in rows[root]):
+        if class_of[root] >= 0:
             continue
-        color[root] = 0
+        class_of[root] = 2 * len(classes)
         queue = [root]
         sides: tuple[list[int], list[int]] = ([root], [])
         for u in queue:
             for w, s in rows[u]:
                 if s == POS:
                     continue
-                if color[w] < 0:
-                    color[w] = color[u] ^ 1
-                    sides[color[w]].append(w)
+                if class_of[w] < 0:
+                    class_of[w] = class_of[u] ^ 1
+                    sides[class_of[w] & 1].append(w)
                     queue.append(w)
-                elif color[w] == color[u]:
+                elif class_of[w] == class_of[u]:
                     raise PreconditionError(
                         "the negative subgraph contains an odd circle, so its "
                         "components have no stable bipartition"
                     )
-        classes.append((frozenset(sides[0]), frozenset(sides[1])))
+        if sides[1]:
+            classes.append((frozenset(sides[0]), frozenset(sides[1])))
+        else:  # no negative neighbour: the root is class-free
+            class_of[root] = -1
     if not classes:
         raise PreconditionError(
             "the graph has no negative edges; there are no classes to build"
         )
-    return NegativeComponentClasses(tuple(classes))
+    return NegativeComponentClasses(tuple(classes), tuple(class_of))
 
 
 def _positive_distances(
@@ -281,10 +282,7 @@ def _contracted_bound(g: SignedGraph, classes: NegativeComponentClasses) -> floa
     positive path.
     """
     flat = classes.flat()
-    class_of = [-1] * g.n
-    for idx, cls in enumerate(flat):
-        for v in cls:
-            class_of[v] = idx
+    class_of = classes.class_of
     rows = g.signed_rows()
 
     def distance(source: int, cutoff: float) -> float:
@@ -333,8 +331,7 @@ def _exact_packing(
     exponential and kept behind an explicit budget; the scan family's size
     seeds the branch and bound so only strict improvements are explored.
     """
-    in_class = frozenset().union(*classes.flat())
-    free = [v for v in g.vertices() if v not in in_class]
+    free = [v for v, c in enumerate(classes.class_of) if c < 0]
 
     bits = (classes.m - 1) + len(free)
     if bits > _EXACT_SEARCH_BITS:
@@ -456,10 +453,9 @@ def component_packing_number(g: SignedGraph) -> PackingResult:
     members = _exact_packing(g, classes, w_p + 1) if w_p < bound else []
     bipartition = distance = None
     if not members:
-        flat = classes.flat()
         side = last.harary_sides()
-        b1 = frozenset().union(*(flat[c] for c in side))
-        b2 = frozenset().union(*(flat[c] for c in range(2 * classes.m) if c not in side))
+        b1 = frozenset(v for v, c in enumerate(classes.class_of) if c in side)
+        b2 = frozenset(v for v, c in enumerate(classes.class_of) if c >= 0 and c not in side)
         reach = _positive_distances(g, b1, w_p)
         # Member i is E⁻ switched by the layer {v : reach[v] <= i}.  Every
         # negative edge joins b1 to b2 and so lies in that layer's cut, which

@@ -9,6 +9,7 @@ check certifies and expects the check to raise.
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,7 @@ import negset
 from negset import (
     NEG,
     POS,
-    BalanceResult,
     ClassGraph,
-    HararyBipartition,
     InvariantError,
     SignedGraph,
     VertexSubset,
@@ -56,17 +55,6 @@ def test_library_holds_no_assert_statement():
     assert found == []
 
 
-def balanced_split(left: frozenset[int]):
-    """A stand-in for ``check_balance`` that claims balance with ``left`` as one side."""
-
-    def check(h: SignedGraph) -> BalanceResult:
-        right = frozenset(h.vertices()) - left
-        sides = HararyBipartition(VertexSubset(h, left), VertexSubset(h, right))
-        return BalanceResult(True, sides, None)
-
-    return check
-
-
 def test_switching_must_realize_the_negation_set(monkeypatch):
     g = cycle_graph(5).negate_edges([(0, 1)])
     # an all-zero colouring switches nothing, which realizes E⁻, not {(1, 2)}
@@ -89,16 +77,23 @@ def test_triangle_certificate_must_verify(monkeypatch):
 
 def test_disjoint_partner_must_avoid_the_negative_edges(monkeypatch):
     g = cycle_graph(4).negate_edges([(0, 1)])
-    # an empty side switches nothing, so the partner is E⁻ itself
-    monkeypatch.setattr(negation, "check_balance", balanced_split(frozenset()))
+    # every vertex labelled with an odd class switches nothing, so the
+    # partner is E⁻ itself
+    classes = packing.negative_component_classes(g)
+    odd = dataclasses.replace(classes, class_of=(1,) * g.n)
+    monkeypatch.setattr(negation, "negative_component_classes", lambda h: odd)
     with pytest.raises(InvariantError, match="member 1 overlaps"):
         disjoint_partner(g)
 
 
 def test_antibalanced_construction_must_be_bipartite(monkeypatch):
     g = complete_graph(4, NEG)
-    # the right side {1, 2, 3} leaves the negative triangle 1 2 3
-    monkeypatch.setattr(negation, "check_balance", balanced_split(frozenset({0})))
+    # {1, 2, 3} in place of the all-negative switching (which is empty):
+    # with colour classes 2 and 3 it switches {1}, leaving the negative
+    # triangle 0 2 3
+    monkeypatch.setattr(
+        negation, "switching_for_negation_set", lambda h, b: VertexSubset(h, frozenset({1, 2, 3}))
+    )
     with pytest.raises(InvariantError, match="not bipartite"):
         bipartite_negation_for_antibalanced_planar(g, [0, 1, 2, 3])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import random
 
 import networkx as nx
@@ -206,11 +207,11 @@ def test_acyclic_on_random_subquartic_signings(seed):
     assert_acyclic_matches_reference(sign_edges(rng, nxg, rng.choice([0.2, 0.5, 0.8])))
 
 
-def run_cli(tmp_path, name: str, g: SignedGraph, command: str):
+def run_cli(tmp_path, name: str, g: SignedGraph, command: str, err=None):
     path = tmp_path / f"{name}.sg"
     path.write_text(serialize(g))
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err or io.StringIO()):
         code = cli.main([command, str(path), "--json"])
     return code, json.loads(out.getvalue()) if out.getvalue() else None
 
@@ -299,3 +300,85 @@ def test_per_component_sections_match_each_component_alone(tmp_path, command, se
 def test_connected_balanced_input_above_the_cap(tmp_path, command, seed):
     host = balanced_above_the_cap(random.Random(seed))
     assert_sections_match_components(tmp_path, host, command)
+
+
+def clustered_quartic(rng: random.Random, n: int, clusters: int) -> nx.Graph:
+    """A random 4-regular graph whose negative edges form ``clusters`` small trees.
+
+    The trees grow only along edges across one random 2-colouring, so E⁻
+    stays bipartite even where two of them meet.
+    """
+    nxg = random_quartic(rng, n)
+    side = {v: rng.random() < 0.5 for v in nxg}
+    negative = set()
+    for seed in rng.sample(list(nxg), clusters):
+        tree = [seed]
+        for _ in range(rng.randint(2, 8)):
+            grow = [(u, v) for u in tree for v in nxg[u] if side[u] != side[v] and v not in tree]
+            if not grow:
+                break
+            u, v = rng.choice(grow)
+            tree.append(v)
+            negative.add((min(u, v), max(u, v)))
+    for u, v in nxg.edges():
+        nxg[u][v]["sign"] = NEG if (min(u, v), max(u, v)) in negative else POS
+    return nxg
+
+
+def contracted_bound(nxg: nx.Graph) -> float:
+    """Least positive distance between the two classes of a negative component.
+
+    Each class, from ``nx.bipartite`` on a component of the negative
+    subgraph, is contracted to one node of the positive graph first.
+    """
+    negative = nx.Graph([(u, v) for u, v, d in nxg.edges(data=True) if d["sign"] == NEG])
+    node, pairs = {}, []
+    for i, comp in enumerate(nx.connected_components(negative)):
+        for j, cls in enumerate(nx.bipartite.sets(negative.subgraph(comp))):
+            node.update(dict.fromkeys(cls, ("class", i, j)))
+        pairs.append((("class", i, 0), ("class", i, 1)))
+    contracted = nx.Graph()
+    contracted.add_nodes_from(node.get(v, v) for v in nxg)
+    contracted.add_edges_from(
+        (node.get(u, u), node.get(v, v)) for u, v, d in nxg.edges(data=True) if d["sign"] == POS
+    )
+    joined = [(a, b) for a, b in pairs if nx.has_path(contracted, a, b)]
+    return min((nx.shortest_path_length(contracted, a, b) for a, b in joined), default=math.inf)
+
+
+CLUSTERED_CASES = [
+    (20, 1), (50, 1), (100, 1), (100, 2), (200, 1), (200, 3), (400, 2), (400, 4), (600, 1), (600, 3)
+]
+
+
+def test_packing_families_on_clustered_quartic_signings(tmp_path):
+    """Each ``packing`` family checks out on the double cover and within the networkx bound.
+
+    Every member is a negation set, the members are disjoint, member 0 is
+    E⁻, and the number never beats the contracted bound plus one.  With
+    one negative component the scan settles the number; with several,
+    the exact search may exit 3 on its budget.  Those exits are counted and
+    may be at most one case in three, so the slice keeps checking families.
+    """
+    budget_exits = []
+    for n, clusters in CLUSTERED_CASES:
+        for seed in range(3):
+            nxg = clustered_quartic(random.Random(n * 100 + clusters * 10 + seed), n, clusters)
+            err = io.StringIO()
+            code, report = run_cli(tmp_path, "clustered", signed_graph(nxg), "packing", err)
+            if code == cli.EXIT_PRECONDITION and not balanced(nxg):
+                assert "exact packing search needs" in err.getvalue()
+                budget_exits.append((n, clusters, seed))
+                continue
+            assert code == cli.EXIT_HOLDS
+            (section,) = report["components"]
+            family = [{tuple(e) for e in member} for member in section["family"]]
+            signs = {(min(u, v), max(u, v)): d["sign"] for u, v, d in nxg.edges(data=True)}
+            assert family[0] == {e for e, sign in signs.items() if sign == NEG}
+            assert all(balanced(negated(nxg, member)) for member in family)
+            assert sum(map(len, family)) == len(set().union(*family))
+            packing_number = section["packing_number"]
+            assert packing_number == len(family) <= contracted_bound(nxg) + 1
+            if section["distance"] is not None:
+                assert section["distance"] == packing_number - 1
+    assert len(budget_exits) <= len(CLUSTERED_CASES), budget_exits

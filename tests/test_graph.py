@@ -193,6 +193,7 @@ class TestSubgraphs:
         )
         assert g.connected_components(vs) == lifted
         assert g.connected_components(range(n)) == g.connected_components()
+        assert g.is_connected() == (len(g.connected_components()) <= 1)
 
     def test_connected_components(self):
         g = SignedGraph(6, [(0, 1, POS), (1, 2, POS), (0, 2, POS), (2, 3, POS), (4, 5, NEG)])
@@ -209,6 +210,28 @@ class TestSubgraphs:
         full, none_removed = g.k_core(0)
         assert none_removed == ()
         assert full == frozenset(g.vertices())
+
+    @given(st.data())
+    def test_k_core_batches_match_a_rescan_peel(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+        keys = {edge_key(u, v) for u, v in data.draw(st.lists(pairs, max_size=30)) if u != v}
+        g = SignedGraph(n, [(u, v, POS) for u, v in keys])
+        k = data.draw(st.integers(0, 5))
+        # reference: every batch rescans the live vertices for degree below k
+        alive, batches = set(range(n)), []
+        while batch := frozenset(v for v in alive if sum(w in alive for w in g.neighbors(v)) < k):
+            batches.append(batch)
+            alive -= batch
+        assert g.k_core(k) == (frozenset(alive), tuple(batches))
+
+    def test_k_core_peels_a_cascade_one_layer_per_batch(self):
+        # C_n(1, 2) minus the edge 0-1 peels from the gap inward, in about n / 4 batches
+        n = 40
+        pairs = {edge_key(i, (i + d) % n) for i in range(n) for d in (1, 2)} - {(0, 1)}
+        core, batches = SignedGraph(n, [(u, v, POS) for u, v in pairs]).k_core(4)
+        assert core == frozenset()
+        assert sum(map(len, batches)) == n and len(batches) >= n // 4
 
 
 class TestSubsetWrappers:

@@ -24,6 +24,8 @@ from negset import (
     disjoint_partner,
     is_balanced,
     is_negation_set,
+    negation_set_from_switching,
+    switching_for_negation_set,
 )
 from negset import negation, oracle, verify
 from negset.graph import complete_graph, cube_graph, cycle_graph
@@ -131,6 +133,43 @@ class TestBipartiteNegationForAntibalanced:
         g = cycle_graph(4).negate_edges([(0, 1)])
         with pytest.raises(PreconditionError, match="antibalanced"):
             bipartite_negation_for_antibalanced_planar(g, [0, 1, 0, 1])
+
+
+def test_constructions_build_no_resigned_copy(monkeypatch):
+    """Each construction reads a switching's negation set as E⁻ △ cut(X) off its input.
+
+    The answers are taken first with ``switch``, ``negate_all`` and
+    ``negative_subgraph`` in place, then again with all three raising.
+    """
+    hub = [(0, v, NEG) for v in range(1, 6)]
+    wheel = SignedGraph(6, hub + [(v, v % 5 + 1, NEG) for v in range(1, 6)])
+    antibalanced, coloring = [wheel, wheel.switch({1, 4})], [0, 1, 2, 1, 2, 3]
+    # C_10(1, 2) with a negative 10-circle: 4-regular, so its 4-core is the whole graph
+    pairs = [(i, (i + d) % 10, d) for i in range(10) for d in (1, 2)]
+    circulant = SignedGraph(10, [(u, v, NEG if d == 1 else POS) for u, v, d in pairs])
+    partnered = [cycle_graph(4), cycle_graph(6).negate_edges([(0, 1), (2, 3)]), circulant]
+    switchings = [(g, x) for g in partnered for x in ([], [0], [1, 2, 3])]
+
+    def answers():
+        sets = [negation_set_from_switching(g, x) for g, x in switchings]
+        return (
+            [disjoint_partner(g) for g in partnered],
+            [bipartite_negation_for_antibalanced_planar(g, coloring) for g in antibalanced],
+            sets,
+            [switching_for_negation_set(g, b) for (g, _), b in zip(switchings, sets)],
+            acyclic_negation(circulant, trace=True),
+        )
+
+    expected = answers()
+    assert [m.edges for m in expected[2]] == [g.switch(x).negative_edges() for g, x in switchings]
+    assert expected[0][0].edges == frozenset()
+
+    def refuse(*args):
+        raise AssertionError("a construction built a re-signed copy")
+
+    for name in ("switch", "negate_all", "negative_subgraph"):
+        monkeypatch.setattr(SignedGraph, name, refuse)
+    assert answers() == expected
 
 
 class TestNegativeCircles:
