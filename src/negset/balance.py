@@ -179,6 +179,30 @@ def is_negation_set(g: SignedGraph, b: EdgeSubset | Iterable[Edge]) -> bool:
     return not _two_color(g.signed_rows(), dict.fromkeys(bs, 1))[1]
 
 
+def failing_negation_sets(g: SignedGraph, sets: Sequence[Iterable[Edge]]) -> int:
+    """Bitmask of the members of ``sets`` that are not negation sets of ``g``.
+
+    Bit i is set when ``sets[i]`` is not a negation set.  Members hold edges
+    of ``g`` as ``(u, v)`` with ``u < v``, as :func:`as_edge_set` returns
+    them.  One signed BFS decides every member, member i negating the edges
+    it holds in bit i.  Each edge's flip mask is read once from a column of
+    ``"0"``/``"1"`` digits, so the build is linear in the number of members;
+    OR-ing ``1 << i`` into a mask per held edge would copy an ever wider int
+    and grow with its square.
+    """
+    count = len(sets)
+    columns: dict[Edge, bytearray] = {}
+    for i, edges in enumerate(sets):
+        digit = count - 1 - i  # int(column, 2) reads the highest bit first
+        for e in edges:
+            column = columns.get(e)
+            if column is None:
+                column = columns[e] = bytearray(b"0" * count)
+            column[digit] = 49  # ord("1")
+    flips = {e: int(column, 2) for e, column in columns.items()}
+    return _two_color(g.signed_rows(), flips, (1 << count) - 1)[1]
+
+
 def negation_set_from_switching(
     g: SignedGraph, x: VertexSubset | Iterable[int]
 ) -> EdgeSubset:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .balance import _two_color, is_balanced
+from .balance import failing_negation_sets, is_balanced
 from .errors import InvariantError
 from .graph import NEG, Edge, EdgeSubset, SignedGraph, as_edge_set
 
@@ -36,10 +36,10 @@ def family(g: SignedGraph, members: Iterable[EdgeSubset | Iterable[Edge]]) -> No
     """Every member must be a negation set of ``g``, and no edge may lie in two.
 
     Members are checked in order, and the first that fails raises.  Member i
-    is a negation set when ``g`` with its edges negated is balanced; one
-    signed BFS (:func:`negset.balance._two_color`) two-colours all members
-    at once, member i flipping bit i.  A member that cannot be read as
-    edges of ``g`` raises once every member before it has passed.
+    is a negation set when ``g`` with its edges negated is balanced;
+    :func:`negset.balance.failing_negation_sets` decides every member in
+    one signed BFS.  A member that cannot be read as edges of ``g`` raises
+    once every member before it has passed.
     """
     sets: list[frozenset[Edge]] = []
     unreadable = None
@@ -49,11 +49,7 @@ def family(g: SignedGraph, members: Iterable[EdgeSubset | Iterable[Edge]]) -> No
         except (TypeError, ValueError) as exc:
             unreadable = exc
             break
-    flips: dict[Edge, int] = {}
-    for i, edges in enumerate(sets):
-        for e in edges:
-            flips[e] = flips.get(e, 0) | 1 << i
-    failing = _two_color(g.signed_rows(), flips, (1 << len(sets)) - 1)[1]
+    failing = failing_negation_sets(g, sets)
     used: set[Edge] = set()
     for i, edges in enumerate(sets):
         if failing >> i & 1:

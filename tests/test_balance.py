@@ -17,9 +17,11 @@ from negset import (
     is_balanced,
     is_negation_set,
     negation_set_from_switching,
+    oracle,
     switching_equivalent,
     switching_for_negation_set,
 )
+from negset.balance import failing_negation_sets
 from negset.graph import complete_graph, cycle_graph, path_graph
 
 from conftest import connected_signed_graphs, vertex_subsets
@@ -185,3 +187,55 @@ class TestNegationSets:
         for r in range(len(edges) + 1):
             for sub in combinations(edges, r):
                 assert is_negation_set(g, sub) == (r % 2 == 1)
+
+
+@st.composite
+def negation_set_families(draw, sizes=(1, 63, 64, 65)):
+    """A graph and a family of edge sets, negation sets mixed with others.
+
+    A member is the negation set of a random switching, E⁻ with one edge
+    toggled (not a negation set when that edge is on a circle), or a random
+    edge subset.  The sizes put the highest bit on both sides of a
+    machine-word boundary.
+    """
+    g = draw(connected_signed_graphs(min_n=3))
+    pairs = g.edge_pairs()
+    negative = frozenset(g.negative_edges())
+    members = []
+    for _ in range(draw(st.sampled_from(sizes))):
+        kind = draw(st.sampled_from(["switching", "toggled", "subset"]))
+        if kind == "switching":
+            xs = draw(st.frozensets(st.integers(0, g.n - 1)))
+            members.append(negation_set_from_switching(g, xs).edges)
+        elif kind == "toggled":
+            members.append(negative ^ {draw(st.sampled_from(pairs))})
+        else:
+            members.append(frozenset(draw(st.lists(st.sampled_from(pairs), unique=True))))
+    return g, members
+
+
+class TestFailingNegationSets:
+    @given(negation_set_families())
+    def test_bits_agree_with_the_one_set_test(self, gm):
+        g, members = gm
+        failing = failing_negation_sets(g, members)
+        assert failing >> len(members) == 0
+        for i, b in enumerate(members):
+            assert (failing >> i & 1) == (not is_negation_set(g, b))
+
+    @given(connected_signed_graphs(min_n=3))
+    def test_a_whole_enumeration_passes_and_its_toggles_fail(self, g):
+        sets = oracle.enumerate_negation_sets(g)
+        assert failing_negation_sets(g, sets) == 0
+        # Toggling an edge that lies on a circle leaves no negation set.
+        pairs = g.edge_pairs()
+        on_circle = [
+            e for e in pairs
+            if SignedGraph(g.n, [(u, v, POS) for u, v in pairs if (u, v) != e]).is_connected()
+        ]
+        if on_circle:
+            toggled = [s ^ {on_circle[0]} for s in sets]
+            assert failing_negation_sets(g, toggled) == (1 << len(sets)) - 1
+
+    def test_empty_family(self):
+        assert failing_negation_sets(cycle_graph(3).negate_edges([(0, 1)]), []) == 0

@@ -14,7 +14,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from negset import NEG, POS, SignedGraph, cli, negation, oracle, packing, serialize
+from negset import (
+    NEG,
+    POS,
+    SignedGraph,
+    balance,
+    cli,
+    is_negation_set,
+    load_path,
+    negation,
+    oracle,
+    packing,
+    serialize,
+)
 from negset.cli import (
     EXIT_FAILS,
     EXIT_HOLDS,
@@ -336,19 +348,42 @@ class TestOracleVerifyCommand:
         # Connected, unbalanced, bipartite E- and max degree 4: every row runs.
         g = oracle.random_subquartic_graph(random.Random(29), n_max=10)
         assert g.n == 10
-        calls = {"enumerate_negation_sets": 0, "_negative_masks": 0}
-        for name in calls:
-            original = getattr(oracle, name)
+        # _two_color is bound in every module that imports it.
+        holders = {
+            "enumerate_negation_sets": [oracle],
+            "_negative_masks": [oracle],
+            "_two_color": [balance, packing],
+        }
+        calls = dict.fromkeys(holders, 0)
+        for name, modules in holders.items():
+            for module in modules:
+                original = getattr(module, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
 
-            monkeypatch.setattr(oracle, name, counted)
+                monkeypatch.setattr(module, name, counted)
         code, report = run_json(capsys, ["oracle-verify", write_sg(g), "--json"])
         assert code == EXIT_HOLDS
         assert [c["outcome"] for c in report["checks"]] == ["pass"] * 6
+        # The 512 enumerated sets take one BFS between them, not one each.
+        two_color = calls.pop("_two_color")
+        assert two_color <= 32, f"{two_color} signed BFS runs"
         assert calls == {"enumerate_negation_sets": 1, "_negative_masks": 1}
+
+    def test_agreement_row_fails_on_a_non_negation_set(self, capsys, monkeypatch):
+        # The last enumerated set is the highest bit of the one BFS's mask.
+        path = str(GOLDEN / "oracle-subquartic12.sg")
+        g = load_path(path)
+        sets = oracle.enumerate_negation_sets(g)
+        bad = sets[-1] - {min(sets[-1])}
+        assert not is_negation_set(g, bad)
+        monkeypatch.setattr(oracle, "enumerate_negation_sets", lambda *a, **k: sets[:-1] + (bad,))
+        code, report = run_json(capsys, ["oracle-verify", path, "--json"])
+        assert code == EXIT_FAILS
+        rows = {c["name"]: c["outcome"] for c in report["checks"]}
+        assert rows["enumeration agrees with is_negation_set"] == "fail"
 
 
 class TestParserReuse:
