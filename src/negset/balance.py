@@ -184,11 +184,11 @@ def failing_negation_sets(g: SignedGraph, sets: Sequence[Iterable[Edge]]) -> int
 
     Bit i is set when ``sets[i]`` is not a negation set.  Members hold edges
     of ``g`` as ``(u, v)`` with ``u < v``, as :func:`as_edge_set` returns
-    them.  One signed BFS decides every member, member i negating the edges
-    it holds in bit i.  Each edge's flip mask is read once from a column of
-    ``"0"``/``"1"`` digits, so the build is linear in the number of members;
-    OR-ing ``1 << i`` into a mask per held edge would copy an ever wider int
-    and grow with its square.
+    them.  Member i negates the edges it holds in bit i of their
+    :func:`failing_flips` masks.  Each edge's mask is read once from a
+    column of ``"0"``/``"1"`` digits, so the build is linear in the number
+    of members; OR-ing ``1 << i`` into a mask per held edge would copy an
+    ever wider int and grow with its square.
     """
     count = len(sets)
     columns: dict[Edge, bytearray] = {}
@@ -200,7 +200,17 @@ def failing_negation_sets(g: SignedGraph, sets: Sequence[Iterable[Edge]]) -> int
                 column = columns[e] = bytearray(b"0" * count)
             column[digit] = 49  # ord("1")
     flips = {e: int(column, 2) for e, column in columns.items()}
-    return _two_color(g.signed_rows(), flips, (1 << count) - 1)[1]
+    return failing_flips(g, flips, (1 << count) - 1)
+
+
+def failing_flips(g: SignedGraph, flips: Mapping[Edge, int], full: int) -> int:
+    """Bitmask of the edge sets, one per bit of ``full``, that are not negation sets of ``g``.
+
+    Edge set i holds the edges whose ``flips`` mask has bit i; edges are
+    keyed ``(u, v)`` with ``u < v``.  One signed BFS decides every set, set
+    i negating its edges in bit i.
+    """
+    return _two_color(g.signed_rows(), flips, full)[1]
 
 
 def negation_set_from_switching(

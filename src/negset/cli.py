@@ -5,7 +5,8 @@ Exit codes: 0 the checked property holds (or the computation succeeded),
 cannot be opened), 3 precondition or budget error, 4 an antibalanced-K₅
 block stopped the acyclic construction, 5 any other exception, such as a
 bug or a failed write to stdout (one line
-``internal error: <type>: <message>`` on stderr, no traceback).
+``internal error: <type>: <message>`` on stderr, no traceback).  A stdout
+closed by its reader is not a failure: the command's own code is returned.
 
 Each op runs with the cyclic garbage collector paused.  Its data hold no
 reference cycles, so reference counting frees them all, while the collector
@@ -19,14 +20,14 @@ import argparse
 import dataclasses
 import functools
 import gc
-import heapq
 import json
+import os
 import random
 import sys
 from typing import Sequence
 
 from . import oracle
-from .balance import check_balance, failing_negation_sets, is_balanced, is_negation_set
+from .balance import check_balance, failing_flips, is_balanced, is_negation_set
 from .errors import (
     IterationBudgetError,
     MinusK5Detected,
@@ -90,7 +91,15 @@ class _Report:
             with fp:
                 fp.write(text + "\n")
         else:
-            print(text)
+            try:
+                print(text)
+            except BrokenPipeError:
+                # The reader closed stdout, which is no fault of the command.
+                # Point the descriptor at devnull, so that the interpreter's
+                # last flush of what is still buffered raises no further.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
 
 
 def _edges_or_negative(g: SignedGraph, args) -> frozenset[Edge]:
@@ -300,26 +309,24 @@ def _oracle_checks(g: SignedGraph, args):
         yield ("negation enumeration", "skip", "graph not connected")
         return
 
-    # One enumeration, shared by every brute-force row below.
-    sets = oracle.enumerate_negation_sets(g, max_n=args.max_n)
-    yield row(
-        "E- enumerated as a negation set", frozenset(g.negative_edges()) in sets
-    )
-    yield row(
-        "enumeration agrees with is_negation_set",
-        failing_negation_sets(g, sets) == 0,
-    )
+    # One column build, shared by every brute-force row below.
+    columns = tuple(oracle.negative_columns(g, max_n=args.max_n))
+    pairs = g.edge_pairs()
+    identity = frozenset(e for e, column in zip(pairs, columns) if column & 1)
+    yield row("E- enumerated as a negation set", identity == g.negative_edges())
+    failing = failing_flips(g, dict(zip(pairs, columns)), oracle.all_switchings(g))
+    yield row("enumeration agrees with is_negation_set", failing == 0)
 
-    sample = heapq.nsmallest(8, sets, key=sorted)
+    sample = oracle.smallest_negation_sets(g, 8, columns=columns)
     ok = all(
-        is_minimal(g, s) == oracle.brute_is_minimal(g, s, max_n=args.max_n, sets=sets)
+        is_minimal(g, s) == oracle.brute_is_minimal(g, s, columns=columns)
         for s in sample
     )
     yield row("minimality agrees with brute force", ok)
 
     if not base and is_balanced(g.negative_subgraph()):
         mine = component_packing_number(g).packing_number
-        brute = oracle.brute_packing_number(g, max_n=args.max_n, sets=sets)
+        brute = oracle.brute_packing_number(g, columns=columns)
         yield row("packing number agrees with brute force", mine == brute, f"{mine} vs {brute}")
     else:
         yield ("packing number agrees with brute force", "skip", "needs connected, unbalanced, bipartite E-")
@@ -330,7 +337,7 @@ def _oracle_checks(g: SignedGraph, args):
         except MinusK5Detected:
             yield ("acyclic set at least frustration index", "skip", "antibalanced K5 block")
         else:
-            fi = oracle.frustration_index(g, max_n=args.max_n, sets=sets)
+            fi = oracle.frustration_index(g, columns=columns)
             yield row(
                 "acyclic set at least frustration index",
                 len(result.negation_set) >= fi,

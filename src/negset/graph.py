@@ -67,23 +67,6 @@ class SignedGraph:
         self._hash: int | None = None
         self._rows: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_underlying(
-        cls,
-        n: int,
-        pairs: Iterable[Edge],
-        negative: Iterable[Edge] = (),
-    ) -> "SignedGraph":
-        """Build a graph from an unsigned edge list plus the set of negative pairs."""
-        neg = {edge_key(*e) for e in negative}
-        pair_list = [edge_key(*p) for p in pairs]
-        missing = neg - set(pair_list)
-        if missing:
-            raise ValueError(f"negative pairs {sorted(missing)} are not edges")
-        return cls(n, [(u, v, NEG if (u, v) in neg else POS) for u, v in pair_list])
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -453,14 +436,3 @@ def cycle_graph(n: int, sign: int = POS) -> SignedGraph:
 
 def path_graph(n: int, sign: int = POS) -> SignedGraph:
     return SignedGraph(n, [(i, i + 1, sign) for i in range(n - 1)])
-
-
-def cube_graph(sign: int = POS) -> SignedGraph:
-    """The 3-cube: vertices 0..7 as bit vectors, edges between Hamming neighbors."""
-    edges = []
-    for u in range(8):
-        for bit in (1, 2, 4):
-            v = u ^ bit
-            if u < v:
-                edges.append((u, v, sign))
-    return SignedGraph(8, edges)

@@ -1,19 +1,19 @@
 """Brute-force ground truth by switching enumeration.
 
-Everything here is deliberately naive: enumerate all ``2^(n-1)`` switchings
+Everything here is deliberately naive: take all ``N = 2^(n-1)`` switchings
 of a small connected graph (vertex 0 pinned to break the complement
-symmetry), read off their negative edge sets, and answer questions by
-inspection.  The fast implementations elsewhere in the package are tested
-against these answers on a corpus of small graphs, so nothing here calls
-them.
+symmetry) and answer questions by inspecting their negative edge sets.  The
+fast implementations elsewhere in the package are tested against these
+answers, so nothing here calls them.
 
-A switching is held as a GF(2) mask over the edges, and each vertex has an
-incidence mask of the edges it touches: switching the vertex XORs that mask
-into the negative-edge mask.  A Gray code over vertices ``1..n-1`` changes
-one vertex per step, so the whole enumeration is ``2^(n-1)`` XORs with no
-graph built per switching.  The query functions take the finished
-enumeration as an optional ``sets`` argument, so a caller that asks several
-questions of one graph (``negset oracle-verify``) enumerates once.
+The switchings are held bit-sliced, in Gray-code order over vertices
+``1..n-1``: :func:`negative_columns` gives each edge an N-bit int whose bit
+j is set when the edge is negative under switching j, so switching 0 is
+E⁻.  A question becomes a few whole-column operations; no set is built per
+switching.  The query functions take the finished columns as ``columns``,
+so a caller that asks several questions of one graph (``negset
+oracle-verify``) builds them once.  :func:`enumerate_negation_sets` lists
+the sets themselves, one edge mask per switching.
 
 All entry points enforce a vertex cap (default 16) and raise
 :class:`~negset.errors.PreconditionError` beyond it rather than silently
@@ -22,21 +22,10 @@ taking forever.
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Iterator
 
-from .errors import InvariantError, PreconditionError
-from .graph import (
-    NEG,
-    POS,
-    Edge,
-    SignedGraph,
-    as_edge_set,
-    complete_graph,
-    cube_graph,
-    cycle_graph,
-    edge_key,
-)
+from .errors import PreconditionError
+from .graph import NEG, Edge, SignedGraph, as_edge_set
 
 DEFAULT_MAX_N = 16
 
@@ -48,9 +37,7 @@ def _check_scale(g: SignedGraph, max_n: int) -> None:
     if not g.is_connected():
         raise PreconditionError("switching enumeration requires a connected graph")
     if g.n > max_n:
-        raise PreconditionError(
-            f"graph has {g.n} vertices, above the enumeration cap {max_n}"
-        )
+        raise PreconditionError(f"graph has {g.n} vertices, above the enumeration cap {max_n}")
 
 
 def _negative_masks(g: SignedGraph, max_n: int) -> Iterator[int]:
@@ -82,88 +69,193 @@ def enumerate_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> Negat
     graph that hits each switching function exactly once, so each negation
     set appears exactly once.
     """
+    return _as_sets(g, [list(_bits(mask)) for mask in set(_negative_masks(g, max_n))])
+
+
+def _as_sets(g: SignedGraph, rows: list[list[int]]) -> NegationSets:
+    """Ascending edge-index rows as edge sets, sorted by (size, edges).
+
+    Edge i precedes edge j exactly when i < j, so the rows sort like the
+    sorted edge lists.
+    """
     pairs = g.edge_pairs()
-    rows = []
-    for mask in set(_negative_masks(g, max_n)):
-        bits = []
-        while mask:
-            low = mask & -mask
-            bits.append(low.bit_length() - 1)
-            mask ^= low
-        rows.append((len(bits), bits))
-    # Edge i precedes edge j exactly when i < j, so ascending bit lists sort
-    # like the sorted edge lists.
-    rows.sort()
-    return tuple(frozenset([pairs[i] for i in bits]) for _, bits in rows)
+    rows.sort(key=lambda row: (len(row), row))
+    return tuple(frozenset([pairs[i] for i in row]) for row in rows)
+
+
+def all_switchings(g: SignedGraph) -> int:
+    """The mask with one bit per switching that fixes vertex 0, ``2^(n-1)`` bits."""
+    return (1 << (1 << max(g.n - 1, 0))) - 1
+
+
+def negative_columns(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> Iterator[int]:
+    """Per edge of ``g.edge_pairs()``, the switchings under which it is negative.
+
+    Bit j of an edge's column is set when the edge is negative under Gray
+    switching j, the switching of :func:`_negative_masks`'s j-th mask.  The
+    scale is checked at the call; the columns are made as they are read,
+    so a caller that reads each once holds one at a time.
+    """
+    _check_scale(g, max_n)
+    full = all_switchings(g)
+    count = full.bit_length()
+    switched = [0] * g.n
+    for k in range(g.n - 1):
+        # Gray code j switches vertex k + 1 when bits k and k + 1 of j
+        # differ: a period of 2^(k+2) switchings, off 2^k, on 2^(k+1), off 2^k.
+        pattern = ((1 << (2 << k)) - 1) << (1 << k)
+        width = 4 << k
+        while width < count:
+            pattern |= pattern << width
+            width <<= 1
+        switched[k + 1] = pattern & full
+    return (switched[u] ^ switched[v] ^ (full if s == NEG else 0) for u, v, s in g.edges())
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    digits = format(mask, "b")[::-1]
+    j = digits.find("1")
+    while j >= 0:
+        yield j
+        j = digits.find("1", j + 1)
+
+
+def _sets_at(g: SignedGraph, columns: Iterable[int], mask: int) -> NegationSets:
+    """The negation sets of the switchings in ``mask``, sorted by (size, edges)."""
+    rows: dict[int, list[int]] = {j: [] for j in _bits(mask)}
+    for i, column in enumerate(columns):
+        for j in _bits(column & mask):
+            rows[j].append(i)
+    return _as_sets(g, list(rows.values()))
+
+
+def _smallest(columns: Iterable[int], full: int) -> tuple[int, int]:
+    """The least set size over the switchings in ``full``, and the mask of those that reach it.
+
+    Sizes are bit-sliced: bit j of plane k is bit k of switching j's size.
+    Each column is added into the planes by a ripple carry, and then dropped.
+    """
+    planes: list[int] = []
+    for carry in columns:
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    size, reach = 0, full
+    for k in reversed(range(len(planes))):
+        low = reach & ~planes[k]
+        if low:
+            reach = low
+        else:
+            size |= 1 << k
+    return size, reach
 
 
 def frustration_index(
-    g: SignedGraph, max_n: int = DEFAULT_MAX_N, *, sets: NegationSets | None = None
+    g: SignedGraph, max_n: int = DEFAULT_MAX_N, *, columns: Iterable[int] | None = None
 ) -> int:
     """Minimum number of negative edges over all switchings.
 
-    ``sets``, here and in :func:`brute_is_minimal` and
-    :func:`brute_packing_number`, is ``enumerate_negation_sets(g, max_n)``
-    when the caller already has it; by default the switchings are enumerated.
+    ``columns``, here and in :func:`brute_is_minimal`,
+    :func:`smallest_negation_sets` and :func:`brute_packing_number`, is
+    ``tuple(negative_columns(g, max_n))`` when the caller already has it;
+    by default the columns are built.
     """
-    if sets is not None:
-        return min(map(len, sets))
-    return min(mask.bit_count() for mask in _negative_masks(g, max_n))
+    if columns is None:
+        columns = negative_columns(g, max_n)
+    return _smallest(columns, all_switchings(g))[0]
 
 
 def minimum_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
-    """All negation sets of minimum size."""
-    sets = enumerate_negation_sets(g, max_n)
-    best = len(sets[0])
-    return tuple(s for s in sets if len(s) == best)
+    """All negation sets of minimum size, sorted by edges."""
+    columns = tuple(negative_columns(g, max_n))
+    return _sets_at(g, columns, _smallest(columns, all_switchings(g))[1])
 
 
 def brute_is_minimal(
-    g: SignedGraph,
-    b: Iterable[Edge],
-    max_n: int = DEFAULT_MAX_N,
-    *,
-    sets: NegationSets | None = None,
+    g: SignedGraph, b: Iterable[Edge], max_n: int = DEFAULT_MAX_N, *, columns: Iterable[int] | None = None
 ) -> bool:
     """Whether no negation set is a proper subset of ``b``.
 
-    Since negation sets are closed downward only through other negation sets,
-    checking every enumerated set suffices; ``b`` itself must be a negation
-    set or the question is ill-posed.
+    A switching's set lies inside ``b`` exactly when the switching has no
+    bit in a column outside ``b``; it equals ``b`` when it also has a bit in
+    every column inside.  ``b`` itself must be a negation set or the
+    question is ill-posed.
     """
     bs = as_edge_set(g, b)
-    if sets is None:
-        sets = enumerate_negation_sets(g, max_n)
-    if bs not in sets:
+    if columns is None:
+        columns = negative_columns(g, max_n)
+    inside, outside = -1, 0
+    for column, e in zip(columns, g.edge_pairs()):
+        if e in bs:
+            inside &= column
+        else:
+            outside |= column
+    within = all_switchings(g) & ~outside
+    own = within & inside
+    if not own:
         raise PreconditionError("b is not a negation set of g")
-    return not any(s < bs for s in sets)
+    # On a connected graph each negation set has exactly one switching.
+    return within == own
 
 
-def brute_is_unique_minimum(
-    g: SignedGraph, b: Iterable[Edge], max_n: int = DEFAULT_MAX_N
-) -> bool:
-    bs = as_edge_set(g, b)
-    return minimum_negation_sets(g, max_n) == (bs,)
+def smallest_negation_sets(
+    g: SignedGraph, count: int, max_n: int = DEFAULT_MAX_N, *, columns: Iterable[int] | None = None
+) -> list[frozenset[Edge]]:
+    """The ``count`` negation sets whose sorted edge lists come first, in that order.
+
+    A preorder descent over the edges: a node holds the chosen edges and
+    the switchings whose sets hold exactly those among the edges passed, and
+    is a set itself when one of them has no later edge.
+    """
+    columns = tuple(negative_columns(g, max_n) if columns is None else columns)
+    pairs = g.edge_pairs()
+    later = [0] * (len(columns) + 1)  # later[i]: the OR of columns i, i + 1, ...
+    for i in reversed(range(len(columns))):
+        later[i] = later[i + 1] | columns[i]
+    found: list[frozenset[Edge]] = []
+
+    def descend(start: int, reach: int, chosen: list[Edge]) -> None:
+        if reach & ~later[start]:
+            found.append(frozenset(chosen))
+        for i in range(start, len(columns)):
+            if len(found) >= count or not reach:
+                return
+            hit = reach & columns[i]
+            if hit:
+                chosen.append(pairs[i])
+                descend(i + 1, hit, chosen)
+                chosen.pop()
+            reach &= ~columns[i]
+
+    descend(0, all_switchings(g), [])
+    return found[:count]
 
 
 def brute_packing_number(
-    g: SignedGraph, max_n: int = DEFAULT_MAX_N, *, sets: NegationSets | None = None
+    g: SignedGraph, max_n: int = DEFAULT_MAX_N, *, columns: Iterable[int] | None = None
 ) -> int:
     """Maximum size of a pairwise-disjoint family of negation sets containing E⁻(g).
 
-    Straight branch and bound over the enumerated sets.  Only defined for
-    unbalanced graphs (a balanced graph has the empty negation set, for which
-    disjoint packing is meaningless).
+    Straight branch and bound over the sets disjoint from E⁻: the switchings
+    with no bit in an E⁻ column, the only ones made into sets.  Only
+    defined for unbalanced graphs (a balanced graph has the empty negation
+    set, for which disjoint packing is meaningless).
     """
-    if sets is None:
-        sets = enumerate_negation_sets(g, max_n)
-    if frozenset() in sets:
+    columns = tuple(negative_columns(g, max_n) if columns is None else columns)
+    anywhere = negative = 0
+    for column in columns:
+        anywhere |= column
+        if column & 1:  # negative under switching 0, the identity
+            negative |= column
+    full = all_switchings(g)
+    if anywhere != full:
         raise PreconditionError("packing number is defined for unbalanced graphs")
-    b = g.negative_edges()
-    if b not in sets:  # pragma: no cover - E⁻ is always a negation set
-        raise InvariantError("E⁻(g) missing from its own enumeration")
-    candidates = [s for s in sets if s.isdisjoint(b)]
-    candidates.sort(key=len)
+    candidates = _sets_at(g, columns, full & ~negative)
     best = 0
 
     def extend(start: int, chosen: list[frozenset[Edge]]) -> None:
@@ -180,97 +272,3 @@ def brute_packing_number(
 
     extend(0, [])
     return best + 1
-
-
-# -- test corpus ---------------------------------------------------------------
-
-
-def corpus_families() -> tuple[tuple[str, SignedGraph], ...]:
-    """Named all-positive underlying graphs used for exhaustive sign sweeps."""
-    k4_pendant = SignedGraph.from_underlying(
-        5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
-    )
-    return (
-        ("C3", cycle_graph(3)),
-        ("C4", cycle_graph(4)),
-        ("C5", cycle_graph(5)),
-        ("C6", cycle_graph(6)),
-        ("K4", complete_graph(4)),
-        ("K5", complete_graph(5)),
-        ("K4_pendant", k4_pendant),
-        ("Q3", cube_graph()),
-    )
-
-
-def all_signings(g: SignedGraph) -> Iterator[SignedGraph]:
-    """Every assignment of signs to the edges of ``g`` (2^m graphs)."""
-    pairs = g.edge_pairs()
-    m = len(pairs)
-    for mask in range(1 << m):
-        yield SignedGraph(
-            g.n,
-            [
-                (u, v, NEG if mask >> i & 1 else POS)
-                for i, (u, v) in enumerate(pairs)
-            ],
-        )
-
-
-def random_signed_graph(
-    rng: random.Random, n_max: int = 8, extra_edge_prob: float = 0.4
-) -> SignedGraph:
-    """Random connected signed graph: random spanning tree plus extras."""
-    n = rng.randint(2, n_max)
-    pairs = set()
-    for v in range(1, n):
-        pairs.add(edge_key(v, rng.randrange(v)))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in pairs and rng.random() < extra_edge_prob:
-                pairs.add((u, v))
-    negative = [e for e in pairs if rng.random() < 0.5]
-    return SignedGraph.from_underlying(n, sorted(pairs), negative)
-
-
-def random_subquartic_graph(
-    rng: random.Random, n_max: int = 12, extra_edge_prob: float = 0.6
-) -> SignedGraph:
-    """Random connected signed graph with maximum degree at most 4.
-
-    Grows a degree-capped random tree, then adds extra edges wherever both
-    endpoints still have spare degree.
-    """
-    n = rng.randint(2, n_max)
-    deg = [0] * n
-    pairs = set()
-    for v in range(1, n):
-        options = [u for u in range(v) if deg[u] < 4]
-        if not options:
-            n = v
-            deg = deg[:n]
-            break
-        u = rng.choice(options)
-        pairs.add(edge_key(u, v))
-        deg[u] += 1
-        deg[v] += 1
-    slots = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
-    rng.shuffle(slots)
-    for u, v in slots:
-        if deg[u] < 4 and deg[v] < 4 and rng.random() < extra_edge_prob:
-            pairs.add((u, v))
-            deg[u] += 1
-            deg[v] += 1
-    negative = [e for e in pairs if rng.random() < 0.5]
-    return SignedGraph.from_underlying(n, sorted(pairs), negative)
-
-
-def random_complete_signing(
-    rng: random.Random, n: int, negative_count: int
-) -> SignedGraph:
-    """K_n with a uniformly random negative edge set of the given size."""
-    g = complete_graph(n)
-    pairs = list(g.edge_pairs())
-    if negative_count > len(pairs):
-        raise ValueError("more negative edges requested than edges available")
-    negative = rng.sample(pairs, negative_count)
-    return SignedGraph.from_underlying(n, pairs, negative)

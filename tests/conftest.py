@@ -1,8 +1,8 @@
 """Shared builders and property-testing strategies for the suite.
 
 Strategies build graphs from hypothesis primitives (spanning tree plus
-extras) instead of driving the package's own RNG helpers, so failing
-examples shrink well.  The RNG helpers themselves are tested in
+extras) instead of driving the seeded generators of ``corpus.py``, so
+failing examples shrink well.  The generators themselves are tested in
 ``test_oracle.py``.
 """
 

@@ -1,0 +1,129 @@
+"""Small-graph corpus for the suite: named families, exhaustive signings, seeded generators.
+
+The generators keep their names and seeds: golden ``.sg`` headers cite them
+(``random_signed_graph seed 5``).  They are tested in ``test_oracle.py``.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Iterable, Iterator
+
+from negset import NEG, POS, SignedGraph
+from negset.graph import Edge, as_edge_set, complete_graph, cycle_graph, edge_key
+from negset.oracle import DEFAULT_MAX_N, minimum_negation_sets
+
+
+def from_underlying(n: int, pairs: Iterable[Edge], negative: Iterable[Edge] = ()) -> SignedGraph:
+    """Sign the ``(u, v)``, ``u < v``, pairs: negative where listed in ``negative``."""
+    neg = set(negative)
+    return SignedGraph(n, [(u, v, NEG if (u, v) in neg else POS) for u, v in pairs])
+
+
+def cube_graph(sign: int = POS) -> SignedGraph:
+    """The 3-cube: vertices 0..7 as bit vectors, edges between Hamming neighbors."""
+    edges = []
+    for u in range(8):
+        for bit in (1, 2, 4):
+            v = u ^ bit
+            if u < v:
+                edges.append((u, v, sign))
+    return SignedGraph(8, edges)
+
+
+def brute_is_unique_minimum(
+    g: SignedGraph, b: Iterable[Edge], max_n: int = DEFAULT_MAX_N
+) -> bool:
+    """Whether ``b`` is the only negation set of minimum size, by the oracle."""
+    return minimum_negation_sets(g, max_n) == (as_edge_set(g, b),)
+
+
+def corpus_families() -> tuple[tuple[str, SignedGraph], ...]:
+    """Named all-positive underlying graphs used for exhaustive sign sweeps."""
+    k4_pendant = from_underlying(
+        5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
+    )
+    return (
+        ("C3", cycle_graph(3)),
+        ("C4", cycle_graph(4)),
+        ("C5", cycle_graph(5)),
+        ("C6", cycle_graph(6)),
+        ("K4", complete_graph(4)),
+        ("K5", complete_graph(5)),
+        ("K4_pendant", k4_pendant),
+        ("Q3", cube_graph()),
+    )
+
+
+def all_signings(g: SignedGraph) -> Iterator[SignedGraph]:
+    """Every assignment of signs to the edges of ``g`` (2^m graphs)."""
+    pairs = g.edge_pairs()
+    m = len(pairs)
+    for mask in range(1 << m):
+        yield SignedGraph(
+            g.n,
+            [
+                (u, v, NEG if mask >> i & 1 else POS)
+                for i, (u, v) in enumerate(pairs)
+            ],
+        )
+
+
+def random_signed_graph(
+    rng: random.Random, n_max: int = 8, extra_edge_prob: float = 0.4
+) -> SignedGraph:
+    """Random connected signed graph: random spanning tree plus extras."""
+    n = rng.randint(2, n_max)
+    pairs = set()
+    for v in range(1, n):
+        pairs.add(edge_key(v, rng.randrange(v)))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in pairs and rng.random() < extra_edge_prob:
+                pairs.add((u, v))
+    negative = [e for e in pairs if rng.random() < 0.5]
+    return from_underlying(n, sorted(pairs), negative)
+
+
+def random_subquartic_graph(
+    rng: random.Random, n_max: int = 12, extra_edge_prob: float = 0.6
+) -> SignedGraph:
+    """Random connected signed graph with maximum degree at most 4.
+
+    Grows a degree-capped random tree, then adds extra edges wherever both
+    endpoints still have spare degree.
+    """
+    n = rng.randint(2, n_max)
+    deg = [0] * n
+    pairs = set()
+    for v in range(1, n):
+        options = [u for u in range(v) if deg[u] < 4]
+        if not options:
+            n = v
+            deg = deg[:n]
+            break
+        u = rng.choice(options)
+        pairs.add(edge_key(u, v))
+        deg[u] += 1
+        deg[v] += 1
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+    rng.shuffle(slots)
+    for u, v in slots:
+        if deg[u] < 4 and deg[v] < 4 and rng.random() < extra_edge_prob:
+            pairs.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    negative = [e for e in pairs if rng.random() < 0.5]
+    return from_underlying(n, sorted(pairs), negative)
+
+
+def random_complete_signing(
+    rng: random.Random, n: int, negative_count: int
+) -> SignedGraph:
+    """K_n with a uniformly random negative edge set of the given size."""
+    g = complete_graph(n)
+    pairs = list(g.edge_pairs())
+    if negative_count > len(pairs):
+        raise ValueError("more negative edges requested than edges available")
+    negative = rng.sample(pairs, negative_count)
+    return from_underlying(n, pairs, negative)

@@ -38,6 +38,7 @@ from negset import oracle
 from negset.errors import PreconditionError
 from negset.graph import SignedGraph, complete_graph, cycle_graph
 
+import corpus
 from conftest import edge_set_is_bipartite
 from test_negation import assert_valid_acyclic
 from test_packing import assert_valid_family
@@ -47,14 +48,14 @@ EXHAUSTIVE_NAMES = ("C3", "C4", "C5", "C6", "K4")
 
 
 def exhaustive_signings():
-    for name, base in oracle.corpus_families():
+    for name, base in corpus.corpus_families():
         if name in EXHAUSTIVE_NAMES:
-            yield from oracle.all_signings(base)
+            yield from corpus.all_signings(base)
 
 
 def random_signings(count=200, n_max=7, seed=SEED):
     rng = random.Random(seed)
-    return [oracle.random_signed_graph(rng, n_max=n_max) for _ in range(count)]
+    return [corpus.random_signed_graph(rng, n_max=n_max) for _ in range(count)]
 
 
 def small_corpus():
@@ -105,9 +106,9 @@ def test_criterion_01_negation_set_oracle_equivalence():
 def test_criterion_02_minimality_oracle_equivalence():
     checked = 0
     for g in small_corpus():
-        sets = oracle.enumerate_negation_sets(g)
-        for b in sets:
-            assert is_minimal(g, b) == oracle.brute_is_minimal(g, b, sets=sets), (
+        columns = tuple(oracle.negative_columns(g))
+        for b in oracle.enumerate_negation_sets(g):
+            assert is_minimal(g, b) == oracle.brute_is_minimal(g, b, columns=columns), (
                 f"minimality disagreement on {sorted(g.negative_edges())} "
                 f"set {sorted(b)}"
             )
@@ -123,9 +124,9 @@ def test_criterion_03_unique_minimum_bound():
     for trial in range(50):
         n = rng.choice([6, 7, 8])
         size = rng.randint(1, (n - 2) // 2)
-        g = oracle.random_complete_signing(rng, n, size)
+        g = corpus.random_complete_signing(rng, n, size)
         assert 2 * size <= n - 2
-        assert oracle.brute_is_unique_minimum(g, g.negative_edges()), (
+        assert corpus.brute_is_unique_minimum(g, g.negative_edges()), (
             f"trial {trial}: K{n} with negatives {sorted(g.negative_edges())} "
             f"has a non-unique minimum"
         )
@@ -143,7 +144,7 @@ def test_criterion_04_triangle_certificates():
         attempts += 1
         assert attempts < 600, "could not collect 50 certified instances"
         n = rng.choice([6, 7, 8])
-        g = oracle.random_complete_signing(rng, n, rng.randint(1, 3))
+        g = corpus.random_complete_signing(rng, n, rng.randint(1, 3))
         b = g.negative_edges()
         cert = triangle_certificate_for_complete(g, b)
         if cert is None:
@@ -189,7 +190,7 @@ def test_criterion_06_acyclic_construction_on_random_subquartic_graphs():
     done = 0
     skipped = 0
     while done < 100:
-        g = oracle.random_subquartic_graph(rng, n_max=12)
+        g = corpus.random_subquartic_graph(rng, n_max=12)
         try:
             result = acyclic_negation(g)
         except MinusK5Detected as exc:
@@ -214,10 +215,10 @@ def test_criterion_06_acyclic_construction_on_random_subquartic_graphs():
 def test_criterion_07_acyclic_sets_dominate_the_frustration_index():
     checked = 0
     skipped_k5 = 0
-    for name, base in oracle.corpus_families():
+    for name, base in corpus.corpus_families():
         if base.max_degree() > 4:
             continue
-        for g in oracle.all_signings(base):
+        for g in corpus.all_signings(base):
             try:
                 result = acyclic_negation(g)
             except MinusK5Detected:
@@ -235,9 +236,9 @@ def test_criterion_07_acyclic_sets_dominate_the_frustration_index():
 
 
 def packing_corpus():
-    for name, base in oracle.corpus_families():
+    for name, base in corpus.corpus_families():
         if base.n <= 7:
-            yield from oracle.all_signings(base)
+            yield from corpus.all_signings(base)
     yield from random_signings()
 
 
@@ -300,8 +301,8 @@ def test_criterion_09_balance_scan_shape():
 
 def test_criterion_10_format_round_trip():
     count = 0
-    for name, base in oracle.corpus_families():
-        for g in oracle.all_signings(base):
+    for name, base in corpus.corpus_families():
+        for g in corpus.all_signings(base):
             text = serialize(g)
             assert parse(text) == g
             assert serialize(parse(text)) == text

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import io
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -38,6 +40,8 @@ from negset.cli import (
     main,
 )
 from negset.graph import complete_graph, cycle_graph
+
+import corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -346,10 +350,11 @@ class TestOracleVerifyCommand:
 
     def test_enumerates_once_per_op(self, capsys, monkeypatch, write_sg):
         # Connected, unbalanced, bipartite E- and max degree 4: every row runs.
-        g = oracle.random_subquartic_graph(random.Random(29), n_max=10)
+        g = corpus.random_subquartic_graph(random.Random(29), n_max=10)
         assert g.n == 10
         # _two_color is bound in every module that imports it.
         holders = {
+            "negative_columns": [oracle],
             "enumerate_negation_sets": [oracle],
             "_negative_masks": [oracle],
             "_two_color": [balance, packing],
@@ -367,19 +372,22 @@ class TestOracleVerifyCommand:
         code, report = run_json(capsys, ["oracle-verify", write_sg(g), "--json"])
         assert code == EXIT_HOLDS
         assert [c["outcome"] for c in report["checks"]] == ["pass"] * 6
-        # The 512 enumerated sets take one BFS between them, not one each.
+        # The 512 switchings take one BFS between them, not one each.
         two_color = calls.pop("_two_color")
         assert two_color <= 32, f"{two_color} signed BFS runs"
-        assert calls == {"enumerate_negation_sets": 1, "_negative_masks": 1}
+        assert calls == {"negative_columns": 1, "enumerate_negation_sets": 0, "_negative_masks": 0}
 
     def test_agreement_row_fails_on_a_non_negation_set(self, capsys, monkeypatch):
-        # The last enumerated set is the highest bit of the one BFS's mask.
+        # Toggle the first edge, which lies on a circle, in the last switching's
+        # set: the highest bit of the one BFS's mask.
         path = str(GOLDEN / "oracle-subquartic12.sg")
         g = load_path(path)
-        sets = oracle.enumerate_negation_sets(g)
-        bad = sets[-1] - {min(sets[-1])}
+        columns = list(oracle.negative_columns(g))
+        top = 1 << ((1 << (g.n - 1)) - 1)
+        columns[0] ^= top
+        bad = frozenset(e for e, column in zip(g.edge_pairs(), columns) if column & top)
         assert not is_negation_set(g, bad)
-        monkeypatch.setattr(oracle, "enumerate_negation_sets", lambda *a, **k: sets[:-1] + (bad,))
+        monkeypatch.setattr(oracle, "negative_columns", lambda *a, **k: iter(columns))
         code, report = run_json(capsys, ["oracle-verify", path, "--json"])
         assert code == EXIT_FAILS
         rows = {c["name"]: c["outcome"] for c in report["checks"]}
@@ -501,6 +509,20 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_failed_stdout_write_is_not_usage_error(self, capsys, monkeypatch, c5_one_negative):
+        class FailingStdout:
+            def write(self, text):
+                raise OSError(errno.EIO, "Input/output error")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        assert main(["balance", c5_one_negative]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: OSError: ")
+
+    def test_closed_stdout_keeps_the_exit_code(self, capsys, monkeypatch, tmp_path, c5_one_negative):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
         class ClosedPipe:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
@@ -508,9 +530,17 @@ class TestErrorHandling:
             def flush(self):
                 pass
 
+            def fileno(self):
+                return fd
+
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        assert main(["balance", c5_one_negative]) == EXIT_INTERNAL
-        assert capsys.readouterr().err.startswith("internal error: BrokenPipeError: ")
+        try:
+            assert main(["balance", c5_one_negative]) == EXIT_FAILS
+            assert capsys.readouterr().err == ""
+            # What the interpreter still flushes at exit goes to devnull.
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
 
     def test_internal_error_exits_five_with_one_line(self, capsys, monkeypatch, c5_one_negative):
         def broken(g, args, report):

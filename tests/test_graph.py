@@ -19,12 +19,12 @@ from negset.graph import (
     as_edge_set,
     as_vertex_set,
     complete_graph,
-    cube_graph,
     cycle_graph,
     path_graph,
 )
 
 from conftest import connected_signed_graphs, vertex_subsets
+from corpus import cube_graph
 
 
 def triangle():

@@ -27,6 +27,7 @@ from negset import oracle
 from negset.graph import complete_graph, cycle_graph, path_graph
 from negset.minimality import misra_gries_edge_coloring
 
+import corpus
 from conftest import connected_signed_graphs
 
 
@@ -121,7 +122,7 @@ class TestDisjointCircleCertificate:
         rng = random.Random(7)
         for _ in range(40):
             n = rng.choice([5, 6, 7])
-            g = oracle.random_complete_signing(rng, n, rng.randint(1, 2))
+            g = corpus.random_complete_signing(rng, n, rng.randint(1, 2))
             b = sorted(g.negative_edges())
             cert = triangle_certificate_for_complete(g, b)
             if cert is None:
@@ -155,7 +156,7 @@ class TestTriangleCertificate:
         # The negation set does not need to be the current negative edge set.
         rng = random.Random(11)
         for _ in range(20):
-            g0 = oracle.random_complete_signing(rng, 7, 2)
+            g0 = corpus.random_complete_signing(rng, 7, 2)
             b = sorted(g0.negative_edges())
             x = frozenset(rng.sample(range(7), rng.randint(0, 3)))
             g = g0.switch(x)
@@ -208,10 +209,10 @@ class TestUniqueMinimumBySize:
         rng = random.Random(3)
         for _ in range(25):
             n = rng.choice([6, 7])
-            g = oracle.random_complete_signing(rng, n, rng.randint(1, 3))
+            g = corpus.random_complete_signing(rng, n, rng.randint(1, 3))
             b = g.negative_edges()
             if unique_minimum_by_size(g, b):
-                assert oracle.brute_is_unique_minimum(g, b)
+                assert corpus.brute_is_unique_minimum(g, b)
 
     def test_requires_complete_graph(self):
         with pytest.raises(PreconditionError, match="complete"):

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from negset import NEG, POS, PreconditionError, SignedGraph, is_negation_set
+from negset import NEG, POS, PreconditionError, SignedGraph, is_negation_set, load_path
 from negset import oracle
 from negset.graph import complete_graph, cycle_graph, path_graph
 
+import corpus
 from conftest import connected_signed_graphs
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestEnumeration:
@@ -70,25 +75,95 @@ class TestGrayCodeEnumeration:
         sets = oracle.enumerate_negation_sets(g)
         assert sets == reference_negation_sets(g)
         assert oracle.frustration_index(g) == len(sets[0])
-        assert oracle.frustration_index(g, sets=sets) == len(sets[0])
+        columns = tuple(oracle.negative_columns(g))
+        assert oracle.frustration_index(g, columns=columns) == len(sets[0])
 
     @given(connected_signed_graphs(max_n=9))
     def test_shared_enumeration_gives_the_same_answers(self, g):
         sets = oracle.enumerate_negation_sets(g)
+        columns = tuple(oracle.negative_columns(g))
         sample = {g.negative_edges(), *sets[:4], *sets[-2:]}
         for b in sample:
-            assert oracle.brute_is_minimal(g, b, sets=sets) == oracle.brute_is_minimal(g, b)
+            assert oracle.brute_is_minimal(g, b, columns=columns) == oracle.brute_is_minimal(g, b)
         if frozenset() in sets:
-            for shared in (None, sets):
+            for shared in (None, columns):
                 with pytest.raises(PreconditionError, match="unbalanced"):
-                    oracle.brute_packing_number(g, sets=shared)
+                    oracle.brute_packing_number(g, columns=shared)
         else:
-            assert oracle.brute_packing_number(g, sets=sets) == oracle.brute_packing_number(g)
+            assert oracle.brute_packing_number(g, columns=columns) == oracle.brute_packing_number(g)
 
     def test_edgeless_and_single_vertex_graphs(self):
         assert oracle.enumerate_negation_sets(SignedGraph(1)) == (frozenset(),)
         assert oracle.enumerate_negation_sets(SignedGraph(0)) == (frozenset(),)
         assert oracle.frustration_index(SignedGraph(1)) == 0
+
+
+def transposed_masks(g):
+    """``_negative_masks`` read as per-edge columns: bit j of column i is bit i of mask j."""
+    masks = list(oracle._negative_masks(g, oracle.DEFAULT_MAX_N))
+    return tuple(
+        int("".join("1" if mask >> i & 1 else "0" for mask in reversed(masks)), 2)
+        for i in range(g.edge_count)
+    )
+
+
+def column_corpus():
+    """Every corpus family as given and all negative, the golden 12-vertex input,
+    and seeded random graphs up to 14 vertices."""
+    for name, base in corpus.corpus_families():
+        yield name, base
+        yield f"-{name}", base.negate_all()
+    yield "oracle-subquartic12", load_path(str(GOLDEN / "oracle-subquartic12.sg"))
+    for seed in range(6):
+        yield f"subquartic-{seed}", corpus.random_subquartic_graph(random.Random(seed), n_max=14)
+        yield f"random-{seed}", corpus.random_signed_graph(random.Random(seed), n_max=10)
+
+
+def reference_packing_number(g, sets):
+    """Largest family of pairwise-disjoint enumerated sets that holds E⁻, by branch and bound."""
+    candidates = [s for s in sets if s.isdisjoint(g.negative_edges())]
+    best = 0
+
+    def extend(start, used, size):
+        nonlocal best
+        best = max(best, size)
+        for i in range(start, len(candidates)):
+            if size + len(candidates) - i <= best:
+                return
+            if candidates[i].isdisjoint(used):
+                extend(i + 1, used | candidates[i], size + 1)
+
+    extend(0, frozenset(), 0)
+    return best + 1
+
+
+class TestColumns:
+    def test_columns_are_the_masks_transposed(self):
+        for name, g in column_corpus():
+            assert g.n <= 14, name
+            assert tuple(oracle.negative_columns(g)) == transposed_masks(g), name
+
+    @given(connected_signed_graphs(max_n=10))
+    def test_column_answers_match_the_enumerated_sets(self, g):
+        sets = oracle.enumerate_negation_sets(g)
+        columns = tuple(oracle.negative_columns(g))
+        smallest = len(sets[0])
+        assert oracle.frustration_index(g, columns=columns) == smallest
+        assert oracle.minimum_negation_sets(g) == tuple(s for s in sets if len(s) == smallest)
+        for b in {g.negative_edges(), *sets[:4], *sets[-2:]}:
+            expected = not any(s < b for s in sets)
+            assert oracle.brute_is_minimal(g, b, columns=columns) == expected
+        sample = oracle.smallest_negation_sets(g, 8, columns=columns)
+        assert sample == heapq.nsmallest(8, sets, key=sorted)
+        if frozenset() not in sets:
+            expected = reference_packing_number(g, sets)
+            assert oracle.brute_packing_number(g, columns=columns) == expected
+
+    def test_sample_sizes(self):
+        g = cycle_graph(5).negate_edges([(0, 1)])
+        sets = oracle.enumerate_negation_sets(g)
+        for count in (0, 1, len(sets), len(sets) + 3):
+            assert oracle.smallest_negation_sets(g, count) == heapq.nsmallest(count, sets, key=sorted)
 
 
 class TestScaleGuards:
@@ -128,8 +203,8 @@ class TestDerivedQuantities:
 
     def test_brute_unique_minimum(self):
         g = complete_graph(6).negate_edges([(0, 1)])
-        assert oracle.brute_is_unique_minimum(g, [(0, 1)])
-        assert not oracle.brute_is_unique_minimum(g, [(0, 2)])
+        assert corpus.brute_is_unique_minimum(g, [(0, 1)])
+        assert not corpus.brute_is_unique_minimum(g, [(0, 2)])
 
     def test_brute_packing_anchors(self):
         assert oracle.brute_packing_number(cycle_graph(5).negate_edges([(0, 1)])) == 5
@@ -145,7 +220,7 @@ class TestDerivedQuantities:
 
 class TestCorpus:
     def test_family_shapes(self):
-        families = dict(oracle.corpus_families())
+        families = dict(corpus.corpus_families())
         assert set(families) == {"C3", "C4", "C5", "C6", "K4", "K5", "K4_pendant", "Q3"}
         assert families["C6"].n == 6 and families["C6"].edge_count == 6
         assert families["K5"].edge_count == 10
@@ -155,28 +230,28 @@ class TestCorpus:
 
     def test_all_signings_is_exhaustive_and_distinct(self):
         base = cycle_graph(4)
-        signings = list(oracle.all_signings(base))
+        signings = list(corpus.all_signings(base))
         assert len(signings) == 16
         assert len(set(signings)) == 16
         assert all(s.underlying_matches(base) for s in signings)
 
     def test_random_signed_graph_is_connected_and_reproducible(self):
-        a = [oracle.random_signed_graph(random.Random(5)) for _ in range(3)]
-        b = [oracle.random_signed_graph(random.Random(5)) for _ in range(3)]
+        a = [corpus.random_signed_graph(random.Random(5)) for _ in range(3)]
+        b = [corpus.random_signed_graph(random.Random(5)) for _ in range(3)]
         assert a == b
         for _ in range(30):
-            g = oracle.random_signed_graph(random.Random(_), n_max=7)
+            g = corpus.random_signed_graph(random.Random(_), n_max=7)
             assert g.is_connected() and 2 <= g.n <= 7
 
     def test_random_subquartic_graph_respects_the_cap(self):
         for seed in range(30):
-            g = oracle.random_subquartic_graph(random.Random(seed))
+            g = corpus.random_subquartic_graph(random.Random(seed))
             assert g.is_connected()
             assert g.max_degree() <= 4
 
     def test_random_complete_signing(self):
-        g = oracle.random_complete_signing(random.Random(0), 7, 3)
+        g = corpus.random_complete_signing(random.Random(0), 7, 3)
         assert g.edge_count == 21
         assert len(g.negative_edges()) == 3
         with pytest.raises(ValueError, match="more negative edges"):
-            oracle.random_complete_signing(random.Random(0), 4, 7)
+            corpus.random_complete_signing(random.Random(0), 4, 7)

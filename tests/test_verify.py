@@ -35,6 +35,7 @@ from negset import (
 from negset.graph import complete_graph, cycle_graph
 from negset.negation import negative_circles
 
+import corpus
 from conftest import edge_set_is_bipartite
 
 
@@ -59,7 +60,7 @@ def test_forest_and_bipartite_agree_with_circle_enumeration(n):
         assert rejects(verify.bipartite, n, edges) == any(len(c) % 2 for c in circles), edges
 
 
-SMALL_CORPUS = [(name, base) for name, base in oracle.corpus_families() if base.n <= 6]
+SMALL_CORPUS = [(name, base) for name, base in corpus.corpus_families() if base.n <= 6]
 
 
 @pytest.mark.parametrize("base", [b for _, b in SMALL_CORPUS], ids=[n for n, _ in SMALL_CORPUS])
