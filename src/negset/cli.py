@@ -24,6 +24,8 @@ import json
 import os
 import random
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
 from . import oracle
@@ -78,11 +80,7 @@ class _Report:
         self.lines.append(text)
 
     def emit(self, args) -> None:
-        text = (
-            json.dumps(self.data, indent=2, sort_keys=True)
-            if args.json
-            else "\n".join(self.lines)
-        )
+        text = _json_text(self.data) if args.json else "\n".join(self.lines)
         if args.output:
             try:
                 fp = open(args.output, "w", encoding="utf-8")
@@ -100,6 +98,43 @@ class _Report:
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, at indent ``pad``.
+
+    With an indent, json encodes in pure Python, one call per element.
+    Here a list of plain ints is one join, a list of plain int pairs is one
+    ``%`` over a repeated template, and every other container recurses.
+    Strings, dict keys among them, go to json's own C string encoder, which
+    raises ``TypeError`` for a key that is not a string; other scalars go to
+    ``json.dumps``.  The member types are compared exactly, so bools, which
+    json writes as ``true``/``false``, stay on the general path.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        pairs = kinds <= {list, tuple} and set(map(len, value)) == {2}
+        flat = tuple(chain.from_iterable(value)) if pairs else ()
+        if kinds == {int}:
+            body = sep.join(map(str, value))
+        elif pairs and set(map(type, flat)) == {int}:
+            deep = inner + "  "
+            body = sep.join([f"[\n{deep}%d,\n{deep}%d\n{inner}]"] * len(value)) % flat
+        else:
+            body = sep.join([_json_text(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(value)
 
 
 def _edges_or_negative(g: SignedGraph, args) -> frozenset[Edge]:

@@ -48,24 +48,52 @@ class SignedGraph:
     ``{+1, -1}``.  Loops, parallel edges, out-of-range endpoints, and invalid
     signs are rejected at construction time, so every live instance is a
     well-formed simple signed graph.
+
+    The one validating pass over ``edges`` builds the signed rows.  Edges
+    in strictly increasing ``(min, max)`` order, as ``.sg`` files and every
+    copy made here list them, land in already sorted rows and cannot
+    repeat.  From the first edge out of that order on, each edge is checked
+    against a set of those before it, and the rows are sorted at the end.
     """
 
-    __slots__ = ("_n", "_signs", "_hash", "_rows")
+    __slots__ = ("_n", "_m", "_rows", "_signs", "_negative", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        signs: dict[Edge, int] = {}
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        pa = pb = -1  # the last edge, while they arrive in increasing order
+        seen: set[Edge] | None = None  # every edge so far, once they do not
         for u, v, s in edges:
-            e = (u, v) if u < v else (v, u)
-            if 0 <= e[0] and e[1] < n and u != v and (s == POS or s == NEG) and e not in signs:
-                signs[e] = s
+            if u < v:
+                a = u
+                b = v
             else:
+                a = v
+                b = u
+            if not (0 <= a and b < n and a != b and (s == POS or s == NEG)):
                 raise ValueError(_edge_fault(n, u, v, s))
+            if seen is None:
+                if a > pa or (a == pa and b > pb):
+                    pa = a
+                    pb = b
+                else:
+                    seen = {(x, w) for x, row in enumerate(rows) for w, _ in row if x < w}
+            if seen is not None:
+                if (a, b) in seen:
+                    raise ValueError(_edge_fault(n, u, v, s))
+                seen.add((a, b))
+            rows[a].append((b, s))
+            rows[b].append((a, s))
+        if seen is not None:
+            for row in rows:
+                row.sort()
         self._n = n
-        self._signs = signs
+        self._m = sum(map(len, rows)) // 2
+        self._rows = tuple(map(tuple, rows))
+        self._signs: dict[Edge, int] | None = None
+        self._negative: frozenset[Edge] | None = None
         self._hash: int | None = None
-        self._rows: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
     # -- basic queries --------------------------------------------------------
 
@@ -75,70 +103,70 @@ class SignedGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._signs)
+        return self._m
 
     def vertices(self) -> range:
         return range(self._n)
 
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """All edges as sorted ``(u, v, sign)`` triples, lexicographic."""
-        return tuple((u, v, s) for (u, v), s in sorted(self._signs.items()))
+        return tuple((u, w, s) for u, row in enumerate(self._rows) for w, s in row if u < w)
 
     def edge_pairs(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self._signs))
+        return tuple((u, w) for u, row in enumerate(self._rows) for w, _ in row if u < w)
+
+    def _edge_signs(self) -> dict[Edge, int]:
+        """The ``(u, v) -> sign`` map, ``u < v``, built on the first one-edge lookup."""
+        if self._signs is None:
+            self._signs = {(u, w): s for u, row in enumerate(self._rows) for w, s in row if u < w}
+        return self._signs
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._signs
+        return edge_key(u, v) in self._edge_signs()
 
     def sign(self, u: int, v: int) -> int:
         """Sign of edge uv; raises if uv is not an edge."""
         try:
-            return self._signs[edge_key(u, v)]
+            return self._edge_signs()[edge_key(u, v)]
         except KeyError:
             raise ValueError(f"({u}, {v}) is not an edge") from None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return tuple(w for w, _ in self.signed_rows()[v])
+        return tuple(w for w, _ in self._rows[v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.signed_rows()[v])
+        return len(self._rows[v])
 
     def signed_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex ``(neighbour, sign)`` pairs in neighbour order.
 
-        The graph's one adjacency, which every neighbourhood query reads;
-        built on first use and kept, since the graph is immutable.
+        The graph's one adjacency, which every neighbourhood query reads.
         """
-        if self._rows is None:
-            rows: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
-            for (u, v), s in self._signs.items():
-                rows[u].append((v, s))
-                rows[v].append((u, s))
-            self._rows = tuple(tuple(sorted(row)) for row in rows)
         return self._rows
-
-    def positive_neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(w for w, s in self.signed_rows()[v] if s == POS)
 
     def negative_neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return tuple(w for w, s in self.signed_rows()[v] if s == NEG)
+        return tuple(w for w, s in self._rows[v] if s == NEG)
 
     def max_degree(self) -> int:
-        return max(map(len, self.signed_rows()), default=0)
+        return max(map(len, self._rows), default=0)
 
     def positive_edges(self) -> frozenset[Edge]:
-        return frozenset(e for e, s in self._signs.items() if s == POS)
+        return frozenset((u, w) for u, row in enumerate(self._rows) for w, s in row if u < w and s == POS)
 
     def negative_edges(self) -> frozenset[Edge]:
-        return frozenset(e for e, s in self._signs.items() if s == NEG)
+        """E⁻, read off the rows once and kept; :func:`as_edge_set` takes it unchecked."""
+        if self._negative is None:
+            self._negative = frozenset(
+                (u, w) for u, row in enumerate(self._rows) for w, s in row if u < w and s == NEG
+            )
+        return self._negative
 
     def underlying_matches(self, other: "SignedGraph") -> bool:
         """Same vertex count and same edge set, signs ignored."""
-        return self._n == other._n and self._signs.keys() == other._signs.keys()
+        return self._n == other._n and self.edge_pairs() == other.edge_pairs()
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self._n):
@@ -151,15 +179,15 @@ class SignedGraph:
             return True
         if not isinstance(other, SignedGraph):
             return NotImplemented
-        return self._n == other._n and self._signs == other._signs
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._n, frozenset(self._signs.items())))
+            self._hash = hash(self._rows)
         return self._hash
 
     def __repr__(self) -> str:
-        return f"SignedGraph(n={self._n}, m={len(self._signs)})"
+        return f"SignedGraph(n={self._n}, m={self._m})"
 
     # -- switching and negation -----------------------------------------------
 
@@ -169,37 +197,40 @@ class SignedGraph:
         Switching preserves all circle signs; iterating it over subsets
         enumerates exactly the negation sets of the graph.
         """
-        xs = as_vertex_set(self, x)
-        return self._resigned(
-            {e: -s if (e[0] in xs) != (e[1] in xs) else s for e, s in self._signs.items()}
-        )
+        return self._resigned(self._cut(as_vertex_set(self, x)))
 
     def negate_edges(self, y: "EdgeSubset | Iterable[Edge]") -> "SignedGraph":
         """Flip the signs of exactly the edges in ``y``."""
-        ys = as_edge_set(self, y)
-        return self._resigned({e: -s if e in ys else s for e, s in self._signs.items()})
+        return self._resigned(as_edge_set(self, y))
 
     def delete_edges(self, y: "EdgeSubset | Iterable[Edge]") -> "SignedGraph":
         """Drop exactly the edges in ``y``; the others keep their signs."""
         ys = as_edge_set(self, y)
         return SignedGraph(
-            self._n, [(u, v, s) for (u, v), s in self._signs.items() if (u, v) not in ys]
+            self._n,
+            ((u, w, s) for u, row in enumerate(self._rows) for w, s in row if u < w and (u, w) not in ys),
         )
 
-    def negate_all(self) -> "SignedGraph":
-        return self._resigned({e: -s for e, s in self._signs.items()})
+    def _resigned(self, flips: frozenset[Edge]) -> "SignedGraph":
+        """Same underlying graph with exactly the edges in ``flips`` negated.
 
-    def _resigned(self, signs: dict[Edge, int]) -> "SignedGraph":
-        """Same underlying graph with new signs on the same keys.
-
-        The edges were validated when this graph was built, so the result
-        skips ``__init__``; its signed rows are built on first use.
+        ``flips`` holds normalized edges of this graph.  Only the rows of
+        their ends are rebuilt, in the same order, and the other rows are
+        shared; the edges were validated when this graph was built, so the
+        result skips ``__init__``.
         """
+        rows = list(self._rows)
+        for u in {v for e in flips for v in e}:
+            rows[u] = tuple(
+                [(w, -s) if ((u, w) if u < w else (w, u)) in flips else (w, s) for w, s in rows[u]]
+            )
         g = object.__new__(SignedGraph)
         g._n = self._n
-        g._signs = signs
+        g._m = self._m
+        g._rows = tuple(rows)
+        g._signs = None
+        g._negative = None
         g._hash = None
-        g._rows = None
         return g
 
     def circle_sign(self, cycle: Sequence[int]) -> int:
@@ -207,7 +238,8 @@ class SignedGraph:
 
         ``cycle`` lists distinct vertices; the closing edge from last back to
         first is implied.  Raises ``ValueError`` when the input is not a cycle
-        of this graph.
+        of this graph.  Reads the row of each vertex once, not the edge map,
+        so the cost is the sum of their degrees.
         """
         k = len(cycle)
         if k < 3:
@@ -217,7 +249,11 @@ class SignedGraph:
         sign = POS
         for i in range(k):
             u, v = cycle[i], cycle[(i + 1) % k]
-            sign *= self.sign(u, v)
+            self._check_vertex(u)
+            s = dict(self._rows[u]).get(v)
+            if s is None:
+                raise ValueError(f"({u}, {v}) is not an edge")
+            sign *= s
         return sign
 
     # -- subgraphs --------------------------------------------------------------
@@ -225,7 +261,7 @@ class SignedGraph:
     def negative_subgraph(self) -> "SignedGraph":
         """Same vertices, negative edges only."""
         return SignedGraph(
-            self._n, [(u, v, s) for (u, v), s in self._signs.items() if s == NEG]
+            self._n, [(u, w, s) for u, row in enumerate(self._rows) for w, s in row if u < w and s == NEG]
         )
 
     def induced(self, vertices: Iterable[int]) -> "InducedSubgraph":
@@ -238,7 +274,7 @@ class SignedGraph:
         for v in to_host:
             self._check_vertex(v)
         from_host = {v: i for i, v in enumerate(to_host)}
-        rows = self.signed_rows()
+        rows = self._rows
         edges = [
             (i, from_host[w], s)
             for i, u in enumerate(to_host)
@@ -249,10 +285,12 @@ class SignedGraph:
 
     def cut(self, x: "VertexSubset | Iterable[int]") -> "EdgeSubset":
         """Edges with exactly one end in ``x``."""
-        xs = as_vertex_set(self, x)
-        return EdgeSubset(
-            self, frozenset(e for e in self._signs if (e[0] in xs) != (e[1] in xs))
-        )
+        return EdgeSubset(self, self._cut(as_vertex_set(self, x)))
+
+    def _cut(self, xs: frozenset[int]) -> frozenset[Edge]:
+        """The cut of a validated vertex set, read off the rows of its vertices."""
+        rows = self._rows
+        return frozenset((u, w) if u < w else (w, u) for u in xs for w, _ in rows[u] if w not in xs)
 
     # -- connectivity -----------------------------------------------------------
 
@@ -271,7 +309,7 @@ class SignedGraph:
 
     def _component_walk(self, vertices: Iterable[int] | None) -> Iterator[list[int]]:
         """The package's one component walk: each component, unsorted, by smallest vertex."""
-        rows = self.signed_rows()
+        rows = self._rows
         if vertices is None:
             roots, seen = range(self._n), [False] * self._n
         else:
@@ -307,7 +345,7 @@ class SignedGraph:
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        rows = self.signed_rows()
+        rows = self._rows
         deg = [len(row) for row in rows]
         alive = [True] * self._n
         batch = [v for v in range(self._n) if deg[v] < k]
@@ -410,11 +448,15 @@ def as_edge_set(g: SignedGraph, y: "EdgeSubset | Iterable[Edge]") -> frozenset[E
         if y.host != g:
             raise HostMismatchError("edge subset belongs to a different graph")
         return y.edges
-    if isinstance(y, frozenset) and y <= g._signs.keys():
+    if y is g._negative:
+        # the host's own E⁻, read off its rows
+        return y
+    edges = g._edge_signs().keys()
+    if isinstance(y, frozenset) and y <= edges:
         # every element is already a normalized edge of g
         return y
     ys = frozenset(edge_key(*e) for e in y)
-    if not g._signs.keys() >= ys:
+    if not edges >= ys:
         for u, v in ys:
             if not g.has_edge(u, v):
                 raise ValueError(f"({u}, {v}) is not an edge of the host graph")
@@ -433,6 +475,3 @@ def cycle_graph(n: int, sign: int = POS) -> SignedGraph:
         raise ValueError("cycle needs at least 3 vertices")
     return SignedGraph(n, [(i, (i + 1) % n, sign) for i in range(n)])
 
-
-def path_graph(n: int, sign: int = POS) -> SignedGraph:
-    return SignedGraph(n, [(i, i + 1, sign) for i in range(n - 1)])

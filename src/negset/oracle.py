@@ -40,6 +40,18 @@ def _check_scale(g: SignedGraph, max_n: int) -> None:
         raise PreconditionError(f"graph has {g.n} vertices, above the enumeration cap {max_n}")
 
 
+def _edge_masks(g: SignedGraph) -> tuple[list[int], int]:
+    """Per vertex, the mask of its edges; and the mask of E⁻.  Bit i is ``g.edges()[i]``."""
+    incidence = [0] * g.n
+    negative = 0
+    for i, (u, v, s) in enumerate(g.edges()):
+        incidence[u] |= 1 << i
+        incidence[v] |= 1 << i
+        if s == NEG:
+            negative |= 1 << i
+    return incidence, negative
+
+
 def _negative_masks(g: SignedGraph, max_n: int) -> Iterator[int]:
     """Negative-edge mask of every switching that fixes vertex 0, in Gray-code order.
 
@@ -47,13 +59,7 @@ def _negative_masks(g: SignedGraph, max_n: int) -> Iterator[int]:
     mask is a distinct negation set.
     """
     _check_scale(g, max_n)
-    incidence = [0] * g.n
-    mask = 0
-    for i, (u, v, s) in enumerate(g.edges()):
-        incidence[u] |= 1 << i
-        incidence[v] |= 1 << i
-        if s == NEG:
-            mask |= 1 << i
+    incidence, mask = _edge_masks(g)
     yield mask
     for x in range(1, 1 << max(g.n - 1, 0)):
         # Gray codes x - 1 and x differ in the lowest set bit of x; bit k
@@ -121,13 +127,22 @@ def _bits(mask: int) -> Iterator[int]:
         j = digits.find("1", j + 1)
 
 
-def _sets_at(g: SignedGraph, columns: Iterable[int], mask: int) -> NegationSets:
-    """The negation sets of the switchings in ``mask``, sorted by (size, edges)."""
-    rows: dict[int, list[int]] = {j: [] for j in _bits(mask)}
-    for i, column in enumerate(columns):
-        for j in _bits(column & mask):
-            rows[j].append(i)
-    return _as_sets(g, list(rows.values()))
+def _sets_at(g: SignedGraph, mask: int) -> NegationSets:
+    """The negation sets of the switchings in ``mask``, sorted by (size, edges).
+
+    Only the selected switchings are read: the Gray code of switching j,
+    ``j ^ (j >> 1)``, has bit k set when vertex k + 1 is switched, and its
+    set is E⁻ △ cut(X), an edge mask built from the switched vertices'
+    incidence masks.
+    """
+    incidence, negative = _edge_masks(g)
+    rows = []
+    for j in _bits(mask):
+        edges = negative
+        for k in _bits(j ^ (j >> 1)):
+            edges ^= incidence[k + 1]
+        rows.append(list(_bits(edges)))
+    return _as_sets(g, rows)
 
 
 def _smallest(columns: Iterable[int], full: int) -> tuple[int, int]:
@@ -173,7 +188,7 @@ def frustration_index(
 def minimum_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
     """All negation sets of minimum size, sorted by edges."""
     columns = tuple(negative_columns(g, max_n))
-    return _sets_at(g, columns, _smallest(columns, all_switchings(g))[1])
+    return _sets_at(g, _smallest(columns, all_switchings(g))[1])
 
 
 def brute_is_minimal(
@@ -255,7 +270,7 @@ def brute_packing_number(
     full = all_switchings(g)
     if anywhere != full:
         raise PreconditionError("packing number is defined for unbalanced graphs")
-    candidates = _sets_at(g, columns, full & ~negative)
+    candidates = _sets_at(g, full & ~negative)
     best = 0
 
     def extend(start: int, chosen: list[frozenset[Edge]]) -> None:

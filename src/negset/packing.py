@@ -109,9 +109,6 @@ class ClassGraph:
     def negative_edges(self) -> tuple[Edge, ...]:
         return tuple((2 * i, 2 * i + 1) for i in range(self.m))
 
-    def has_negative_digon(self) -> bool:
-        return any(e in self.positive_edges for e in self.negative_edges())
-
     def _rows(self) -> list[list[tuple[int, int]]]:
         """Per-class ``(neighbour, sign)`` rows of the multigraph, sorted."""
         rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * self.m)]

@@ -11,11 +11,24 @@ violations, and header/edge-count mismatches all raise
 :class:`~negset.errors.SgParseError` carrying the offending line number.
 :func:`serialize` emits edges sorted lexicographically, so
 ``serialize(parse(text))`` is byte-identical for canonically ordered input.
+
+A text is *canonical* when it is zero or more comment lines, each ``c``
+followed by no line break of :meth:`str.splitlines`, then the header
+``p sg <n> <m>``, then exactly ``m`` lines ``e <u> <v> <+|->``, every line
+ending in a line feed, with single spaces, decimal digits and ``u < v``.
+:func:`serialize` writes canonical text, with the edges in increasing
+order.  A canonical text is checked by one regular expression for its
+head and one for its edge lines, split once, and handed to
+:class:`~negset.graph.SignedGraph` whole.  Any other text, and any
+canonical text the graph rejects, goes through the line loop, which is the
+only code that names an error's line.
 """
 
 from __future__ import annotations
 
 import io
+import operator
+import re
 from typing import TextIO
 
 from .errors import SgParseError
@@ -24,9 +37,50 @@ from .graph import NEG, POS, SignedGraph
 _SIGN_CHAR = {POS: "+", NEG: "-"}
 _CHAR_SIGN = {"+": POS, "-": NEG}
 
+#: The comment lines and the header of a canonical text; n and m are the groups.
+_CANONICAL_HEAD = re.compile(r"(?:c[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\n)*p sg ([0-9]+) ([0-9]+)\n")
+#: The edge lines of a canonical text.
+_CANONICAL_EDGES = re.compile(r"(?:e [0-9]+ [0-9]+ [+-]\n)*")
+
 
 def parse(text: str) -> SignedGraph:
     """Parse ``.sg`` text into a :class:`SignedGraph`.
+
+    A canonical text (see the module docstring) takes one validated pass;
+    any other text, or an invalid one, is read line by line.
+    """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_canonical(text: str) -> SignedGraph | None:
+    """The graph of a canonical text, or None when the text is not canonical or not valid.
+
+    The regular expressions leave two checks to Python: ``u < v`` over the
+    endpoint lists, and the edge count.  The graph checks the rest.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    if head is None or _CANONICAL_EDGES.fullmatch(text, head.end()) is None:
+        return None
+    toks = text[head.end():].split()
+    try:
+        n, m = int(head[1]), int(head[2])
+        us = list(map(int, toks[1::4]))
+        vs = list(map(int, toks[2::4]))
+    except ValueError:  # a number longer than int() reads
+        return None
+    signs = list(map(_CHAR_SIGN.__getitem__, toks[3::4]))
+    del toks  # the number strings are not kept while the rows are built
+    if len(us) != m or not all(map(operator.lt, us, vs)):
+        return None
+    try:
+        return SignedGraph(n, zip(us, vs, signs))
+    except ValueError:
+        return None
+
+
+def _parse_lines(text: str) -> SignedGraph:
+    """Parse any ``.sg`` text line by line, naming the line of the first error.
 
     Each line is checked for syntax only; building the graph checks the
     edges as a whole, and a duplicate it rejects is traced back to its line.

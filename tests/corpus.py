@@ -2,6 +2,7 @@
 
 The generators keep their names and seeds: golden ``.sg`` headers cite them
 (``random_signed_graph seed 5``).  They are tested in ``test_oracle.py``.
+The small graph helpers at the top are used by the tests alone.
 """
 
 from __future__ import annotations
@@ -9,9 +10,27 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator
 
-from negset import NEG, POS, SignedGraph
+from negset import NEG, POS, ClassGraph, SignedGraph
 from negset.graph import Edge, as_edge_set, complete_graph, cycle_graph, edge_key
 from negset.oracle import DEFAULT_MAX_N, minimum_negation_sets
+
+
+def path_graph(n: int, sign: int = POS) -> SignedGraph:
+    return SignedGraph(n, [(i, i + 1, sign) for i in range(n - 1)])
+
+
+def negate_all(g: SignedGraph) -> SignedGraph:
+    """``g`` with every edge negated."""
+    return g.negate_edges(g.edge_pairs())
+
+
+def positive_neighbors(g: SignedGraph, v: int) -> tuple[int, ...]:
+    return tuple(w for w, s in g.signed_rows()[v] if s == POS)
+
+
+def has_negative_digon(cg: ClassGraph) -> bool:
+    """Whether a positive class edge runs parallel to a negative one."""
+    return any(e in cg.positive_edges for e in cg.negative_edges())
 
 
 def from_underlying(n: int, pairs: Iterable[Edge], negative: Iterable[Edge] = ()) -> SignedGraph:

@@ -39,6 +39,7 @@ from negset.errors import PreconditionError
 from negset.graph import SignedGraph, complete_graph, cycle_graph
 
 import corpus
+from corpus import has_negative_digon, negate_all
 from conftest import edge_set_is_bipartite
 from test_negation import assert_valid_acyclic
 from test_packing import assert_valid_family
@@ -197,13 +198,13 @@ def test_criterion_06_acyclic_construction_on_random_subquartic_graphs():
             # not counted toward the 100: the criterion excludes such blocks
             block = sorted(exc.vertices)
             sub = g.induced(block).graph
-            assert sub.edge_count == 10 and is_balanced(sub.negate_all())
+            assert sub.edge_count == 10 and is_balanced(negate_all(sub))
             skipped += 1
             continue
         assert_valid_acyclic(g, result)
         done += 1
     with pytest.raises(MinusK5Detected):
-        acyclic_negation(complete_graph(5).negate_all())
+        acyclic_negation(negate_all(complete_graph(5)))
     elapsed = time.monotonic() - start
     assert elapsed < 60
     print(
@@ -289,7 +290,7 @@ def test_criterion_09_balance_scan_shape():
         ]
         if intra:
             mu = next(k for k, w in enumerate(ws, start=1) if w >= min(intra))
-            assert graphs[mu - 1].has_negative_digon()
+            assert has_negative_digon(graphs[mu - 1])
             assert not graphs[mu - 1].balanced()
             digons += 1
         scans += 1

@@ -484,6 +484,43 @@ class TestExportDot:
         assert text.rstrip().endswith("}")
 
 
+_INTS = st.integers() | st.integers(-(10**40), 10**40)
+_PAIRS = st.tuples(_INTS, _INTS) | st.lists(_INTS, min_size=2, max_size=2)
+_SCALARS = st.none() | st.booleans() | _INTS | st.floats() | st.text()
+_LEAF_LISTS = (
+    st.lists(_INTS)
+    | st.lists(st.booleans())
+    | st.lists(_PAIRS)
+    | st.lists(_INTS | _PAIRS)
+    | st.lists(st.tuples(st.booleans() | _INTS, st.booleans() | _INTS))
+)
+REPORT_VALUES = st.recursive(
+    _SCALARS | _LEAF_LISTS,
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    """``--json`` reports are written as ``json.dumps(indent=2, sort_keys=True)`` writes them."""
+
+    @given(REPORT_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_a_key_that_is_not_a_string_raises(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"inner": [{1: 2}]})
+
+    def test_a_large_report(self):
+        rng = random.Random(32)
+        edges = sorted((rng.randrange(32_000), rng.randrange(32_000)) for _ in range(32_000))
+        report = {"command": "negation-check", "edges": edges, "negation_set": True}
+        assert cli._json_text(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
 class TestErrorHandling:
     def test_missing_file(self, tmp_path):
         assert main(["balance", str(tmp_path / "absent.sg")]) == EXIT_USAGE

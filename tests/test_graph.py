@@ -20,11 +20,10 @@ from negset.graph import (
     as_vertex_set,
     complete_graph,
     cycle_graph,
-    path_graph,
 )
 
 from conftest import connected_signed_graphs, vertex_subsets
-from corpus import cube_graph
+from corpus import cube_graph, negate_all, path_graph, positive_neighbors
 
 
 def triangle():
@@ -65,7 +64,7 @@ class TestConstruction:
         assert g.has_edge(0, 2) and not g.has_edge(0, 0)
         assert g.neighbors(0) == (1, 2)
         assert g.degree(0) == 2
-        assert g.positive_neighbors(0) == (1,)
+        assert positive_neighbors(g, 0) == (1,)
         assert g.negative_neighbors(0) == (2,)
         assert g.max_degree() == 2
         assert g.positive_edges() == frozenset({(0, 1)})
@@ -81,7 +80,7 @@ class TestConstruction:
         b = SignedGraph(3, [(0, 2, NEG), (1, 2, NEG), (0, 1, POS)])
         assert a == b
         assert hash(a) == hash(b)
-        assert a != a.negate_all()
+        assert a != negate_all(a)
 
     def test_factories(self):
         assert complete_graph(4).edge_count == 6
@@ -111,9 +110,95 @@ class TestSignedRows:
             expected[u].append((v, s))
             expected[v].append((u, s))
         assert h.signed_rows() == tuple(tuple(sorted(row)) for row in expected)
-        copy = h._resigned(dict(h._signs))
-        assert copy._rows is None
-        assert copy.signed_rows() == h.signed_rows()
+        xs = [v for v in h.vertices() if rng.random() < 0.5]
+        switched = h.switch(xs)
+        assert switched.signed_rows() == SignedGraph(h.n, switched.edges()).signed_rows()
+
+
+def reference_rows(n: int, edges) -> tuple:
+    """Rows of the dict-first constructor: each edge validated into a map, then sorted rows.
+
+    Raises its ``ValueError`` for the first bad edge in input order.
+    """
+    signs: dict = {}
+    for u, v, s in edges:
+        e = (min(u, v), max(u, v))
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} is not allowed")
+        if s not in (POS, NEG):
+            raise ValueError(f"edge ({u}, {v}) has invalid sign {s!r}")
+        if e in signs:
+            raise ValueError(f"parallel edge ({u}, {v})")
+        signs[e] = s
+    rows: list[list] = [[] for _ in range(n)]
+    for (u, v), s in signs.items():
+        rows[u].append((v, s))
+        rows[v].append((u, s))
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+def build_outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestConstructionOrder:
+    """One validating pass builds the rows, whatever order the edges come in."""
+
+    @given(st.data())
+    def test_any_edge_order_gives_the_reference_rows_or_error(self, data):
+        n = data.draw(st.integers(0, 12))
+        ends = st.integers(-1, n)
+        sign = st.sampled_from([POS, NEG, POS, NEG, 0])
+        edges = data.draw(st.lists(st.tuples(ends, ends, sign), max_size=30))
+        order = data.draw(st.sampled_from(["sorted", "reversed", "shuffled", "duplicated", "flipped"]))
+        if order == "sorted":
+            edges.sort(key=lambda e: (min(e[:2]), max(e[:2])))
+        elif order == "reversed":
+            edges.sort(key=lambda e: (min(e[:2]), max(e[:2])), reverse=True)
+        elif order == "shuffled":
+            edges = data.draw(st.permutations(edges))
+        elif order == "duplicated" and edges:
+            edges.insert(data.draw(st.integers(0, len(edges))), data.draw(st.sampled_from(edges)))
+        elif order == "flipped":
+            edges = [(v, u, s) for u, v, s in edges]
+        expected = build_outcome(reference_rows, n, edges)
+        for given_edges in (edges, iter(edges)):
+            got = build_outcome(lambda n, e: SignedGraph(n, e).signed_rows(), n, given_edges)
+            assert got == expected
+
+    @given(connected_signed_graphs(max_n=10), st.randoms(use_true_random=False))
+    def test_valid_edges_in_any_order_give_the_same_graph(self, g, rng):
+        edges = [(v, u, s) if rng.random() < 0.5 else (u, v, s) for u, v, s in g.edges()]
+        rng.shuffle(edges)
+        h = SignedGraph(g.n, edges)
+        assert h == g and hash(h) == hash(g)
+        assert h.signed_rows() == reference_rows(g.n, edges)
+        assert h.edges() == g.edges() and h.edge_count == g.edge_count
+
+    def test_edge_map_is_built_on_the_first_lookup(self):
+        g = triangle()
+        assert g._signs is None
+        check = g.circle_sign((0, 1, 2)) == POS and g.negative_edges() and g.edges()
+        assert check and g._signs is None
+        assert g.sign(1, 2) == NEG and g._signs == {(0, 1): POS, (0, 2): NEG, (1, 2): NEG}
+
+    @given(connected_signed_graphs(max_n=8))
+    def test_one_edge_lookups_agree_with_the_edges(self, g):
+        signs = {(u, v): s for u, v, s in g.edges()}
+        for u in range(-1, g.n + 1):
+            for v in range(-1, g.n + 1):
+                s = signs.get(edge_key(u, v))
+                assert g.has_edge(u, v) == (s is not None)
+                if s is None:
+                    with pytest.raises(ValueError, match="not an edge"):
+                        g.sign(u, v)
+                else:
+                    assert g.sign(u, v) == s
 
 
 class TestSwitching:
@@ -146,7 +231,7 @@ class TestSwitching:
         h = g.negate_edges([(1, 2)])
         assert h.sign(1, 2) == POS
         assert h.negate_edges([(1, 2)]) == g
-        assert g.negate_all().negative_edges() == frozenset({(0, 1)})
+        assert negate_all(g).negative_edges() == frozenset({(0, 1)})
 
     def test_circle_sign(self):
         g = triangle()
@@ -263,13 +348,22 @@ class TestSubsetWrappers:
         assert not a.isdisjoint([(0, 1)])
 
     def test_host_mismatch_is_rejected(self):
-        g, h = triangle(), triangle().negate_all()
+        g, h = triangle(), negate_all(triangle())
         b = EdgeSubset(g, frozenset({(0, 1)}))
         with pytest.raises(HostMismatchError):
             as_edge_set(h, b)
         x = VertexSubset(g, frozenset({0}))
         with pytest.raises(HostMismatchError):
             as_vertex_set(h, x)
+
+    def test_the_hosts_own_negative_edges_pass_unchecked(self):
+        g, h = triangle(), triangle()
+        neg = g.negative_edges()
+        assert g.negative_edges() is neg
+        assert as_edge_set(g, neg) is neg and g._signs is None
+        assert as_edge_set(h, neg) == neg and h._signs is not None
+        with pytest.raises(ValueError, match="not an edge"):
+            as_edge_set(path_graph(3), neg)
 
     def test_as_edge_set_returns_a_normalized_frozenset_as_is(self):
         g = triangle()

@@ -38,7 +38,7 @@ from conftest import (
     edge_set_is_bipartite,
     subquartic_signed_graphs,
 )
-from corpus import cube_graph
+from corpus import cube_graph, negate_all
 
 
 def assert_valid_acyclic(g: SignedGraph, result) -> None:
@@ -59,7 +59,7 @@ def acyclic_unless_minus_k5(g: SignedGraph, **kwargs):
         return acyclic_negation(g, **kwargs)
     except MinusK5Detected as exc:
         sub = g.induced(sorted(exc.vertices)).graph
-        assert sub.edge_count == 10 and is_balanced(sub.negate_all())
+        assert sub.edge_count == 10 and is_balanced(negate_all(sub))
         return None
 
 
@@ -139,7 +139,7 @@ class TestBipartiteNegationForAntibalanced:
 def test_constructions_build_no_resigned_copy(monkeypatch):
     """Each construction reads a switching's negation set as E⁻ △ cut(X) off its input.
 
-    The answers are taken first with ``switch``, ``negate_all`` and
+    The answers are taken first with ``switch``, ``negate_edges`` and
     ``negative_subgraph`` in place, then again with all three raising.
     """
     hub = [(0, v, NEG) for v in range(1, 6)]
@@ -168,7 +168,7 @@ def test_constructions_build_no_resigned_copy(monkeypatch):
     def refuse(*args):
         raise AssertionError("a construction built a re-signed copy")
 
-    for name in ("switch", "negate_all", "negative_subgraph"):
+    for name in ("switch", "negate_edges", "negative_subgraph"):
         monkeypatch.setattr(SignedGraph, name, refuse)
     assert answers() == expected
 

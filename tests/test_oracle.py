@@ -12,9 +12,10 @@ from hypothesis import given
 
 from negset import NEG, POS, PreconditionError, SignedGraph, is_negation_set, load_path
 from negset import oracle
-from negset.graph import complete_graph, cycle_graph, path_graph
+from negset.graph import complete_graph, cycle_graph
 
 import corpus
+from corpus import negate_all, path_graph
 from conftest import connected_signed_graphs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,7 +113,7 @@ def column_corpus():
     and seeded random graphs up to 14 vertices."""
     for name, base in corpus.corpus_families():
         yield name, base
-        yield f"-{name}", base.negate_all()
+        yield f"-{name}", negate_all(base)
     yield "oracle-subquartic12", load_path(str(GOLDEN / "oracle-subquartic12.sg"))
     for seed in range(6):
         yield f"subquartic-{seed}", corpus.random_subquartic_graph(random.Random(seed), n_max=14)

@@ -28,9 +28,10 @@ from negset import (
     thresholds,
 )
 from negset import oracle, packing, verify
-from negset.graph import complete_graph, cycle_graph, path_graph
+from negset.graph import complete_graph, cycle_graph
 
 import corpus
+from corpus import has_negative_digon, path_graph
 from conftest import connected_signed_graphs, edge_set_is_bipartite
 
 
@@ -334,7 +335,7 @@ class TestClassMachinery:
         last = build_class_graph(classes, dist, len(ws))
         # at the largest threshold the two classes of the single component
         # are within reach of each other, closing a digon
-        assert last.has_negative_digon()
+        assert has_negative_digon(last)
         assert not last.balanced()
 
     def test_class_graph_rejects_a_loop(self):
@@ -402,7 +403,7 @@ class TestBalanceScanShape:
         if not intra:
             return
         mu = next(k for k, w in enumerate(ws, start=1) if w >= min(intra))
-        assert graphs[mu - 1].has_negative_digon()
+        assert has_negative_digon(graphs[mu - 1])
         assert not graphs[mu - 1].balanced()
 
     def test_scan_stops_exactly_at_first_unbalanced_class_graph(self):

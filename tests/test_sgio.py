@@ -6,9 +6,11 @@ import io
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from negset import NEG, POS, SgParseError, SignedGraph, dump, load, load_path, parse, serialize
 from negset.graph import cycle_graph
+from negset.sgio import _parse_canonical, _parse_lines
 
 from conftest import connected_signed_graphs
 
@@ -91,3 +93,105 @@ class TestRoundTrip:
         lines = serialize(g).splitlines()
         assert lines[0] == "p sg 4 2"
         assert len([l for l in lines if l.startswith("e ")]) == 2
+
+
+@st.composite
+def signed_graphs(draw, max_n: int = 30):
+    """Any simple signed graph on at most ``max_n`` vertices, connected or not."""
+    n = draw(st.integers(0, max_n))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = {(min(u, v), max(u, v)) for u, v in draw(st.lists(st.tuples(ends, ends), max_size=60)) if u != v}
+    signs = draw(st.lists(st.sampled_from([POS, NEG]), min_size=len(pairs), max_size=len(pairs)))
+    return SignedGraph(n, [(u, v, s) for (u, v), s in zip(sorted(pairs), signs)])
+
+
+def outcome(read, text):
+    """The graph and its rows that ``read`` makes of ``text``, or its error's message and line."""
+    try:
+        g = read(text)
+    except SgParseError as exc:
+        return str(exc), exc.line
+    return g, g.signed_rows()
+
+
+def relayout(text: str, layout: str) -> str:
+    """The same .sg content with comments between the lines, tabs or CRLF line ends."""
+    lines = text.splitlines()
+    if layout == "comments":
+        return "".join(f"{line}\nc after line {i}\n" for i, line in enumerate(lines, 1))
+    if layout == "tabs":
+        return "".join(line.replace(" ", "\t") + "\n" for line in lines)
+    return "".join(line + "\r\n" for line in lines)
+
+
+class TestCanonicalPath:
+    """The one-pass reader of canonical text against the line loop."""
+
+    @given(signed_graphs(), st.sampled_from(["comments", "tabs", "crlf"]))
+    def test_every_layout_reads_as_the_same_graph(self, g, layout):
+        canonical = serialize(g)
+        other = relayout(canonical, layout)
+        assert _parse_canonical(canonical) == g
+        assert _parse_canonical(other) is None
+        for text in (canonical, "c a comment\n" + canonical, other):
+            h = parse(text)
+            assert h == g and h.signed_rows() == g.signed_rows()
+
+    MUTATIONS = (
+        "swap endpoints",
+        "duplicate line",
+        "vertex out of range",
+        "bad sign",
+        "missing line",
+        "extra line",
+        "no final newline",
+        "line separator in a comment",
+    )
+
+    @given(signed_graphs().filter(lambda g: g.edge_count > 0), st.sampled_from(MUTATIONS), st.data())
+    def test_mutated_texts_read_as_the_line_loop_reads_them(self, g, mutation, data):
+        lines = serialize(g).splitlines(keepends=True)
+        i = data.draw(st.integers(1, len(lines) - 1), label="edge line")
+        _, u, v, sign = lines[i].split()
+        if mutation == "swap endpoints":
+            lines[i] = f"e {v} {u} {sign}\n"
+        elif mutation == "duplicate line":
+            lines.insert(i, lines[i])
+        elif mutation == "vertex out of range":
+            lines[i] = f"e {u} {g.n} {sign}\n"
+        elif mutation == "bad sign":
+            lines[i] = f"e {u} {v} *\n"
+        elif mutation == "missing line":
+            del lines[i]
+        elif mutation == "extra line":
+            lines.append(lines[i])
+        elif mutation == "no final newline":
+            lines[-1] = lines[-1].rstrip("\n")
+        else:
+            lines.insert(0, "c one\u2028two\n")
+        text = "".join(lines)
+        fast = _parse_canonical(text)
+        if fast is not None:
+            assert fast == _parse_lines(text)
+        assert outcome(parse, text) == outcome(_parse_lines, text)
+        if mutation != "no final newline":
+            with pytest.raises(SgParseError):
+                parse(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p sg 3 1\ne 0 1 +\n" + "c late\n",
+            "p sg 3 1\ne 0 1 +\np sg 3 1\n",
+            "p sg 3 1\ne  0 1 +\n",
+            "p sg 3 1\ne 0 1 +",
+            "p sg 3 1\ne 0 1 + \n",
+            "c x\x0bp sg 3 0\np sg 3 1\ne 0 1 +\n",
+            "p sg 3 1\ne 0 \u0661 +\n",
+            " p sg 3 1\ne 0 1 +\n",
+            "p sg 3 1\ne 0 " + "9" * 5000 + " +\n",
+        ],
+    )
+    def test_texts_outside_the_canonical_form_take_the_line_loop(self, text):
+        assert _parse_canonical(text) is None
+        assert outcome(parse, text) == outcome(_parse_lines, text)
