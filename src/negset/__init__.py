@@ -31,7 +31,6 @@ from .graph import (
     POS,
     Edge,
     EdgeSubset,
-    InducedSubgraph,
     SignedGraph,
     VertexSubset,
     edge_key,
@@ -74,7 +73,6 @@ __all__ = [
     "EdgeSubset",
     "HararyBipartition",
     "HostMismatchError",
-    "InducedSubgraph",
     "InvariantError",
     "IterationBudgetError",
     "MalformedCertificateError",

@@ -218,7 +218,7 @@ def negation_set_from_switching(
 ) -> EdgeSubset:
     """The negation set realized by switching ``x``: ``E⁻(g) △ cut(x)``.
 
-    Read off ``g`` itself, with no switched copy; every construction goes through here.
+    Read off ``g`` itself, with no switched copy.
     """
     return EdgeSubset(g, g.negative_edges() ^ g.cut(x).edges)
 

@@ -24,7 +24,7 @@ import json
 import os
 import random
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
     SgParseError,
 )
-from .graph import NEG, Edge, InducedSubgraph, SignedGraph, as_edge_set, edge_key
+from .graph import NEG, Edge, SignedGraph, as_edge_set, edge_key
 from .minimality import (
     is_minimal,
     triangle_certificate_for_complete,
@@ -252,34 +252,47 @@ def _cmd_acyclic(g: SignedGraph, args, report: _Report) -> int:
 
 
 def _component_views(g: SignedGraph):
-    """Yield ``(vertices, view)`` per connected component, ordered by smallest vertex.
+    """Whether g is balanced, and ``(vertices, graph)`` per connected component.
 
-    The view is None exactly when the component is balanced: at once when
-    it has no negative edge, else after one :func:`is_balanced` call on the
-    view.  The only component's view is the input itself, with the identity
-    vertex map; otherwise only a component with a negative edge is copied.
+    The vertices are sorted, components come by smallest vertex, and vertex
+    i of a component's graph is ``vertices[i]``.  One :func:`is_balanced`
+    call decides the whole input: every graph of a balanced input is None.
+    Otherwise the only component's graph is the input itself; of several,
+    each with a negative edge is copied, and its graph is that copy unless
+    the copy is balanced.  The graphs are made as they are read.
     """
     comps = g.connected_components()
+    if is_balanced(g):
+        return True, zip(comps, repeat(None))
+    if len(comps) == 1:
+        return False, zip(comps, (g,))
+    return False, ((comp, _unbalanced_copy(g, comp)) for comp in comps)
+
+
+def _unbalanced_copy(g: SignedGraph, vertices: tuple[int, ...]) -> SignedGraph | None:
+    """The component of g on ``vertices`` as its own graph, or None when it is balanced."""
     rows = g.signed_rows()
-    for comp in comps:
-        if all(s != NEG for u in comp for _, s in rows[u]):
-            yield comp, None
-            continue
-        view = InducedSubgraph(g, comp) if len(comps) == 1 else g.induced(comp)
-        yield comp, None if is_balanced(view.graph) else view
+    if all(s != NEG for u in vertices for _, s in rows[u]):
+        return None
+    copy = g.induced(vertices)
+    return None if is_balanced(copy) else copy
 
 
 def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
+    balanced, views = _component_views(g)
+    if balanced:
+        raise PreconditionError(BALANCED_MESSAGE)
     sections = []
     report.data["components"] = sections
-    for vertices, view in _component_views(g):
+    for vertices, graph in views:
         host = list(vertices)
-        if view is None:
+        if graph is None:
             sections.append({"vertices": host, "balanced": True})
             report.say(f"component {host}: balanced, no packing number")
             continue
-        result = component_packing_number(view.graph)
-        family = [sorted(view.host_edge(e) for e in member.edges) for member in result.family]
+        result = component_packing_number(graph)
+        # vertices is increasing, so a lifted edge stays normalized
+        family = [sorted((vertices[u], vertices[v]) for u, v in member.edges) for member in result.family]
         section = {
             "vertices": host,
             "balanced": False,
@@ -291,8 +304,8 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
         if result.realizing_bipartition is not None:
             b1, b2 = result.realizing_bipartition
             section["bipartition"] = {
-                "left": sorted(view.host_vertices(b1.vertices)),
-                "right": sorted(view.host_vertices(b2.vertices)),
+                "left": sorted(vertices[v] for v in b1.vertices),
+                "right": sorted(vertices[v] for v in b2.vertices),
             }
         sections.append(section)
         report.say(f"component {host}: packing number {result.packing_number}")
@@ -303,16 +316,14 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
             )
         if result.distance is not None:
             report.say(f"  realizing distance: {result.distance}")
-    if all(section["balanced"] for section in sections):
-        raise PreconditionError(BALANCED_MESSAGE)
     return EXIT_HOLDS
 
 
 def _cmd_frustration(g: SignedGraph, args, report: _Report) -> int:
     sections = []
     total = 0
-    for vertices, view in _component_views(g):
-        value = 0 if view is None else oracle.frustration_index(view.graph, max_n=args.max_n)
+    for vertices, graph in _component_views(g)[1]:
+        value = 0 if graph is None else oracle.frustration_index(graph, max_n=args.max_n)
         total += value
         sections.append({"vertices": list(vertices), "frustration_index": value})
         report.say(f"component {list(vertices)}: frustration index {value}")

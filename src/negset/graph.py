@@ -264,13 +264,14 @@ class SignedGraph:
             self._n, [(u, w, s) for u, row in enumerate(self._rows) for w, s in row if u < w and s == NEG]
         )
 
-    def induced(self, vertices: Iterable[int]) -> "InducedSubgraph":
+    def induced(self, vertices: Iterable[int]) -> "SignedGraph":
         """Subgraph induced on ``vertices``, reindexed densely.
 
-        The result records the new→host vertex map so answers computed on the
-        reduced graph can be lifted back.  It reads only the kept vertices' rows.
+        Vertex i of the result is the i-th smallest of ``vertices``; the map
+        is increasing, so an edge lifts back to a normalized host edge.  It
+        reads only the kept vertices' rows.
         """
-        to_host = tuple(sorted(set(vertices)))
+        to_host = sorted(set(vertices))
         for v in to_host:
             self._check_vertex(v)
         from_host = {v: i for i, v in enumerate(to_host)}
@@ -281,7 +282,7 @@ class SignedGraph:
             for w, s in rows[u]
             if u < w and w in from_host
         ]
-        return InducedSubgraph(SignedGraph(len(to_host), edges), to_host)
+        return SignedGraph(len(to_host), edges)
 
     def cut(self, x: "VertexSubset | Iterable[int]") -> "EdgeSubset":
         """Edges with exactly one end in ``x``."""
@@ -411,20 +412,6 @@ class EdgeSubset:
         if isinstance(other, EdgeSubset):
             other = other.edges
         return self.edges.isdisjoint(frozenset(edge_key(*e) for e in other))
-
-
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """A reindexed subgraph plus the map back to host vertex ids."""
-
-    graph: SignedGraph
-    to_host: tuple[int, ...]
-
-    def host_vertices(self, vs: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.to_host[v] for v in vs)
-
-    def host_edge(self, e: Edge) -> Edge:
-        return edge_key(self.to_host[e[0]], self.to_host[e[1]])
 
 
 def as_vertex_set(g: SignedGraph, x: "VertexSubset | Iterable[int]") -> frozenset[int]:

@@ -12,8 +12,10 @@ j is set when the edge is negative under switching j, so switching 0 is
 E⁻.  A question becomes a few whole-column operations; no set is built per
 switching.  The query functions take the finished columns as ``columns``,
 so a caller that asks several questions of one graph (``negset
-oracle-verify``) builds them once.  :func:`enumerate_negation_sets` lists
-the sets themselves, one edge mask per switching.
+oracle-verify``) builds them once.  Where sets are needed, as in
+:func:`enumerate_negation_sets`, switching j's set is read off its Gray
+code as one edge mask, E⁻ XOR the incidence masks of the vertices it
+switches; there is no second walk.
 
 All entry points enforce a vertex cap (default 16) and raise
 :class:`~negset.errors.PreconditionError` beyond it rather than silently
@@ -52,22 +54,6 @@ def _edge_masks(g: SignedGraph) -> tuple[list[int], int]:
     return incidence, negative
 
 
-def _negative_masks(g: SignedGraph, max_n: int) -> Iterator[int]:
-    """Negative-edge mask of every switching that fixes vertex 0, in Gray-code order.
-
-    Bit ``i`` stands for ``g.edge_pairs()[i]``.  On a connected graph each
-    mask is a distinct negation set.
-    """
-    _check_scale(g, max_n)
-    incidence, mask = _edge_masks(g)
-    yield mask
-    for x in range(1, 1 << max(g.n - 1, 0)):
-        # Gray codes x - 1 and x differ in the lowest set bit of x; bit k
-        # stands for vertex k + 1, so vertex 0 stays pinned.
-        mask ^= incidence[(x & -x).bit_length()]
-        yield mask
-
-
 def enumerate_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
     """All negation sets of a small connected graph, sorted by (size, edges).
 
@@ -75,18 +61,8 @@ def enumerate_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> Negat
     graph that hits each switching function exactly once, so each negation
     set appears exactly once.
     """
-    return _as_sets(g, [list(_bits(mask)) for mask in set(_negative_masks(g, max_n))])
-
-
-def _as_sets(g: SignedGraph, rows: list[list[int]]) -> NegationSets:
-    """Ascending edge-index rows as edge sets, sorted by (size, edges).
-
-    Edge i precedes edge j exactly when i < j, so the rows sort like the
-    sorted edge lists.
-    """
-    pairs = g.edge_pairs()
-    rows.sort(key=lambda row: (len(row), row))
-    return tuple(frozenset([pairs[i] for i in row]) for row in rows)
+    _check_scale(g, max_n)
+    return _sets_at(g, all_switchings(g))
 
 
 def all_switchings(g: SignedGraph) -> int:
@@ -98,9 +74,10 @@ def negative_columns(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> Iterator[int
     """Per edge of ``g.edge_pairs()``, the switchings under which it is negative.
 
     Bit j of an edge's column is set when the edge is negative under Gray
-    switching j, the switching of :func:`_negative_masks`'s j-th mask.  The
-    scale is checked at the call; the columns are made as they are read,
-    so a caller that reads each once holds one at a time.
+    switching j, whose Gray code ``j ^ (j >> 1)`` has bit k set when vertex
+    k + 1 is switched.  The scale is checked at the call; the columns are
+    made as they are read, so a caller that reads each once holds one at a
+    time.
     """
     _check_scale(g, max_n)
     full = all_switchings(g)
@@ -127,22 +104,32 @@ def _bits(mask: int) -> Iterator[int]:
         j = digits.find("1", j + 1)
 
 
-def _sets_at(g: SignedGraph, mask: int) -> NegationSets:
-    """The negation sets of the switchings in ``mask``, sorted by (size, edges).
+def _masks_at(g: SignedGraph, mask: int) -> list[int]:
+    """The edge masks of the negation sets of the switchings in ``mask``, bit i for ``g.edges()[i]``.
 
     Only the selected switchings are read: the Gray code of switching j,
     ``j ^ (j >> 1)``, has bit k set when vertex k + 1 is switched, and its
-    set is E⁻ △ cut(X), an edge mask built from the switched vertices'
-    incidence masks.
+    set is E⁻ △ cut(X), built from the switched vertices' incidence masks.
     """
     incidence, negative = _edge_masks(g)
-    rows = []
+    masks = []
     for j in _bits(mask):
         edges = negative
         for k in _bits(j ^ (j >> 1)):
             edges ^= incidence[k + 1]
-        rows.append(list(_bits(edges)))
-    return _as_sets(g, rows)
+        masks.append(edges)
+    return masks
+
+
+def _sets_at(g: SignedGraph, mask: int) -> NegationSets:
+    """The negation sets of the switchings in ``mask``, sorted by (size, edges).
+
+    Edge i precedes edge j exactly when i < j, so ascending edge-index rows
+    sort like the sorted edge lists.
+    """
+    pairs = g.edge_pairs()
+    rows = sorted((list(_bits(edges)) for edges in _masks_at(g, mask)), key=lambda row: (len(row), row))
+    return tuple(frozenset([pairs[i] for i in row]) for row in rows)
 
 
 def _smallest(columns: Iterable[int], full: int) -> tuple[int, int]:
@@ -257,7 +244,7 @@ def brute_packing_number(
     """Maximum size of a pairwise-disjoint family of negation sets containing E⁻(g).
 
     Straight branch and bound over the sets disjoint from E⁻: the switchings
-    with no bit in an E⁻ column, the only ones made into sets.  Only
+    with no bit in an E⁻ column, the only ones made into edge masks.  Only
     defined for unbalanced graphs (a balanced graph has the empty negation
     set, for which disjoint packing is meaningless).
     """
@@ -270,20 +257,18 @@ def brute_packing_number(
     full = all_switchings(g)
     if anywhere != full:
         raise PreconditionError("packing number is defined for unbalanced graphs")
-    candidates = _sets_at(g, full & ~negative)
+    candidates = sorted(_masks_at(g, full & ~negative), key=int.bit_count)
     best = 0
 
-    def extend(start: int, chosen: list[frozenset[Edge]]) -> None:
+    def extend(start: int, used: int, size: int) -> None:
         nonlocal best
-        best = max(best, len(chosen))
-        if len(chosen) + (len(candidates) - start) <= best:
+        best = max(best, size)
+        if size + (len(candidates) - start) <= best:
             return
         for i in range(start, len(candidates)):
             c = candidates[i]
-            if all(c.isdisjoint(d) for d in chosen):
-                chosen.append(c)
-                extend(i + 1, chosen)
-                chosen.pop()
+            if not used & c:
+                extend(i + 1, used | c, size + 1)
 
-    extend(0, [])
+    extend(0, 0, 0)
     return best + 1

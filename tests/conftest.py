@@ -83,7 +83,7 @@ def assert_trace_replays(g: SignedGraph, trace, negation_set) -> None:
     switched: set[int] = set()
 
     def core_circles() -> int:
-        return len(negative_circles(g.switch(switched).induced(core).graph))
+        return len(negative_circles(g.switch(switched).induced(core)))
 
     for vertices, strict in trace:
         before = core_circles() if strict else None

@@ -197,7 +197,7 @@ def test_criterion_06_acyclic_construction_on_random_subquartic_graphs():
         except MinusK5Detected as exc:
             # not counted toward the 100: the criterion excludes such blocks
             block = sorted(exc.vertices)
-            sub = g.induced(block).graph
+            sub = g.induced(block)
             assert sub.edge_count == 10 and is_balanced(negate_all(sub))
             skipped += 1
             continue

@@ -10,6 +10,7 @@ import json
 import os
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -282,7 +283,7 @@ class TestFrustrationCommand:
 
 
 class TestComponentCopies:
-    """The per-component commands copy only the components with a negative edge."""
+    """The per-component commands copy only the unbalanced components of an unbalanced input."""
 
     TRIANGLE = [0, 1, 2]
 
@@ -316,6 +317,76 @@ class TestComponentCopies:
             {"vertices": self.TRIANGLE, "frustration_index": 1}, *isolated
         ]
         assert report["total"] == 1
+
+    @pytest.fixture
+    def ten_balanced(self, write_sg):
+        """Ten disjoint balanced 23-vertex components, each with negative edges."""
+        rng = random.Random(23)
+        edges = []
+        for c in range(10):
+            base = 23 * c
+            side = [v % 2 for v in range(23)]  # both sides used: a negative tree edge
+            pairs = {(v - 1, v) for v in range(1, 23)}
+            pairs |= {tuple(sorted(rng.sample(range(23), 2))) for _ in range(20)}
+            edges += [
+                (base + u, base + v, NEG if side[u] != side[v] else POS) for u, v in sorted(pairs)
+            ]
+        return write_sg(SignedGraph(230, edges))
+
+    def test_balanced_input_packing_builds_only_the_parse(self, capsys, builds, ten_balanced):
+        builds.clear()
+        assert main(["packing", ten_balanced, "--json"]) == EXIT_PRECONDITION
+        assert len(builds) == 1
+        assert capsys.readouterr() == ("", f"error: {packing.BALANCED_MESSAGE}\n")
+
+    def test_balanced_input_frustration_builds_only_the_parse(self, capsys, builds, ten_balanced):
+        builds.clear()
+        code, report = run_json(capsys, ["frustration", ten_balanced, "--json"])
+        assert code == EXIT_HOLDS
+        assert len(builds) == 1
+        assert report == {
+            "command": "frustration",
+            "components": [
+                {"vertices": list(range(23 * c, 23 * c + 23)), "frustration_index": 0}
+                for c in range(10)
+            ],
+            "total": 0,
+        }
+
+    @pytest.mark.parametrize("command", ["packing", "frustration"])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycle_graph(6),
+            cycle_graph(6).switch([1, 2]),
+            cycle_graph(5).negate_edges([(0, 1)]),
+            complete_graph(5).negate_edges([(0, 1), (2, 3)]),
+        ],
+        ids=["positive", "switched", "odd-negative", "K5"],
+    )
+    def test_connected_input_takes_one_balance_check(self, monkeypatch, write_sg, command, g):
+        calls = []
+        check = cli.is_balanced
+        monkeypatch.setattr(cli, "is_balanced", lambda h: calls.append(h) or check(h))
+        main([command, write_sg(g)])
+        assert len(calls) == 1
+
+    def test_header_only_packing_peaks_within_twice_balance(self, capsys, tmp_path):
+        # every vertex is its own balanced component: packing must exit before
+        # it builds one report section per vertex
+        path = tmp_path / "header.sg"
+        path.write_text("p sg 50000 0\n")
+        peaks = {}
+        for command in ("balance", "packing"):
+            tracemalloc.start()
+            try:
+                code = main([command, str(path), "--json"])
+                peaks[command] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == (EXIT_HOLDS if command == "balance" else EXIT_PRECONDITION)
+        capsys.readouterr()
+        assert peaks["packing"] <= 2 * peaks["balance"], peaks
 
 
 class TestOracleVerifyCommand:
@@ -356,7 +427,6 @@ class TestOracleVerifyCommand:
         holders = {
             "negative_columns": [oracle],
             "enumerate_negation_sets": [oracle],
-            "_negative_masks": [oracle],
             "_two_color": [balance, packing],
         }
         calls = dict.fromkeys(holders, 0)
@@ -375,7 +445,7 @@ class TestOracleVerifyCommand:
         # The 512 switchings take one BFS between them, not one each.
         two_color = calls.pop("_two_color")
         assert two_color <= 32, f"{two_color} signed BFS runs"
-        assert calls == {"negative_columns": 1, "enumerate_negation_sets": 0, "_negative_masks": 0}
+        assert calls == {"negative_columns": 1, "enumerate_negation_sets": 0}
 
     def test_agreement_row_fails_on_a_non_negation_set(self, capsys, monkeypatch):
         # Toggle the first edge, which lies on a circle, in the last switching's

@@ -58,7 +58,7 @@ def acyclic_unless_minus_k5(g: SignedGraph, **kwargs):
     try:
         return acyclic_negation(g, **kwargs)
     except MinusK5Detected as exc:
-        sub = g.induced(sorted(exc.vertices)).graph
+        sub = g.induced(sorted(exc.vertices))
         assert sub.edge_count == 10 and is_balanced(negate_all(sub))
         return None
 

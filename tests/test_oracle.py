@@ -99,12 +99,19 @@ class TestGrayCodeEnumeration:
         assert oracle.frustration_index(SignedGraph(1)) == 0
 
 
-def transposed_masks(g):
-    """``_negative_masks`` read as per-edge columns: bit j of column i is bit i of mask j."""
-    masks = list(oracle._negative_masks(g, oracle.DEFAULT_MAX_N))
+def switched_columns(g):
+    """Per edge, bit j set when ``g.switch`` of Gray switching j's vertices leaves it negative.
+
+    The Gray code ``j ^ (j >> 1)`` of switching j has bit k set when vertex
+    k + 1 is switched, so vertex 0 is never switched.
+    """
+    switched = [
+        g.switch([k + 1 for k in range(g.n - 1) if (j ^ (j >> 1)) >> k & 1]).negative_edges()
+        for j in range(1 << max(g.n - 1, 0))
+    ]
     return tuple(
-        int("".join("1" if mask >> i & 1 else "0" for mask in reversed(masks)), 2)
-        for i in range(g.edge_count)
+        int("".join("1" if e in negative else "0" for negative in reversed(switched)), 2)
+        for e in g.edge_pairs()
     )
 
 
@@ -139,10 +146,10 @@ def reference_packing_number(g, sets):
 
 
 class TestColumns:
-    def test_columns_are_the_masks_transposed(self):
+    def test_columns_match_switching_each_gray_set(self):
         for name, g in column_corpus():
             assert g.n <= 14, name
-            assert tuple(oracle.negative_columns(g)) == transposed_masks(g), name
+            assert tuple(oracle.negative_columns(g)) == switched_columns(g), name
 
     @given(connected_signed_graphs(max_n=10))
     def test_column_answers_match_the_enumerated_sets(self, g):
