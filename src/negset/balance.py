@@ -185,22 +185,14 @@ def failing_negation_sets(g: SignedGraph, sets: Sequence[Iterable[Edge]]) -> int
     Bit i is set when ``sets[i]`` is not a negation set.  Members hold edges
     of ``g`` as ``(u, v)`` with ``u < v``, as :func:`as_edge_set` returns
     them.  Member i negates the edges it holds in bit i of their
-    :func:`failing_flips` masks.  Each edge's mask is read once from a
-    column of ``"0"``/``"1"`` digits, so the build is linear in the number
-    of members; OR-ing ``1 << i`` into a mask per held edge would copy an
-    ever wider int and grow with its square.
+    :func:`failing_flips` masks, OR-ed in one edge at a time; families are
+    a packing or a partner pair, a few members each.
     """
-    count = len(sets)
-    columns: dict[Edge, bytearray] = {}
+    flips: dict[Edge, int] = {}
     for i, edges in enumerate(sets):
-        digit = count - 1 - i  # int(column, 2) reads the highest bit first
         for e in edges:
-            column = columns.get(e)
-            if column is None:
-                column = columns[e] = bytearray(b"0" * count)
-            column[digit] = 49  # ord("1")
-    flips = {e: int(column, 2) for e, column in columns.items()}
-    return failing_flips(g, flips, (1 << count) - 1)
+            flips[e] = flips.get(e, 0) | 1 << i
+    return failing_flips(g, flips, (1 << len(sets)) - 1)
 
 
 def failing_flips(g: SignedGraph, flips: Mapping[Edge, int], full: int) -> int:

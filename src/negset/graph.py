@@ -56,7 +56,7 @@ class SignedGraph:
     against a set of those before it, and the rows are sorted at the end.
     """
 
-    __slots__ = ("_n", "_m", "_rows", "_signs", "_negative", "_hash")
+    __slots__ = ("_n", "_m", "_rows", "_signs", "_negative")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         if n < 0:
@@ -93,7 +93,6 @@ class SignedGraph:
         self._rows = tuple(map(tuple, rows))
         self._signs: dict[Edge, int] | None = None
         self._negative: frozenset[Edge] | None = None
-        self._hash: int | None = None
 
     # -- basic queries --------------------------------------------------------
 
@@ -182,9 +181,8 @@ class SignedGraph:
         return self._rows == other._rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._rows)
-        return self._hash
+        """Hash of the signed rows, recomputed on each call."""
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self._n}, m={self._m})"
@@ -197,11 +195,11 @@ class SignedGraph:
         Switching preserves all circle signs; iterating it over subsets
         enumerates exactly the negation sets of the graph.
         """
-        return self._resigned(self._cut(as_vertex_set(self, x)))
+        return self._negated(self._cut(as_vertex_set(self, x)))
 
     def negate_edges(self, y: "EdgeSubset | Iterable[Edge]") -> "SignedGraph":
         """Flip the signs of exactly the edges in ``y``."""
-        return self._resigned(as_edge_set(self, y))
+        return self._negated(as_edge_set(self, y))
 
     def delete_edges(self, y: "EdgeSubset | Iterable[Edge]") -> "SignedGraph":
         """Drop exactly the edges in ``y``; the others keep their signs."""
@@ -211,27 +209,13 @@ class SignedGraph:
             ((u, w, s) for u, row in enumerate(self._rows) for w, s in row if u < w and (u, w) not in ys),
         )
 
-    def _resigned(self, flips: frozenset[Edge]) -> "SignedGraph":
-        """Same underlying graph with exactly the edges in ``flips`` negated.
-
-        ``flips`` holds normalized edges of this graph.  Only the rows of
-        their ends are rebuilt, in the same order, and the other rows are
-        shared; the edges were validated when this graph was built, so the
-        result skips ``__init__``.
-        """
-        rows = list(self._rows)
-        for u in {v for e in flips for v in e}:
-            rows[u] = tuple(
-                [(w, -s) if ((u, w) if u < w else (w, u)) in flips else (w, s) for w, s in rows[u]]
-            )
-        g = object.__new__(SignedGraph)
-        g._n = self._n
-        g._m = self._m
-        g._rows = tuple(rows)
-        g._signs = None
-        g._negative = None
-        g._hash = None
-        return g
+    def _negated(self, flips: frozenset[Edge]) -> "SignedGraph":
+        """A copy with the normalized edges in ``flips`` negated, fed in row order (the sorted path)."""
+        rows = self._rows
+        return SignedGraph(
+            self._n,
+            ((u, w, -s if (u, w) in flips else s) for u, row in enumerate(rows) for w, s in row if u < w),
+        )
 
     def circle_sign(self, cycle: Sequence[int]) -> int:
         """Product of edge signs around a closed vertex cycle.

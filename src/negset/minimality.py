@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .balance import is_negation_set
 from .errors import InvariantError, MalformedCertificateError, PreconditionError
-from .graph import NEG, Edge, EdgeSubset, SignedGraph, edge_key
+from .graph import NEG, POS, Edge, EdgeSubset, SignedGraph, edge_key
 
 Triangle = tuple[int, int, int]
 CirclePair = tuple[Edge, tuple[int, ...], tuple[int, ...]]
@@ -52,14 +52,15 @@ def _negation_set(g: SignedGraph, b: Iterable[Edge]) -> EdgeSubset:
     return bs
 
 
-def _cycle_edges(g: SignedGraph, cycle: Sequence[int]) -> frozenset[Edge]:
-    """Edge set of a closed cycle, raising on structural defects."""
+def _cycle_edges(g: SignedGraph, cycle: Sequence[int]) -> tuple[frozenset[Edge], int]:
+    """Edge set and sign of a closed cycle, in one walk, raising on structural defects."""
     k = len(cycle)
     if k < 3:
         raise MalformedCertificateError(f"circle {tuple(cycle)} has fewer than 3 vertices")
     if len(set(cycle)) != k:
         raise MalformedCertificateError(f"circle {tuple(cycle)} repeats a vertex")
     edges = set()
+    sign = POS
     for i in range(k):
         u, v = cycle[i], cycle[(i + 1) % k]
         if not (0 <= u < g.n) or not g.has_edge(u, v):
@@ -67,7 +68,8 @@ def _cycle_edges(g: SignedGraph, cycle: Sequence[int]) -> frozenset[Edge]:
                 f"circle {tuple(cycle)} uses missing edge ({u}, {v})"
             )
         edges.add(edge_key(u, v))
-    return frozenset(edges)
+        sign *= g.sign(u, v)
+    return frozenset(edges), sign
 
 
 def verify_disjoint_circle_certificate(
@@ -81,14 +83,13 @@ def verify_disjoint_circle_certificate(
     positive circle, shared edges) return ``False``.
     """
     bs = _negation_set(g, b)
-    circle_list = [tuple(c) for c in circles]
-    edge_sets = [_cycle_edges(g, c) for c in circle_list]
-    if len(circle_list) != len(bs):
+    walked = [_cycle_edges(g, tuple(c)) for c in circles]
+    if len(walked) != len(bs):
         return False
-    if any(g.circle_sign(c) != NEG for c in circle_list):
+    if any(sign != NEG for _, sign in walked):
         return False
     used: set[Edge] = set()
-    for es in edge_sets:
+    for es, _ in walked:
         if used & es:
             return False
         used |= es
@@ -107,15 +108,14 @@ def verify_two_circle_certificate(
     unique minimum.  Every edge of ``b`` must be covered exactly once.
     """
     bs = _negation_set(g, b)
-    entries: list[tuple[Edge, frozenset[Edge], frozenset[Edge], tuple[int, ...], tuple[int, ...]]] = []
-    for e, c1, c2 in pairs:
-        c1, c2 = tuple(c1), tuple(c2)
-        entries.append((edge_key(*e), _cycle_edges(g, c1), _cycle_edges(g, c2), c1, c2))
+    entries = [
+        (edge_key(*e), _cycle_edges(g, tuple(c1)), _cycle_edges(g, tuple(c2))) for e, c1, c2 in pairs
+    ]
     if sorted(e for e, *_ in entries) != sorted(bs):
         return False
     unions: list[frozenset[Edge]] = []
-    for e, es1, es2, c1, c2 in entries:
-        if g.circle_sign(c1) != NEG or g.circle_sign(c2) != NEG:
+    for e, (es1, sign1), (es2, sign2) in entries:
+        if sign1 != NEG or sign2 != NEG:
             return False
         if es1 & es2 != {e}:
             return False

@@ -110,14 +110,12 @@ class ClassGraph:
         return tuple((2 * i, 2 * i + 1) for i in range(self.m))
 
     def _rows(self) -> list[list[tuple[int, int]]]:
-        """Per-class ``(neighbour, sign)`` rows of the multigraph, sorted."""
+        """Per-class ``(neighbour, sign)`` multigraph rows, unsorted: no answer reads their order."""
         rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * self.m)]
         for edges, sign in ((self.negative_edges(), NEG), (self.positive_edges, POS)):
             for u, v in edges:
                 rows[u].append((v, sign))
                 rows[v].append((u, sign))
-        for row in rows:
-            row.sort()
         return rows
 
     def balanced(self) -> bool:
@@ -310,6 +308,7 @@ def _contracted_bound(g: SignedGraph, classes: NegativeComponentClasses) -> floa
 
 
 _EXACT_SEARCH_BITS = 20
+_EXACT_SEARCH_STEPS = 1 << 22
 
 
 def _exact_packing(
@@ -325,8 +324,11 @@ def _exact_packing(
     class vertex has no edge leaving it; in a connected graph it would be
     the whole graph, which would then have no negative edge and be
     balanced, and balanced input is rejected upstream.  The search is
-    exponential and kept behind an explicit budget; the scan family's size
-    seeds the branch and bound so only strict improvements are explored.
+    exponential and kept behind a deterministic budget: at most 2^20 cuts
+    are enumerated, which caps their memory, and at most 2^22 candidate
+    checks are made, each ``extend`` call counting the cuts left to it,
+    which caps the time.  The scan family's size seeds the branch and
+    bound so only strict improvements are explored.
     """
     free = [v for v, c in enumerate(classes.class_of) if c < 0]
 
@@ -374,9 +376,16 @@ def _exact_packing(
     order = sorted(cuts, key=lambda c: (c.bit_count(), c))
     best: list[int] = []
     best_size = scan_size - 1
+    steps = 0
 
     def extend(start: int, used: int, chosen: list[int]) -> None:
-        nonlocal best, best_size
+        nonlocal best, best_size, steps
+        steps += len(order) - start
+        if steps > _EXACT_SEARCH_STEPS:
+            raise IterationBudgetError(
+                f"exact packing search needs more candidate checks than its budget of "
+                f"{_EXACT_SEARCH_STEPS}; the scan lower bound is {scan_size}"
+            )
         if len(chosen) > best_size:
             best, best_size = list(chosen), len(chosen)
         for idx in range(start, len(order)):

@@ -242,6 +242,14 @@ class TestPackingCommand:
         path = write_sg(cycle_graph(4).negate_edges([(0, 1), (1, 2)]))
         assert main(["packing", path]) == EXIT_PRECONDITION
 
+    def test_exact_search_past_its_step_budget_exits_three(self, capsys):
+        # 12 search bits, inside the cut cap, but the branch and bound needs
+        # more than 2^22 candidate checks; bounded by the cut cap alone it answers 6 after ~10 s
+        code = main(["packing", str(GOLDEN / "packing-search20.sg"), "--json"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PRECONDITION and out == ""
+        assert "exact packing search needs" in err and "budget" in err
+
 
 class TestFrustrationCommand:
     def test_totals_components(self, capsys, write_sg):

@@ -179,6 +179,12 @@ class TestConstructionOrder:
         assert h == g and hash(h) == hash(g)
         assert h.signed_rows() == reference_rows(g.n, edges)
         assert h.edges() == g.edges() and h.edge_count == g.edge_count
+        # a switched copy equals the graph built with the cut's signs flipped
+        xs = [v for v in g.vertices() if rng.random() < 0.5]
+        cut = g.cut(xs)
+        flipped = SignedGraph(g.n, [(u, v, -s if (u, v) in cut else s) for u, v, s in edges])
+        switched = g.switch(xs)
+        assert switched == flipped and hash(switched) == hash(flipped)
 
     def test_edge_map_is_built_on_the_first_lookup(self):
         g = triangle()

@@ -148,8 +148,11 @@ class TestMixedBipartitionInstances:
         assert result.packing_number == oracle.brute_packing_number(g) == 6
         assert result.realizing_bipartition is None
 
-    def test_budget_guard_reports_scan_floor(self, monkeypatch):
-        monkeypatch.setattr(packing, "_EXACT_SEARCH_BITS", 0)
+    @pytest.mark.parametrize(
+        "budget, value", [("_EXACT_SEARCH_BITS", 0), ("_EXACT_SEARCH_STEPS", 1)], ids=["cuts", "steps"]
+    )
+    def test_budget_guard_reports_scan_floor(self, monkeypatch, budget, value):
+        monkeypatch.setattr(packing, budget, value)
         with pytest.raises(IterationBudgetError, match="lower bound is 3"):
             packing_number(counterexample_hexagon())
 
