@@ -7,9 +7,9 @@ produces that bipartition, or a negative circle witnessing imbalance.
 
 A *negation set* is any edge set that appears as the negative edge set of
 some switching of the graph.  Membership reduces to a balance check: ``b`` is
-a negation set of ``g`` iff negating ``E⁻(g) △ b`` in ``g`` yields a balanced
-graph (equivalently, ``g`` and the graph signed negatively exactly on ``b``
-are switching equivalent).
+a negation set of ``g`` iff negating ``b`` in ``g`` yields a balanced graph
+(equivalently, ``g`` and the graph signed negatively exactly on ``b`` are
+switching equivalent).
 """
 
 from __future__ import annotations

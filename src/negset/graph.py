@@ -114,6 +114,21 @@ class SignedGraph:
     def edge_pairs(self) -> tuple[Edge, ...]:
         return tuple((u, w) for u, row in enumerate(self._rows) for w, _ in row if u < w)
 
+    def edge_masks(self) -> tuple[list[int], int]:
+        """Per vertex, the mask of its edges; and the mask of E⁻.
+
+        Bit i is ``edge_pairs()[i]``.  The cut of a vertex set is the XOR of
+        its members' masks: an edge inside the set toggles twice and cancels.
+        """
+        incidence = [0] * self._n
+        negative = 0
+        for i, (u, v, s) in enumerate(self.edges()):
+            incidence[u] |= 1 << i
+            incidence[v] |= 1 << i
+            if s == NEG:
+                negative |= 1 << i
+        return incidence, negative
+
     def _edge_signs(self) -> dict[Edge, int]:
         """The ``(u, v) -> sign`` map, ``u < v``, built on the first one-edge lookup."""
         if self._signs is None:

@@ -558,9 +558,9 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...]) -> None:
 
     w.circles = _CircleIndex(w, comp)
     for _ in range(budget):
+        # each rewrite that names a circle leaves it fully negative: a certificate
         if preferred is not None and not _still_fully_negative(w, preferred):
-            preferred = None
-            episode = None
+            raise InvariantError(f"preferred circle {preferred} is not fully negative")
         circle = preferred if preferred is not None else w.circles.first()
         if circle is None:
             w.circles = None

@@ -42,18 +42,6 @@ def _check_scale(g: SignedGraph, max_n: int) -> None:
         raise PreconditionError(f"graph has {g.n} vertices, above the enumeration cap {max_n}")
 
 
-def _edge_masks(g: SignedGraph) -> tuple[list[int], int]:
-    """Per vertex, the mask of its edges; and the mask of E⁻.  Bit i is ``g.edges()[i]``."""
-    incidence = [0] * g.n
-    negative = 0
-    for i, (u, v, s) in enumerate(g.edges()):
-        incidence[u] |= 1 << i
-        incidence[v] |= 1 << i
-        if s == NEG:
-            negative |= 1 << i
-    return incidence, negative
-
-
 def enumerate_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
     """All negation sets of a small connected graph, sorted by (size, edges).
 
@@ -105,13 +93,13 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _masks_at(g: SignedGraph, mask: int) -> list[int]:
-    """The edge masks of the negation sets of the switchings in ``mask``, bit i for ``g.edges()[i]``.
+    """The edge masks of the negation sets of the switchings in ``mask``, as in ``g.edge_masks()``.
 
     Only the selected switchings are read: the Gray code of switching j,
     ``j ^ (j >> 1)``, has bit k set when vertex k + 1 is switched, and its
     set is E⁻ △ cut(X), built from the switched vertices' incidence masks.
     """
-    incidence, negative = _edge_masks(g)
+    incidence, negative = g.edge_masks()
     masks = []
     for j in _bits(mask):
         edges = negative

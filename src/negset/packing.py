@@ -340,11 +340,8 @@ def _exact_packing(
             f"{scan_size}"
         )
 
-    pos_edges = tuple(sorted(g.positive_edges()))
-    incidence = [0] * g.n
-    for i, (u, v) in enumerate(pos_edges):
-        incidence[u] |= 1 << i
-        incidence[v] |= 1 << i
+    incidence, negative = g.edge_masks()
+    pairs = g.edge_pairs()
 
     def fold(vs: Iterable[int]) -> int:
         mask = 0
@@ -352,24 +349,26 @@ def _exact_packing(
             mask ^= incidence[v]
         return mask
 
-    # The cut of a switching set is the GF(2) sum of its members' incidence
-    # vectors: edges inside the set toggle twice and cancel.  One Gray-code
-    # walk from the cut of all first classes reaches every class-respecting
-    # switching, each step swapping the classes of one component 1..m-1 or
-    # toggling one free vertex.
+    # One Gray-code walk from the cut of all first classes reaches every
+    # class-respecting switching, each step swapping the classes of one
+    # component 1..m-1 or toggling one free vertex.  Each such cut holds
+    # all of E⁻ and no toggle touches it, so clearing E⁻ once at the start
+    # leaves the positive-edge cuts.  Two switchings holding component 0's
+    # first class differ by a set with a nonempty cut in a connected graph,
+    # so no cut repeats.
     toggles = [fold(first | second) for first, second in classes.classes[1:]]
     toggles += [incidence[v] for v in free]
-    mask = fold(v for first, _ in classes.classes for v in first)
-    cuts = {mask}
+    mask = fold(v for first, _ in classes.classes for v in first) ^ negative
+    cuts = [mask]
     for x in range(1, 1 << len(toggles)):
         mask ^= toggles[(x & -x).bit_length() - 1]
-        cuts.add(mask)
+        cuts.append(mask)
 
     def edge_bits(mask: int) -> frozenset[Edge]:
         out = set()
         while mask:
             low = mask & -mask
-            out.add(pos_edges[low.bit_length() - 1])
+            out.add(pairs[low.bit_length() - 1])
             mask ^= low
         return frozenset(out)
 
@@ -399,7 +398,8 @@ def _exact_packing(
             chosen.pop()
 
     extend(0, 0, [])
-    return [edge_bits(mask) for mask in sorted(best, key=lambda c: (c.bit_count(), c))]
+    # best is a subsequence of order, so already in its order
+    return [edge_bits(mask) for mask in best]
 
 
 def packing_number(g: SignedGraph) -> PackingResult:

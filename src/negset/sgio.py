@@ -127,15 +127,11 @@ def _parse_lines(text: str) -> SignedGraph:
                     raise SgParseError("header counts must be nonnegative", line=lineno)
             elif tag[0] != "c":
                 raise SgParseError(f"unrecognized line type {tag!r}", line=lineno)
-    except SgParseError:
-        # a duplicate edge on an earlier line is the first error in the file
-        _raise_duplicate(lines, edges)
-        raise
-    if n == -1:
-        raise SgParseError("missing 'p sg' header")
-    try:
+        if n == -1:
+            raise SgParseError("missing 'p sg' header")
         g = SignedGraph(n, edges)
-    except ValueError:
+    except ValueError:  # SgParseError too
+        # a duplicate edge on an earlier line is the first error in the file
         _raise_duplicate(lines, edges)
         raise
     if len(edges) != m:

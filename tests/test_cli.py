@@ -427,6 +427,18 @@ class TestOracleVerifyCommand:
             {"name": "negation enumeration", "outcome": "skip", "detail": "graph not connected"},
         ]
 
+    def test_minus_k5_skips_the_packing_and_acyclic_rows(self, capsys, write_sg):
+        # E- of a switched -K5 holds a triangle, and -K5 has no acyclic negation set
+        g = complete_graph(5, NEG).switch({0, 2})
+        code, report = run_json(capsys, ["oracle-verify", write_sg(g), "--json"])
+        assert code == EXIT_HOLDS
+        rows = {c["name"]: (c["outcome"], c["detail"]) for c in report["checks"]}
+        assert rows["packing number agrees with brute force"] == (
+            "skip", "needs connected, unbalanced, bipartite E-"
+        )
+        assert rows["acyclic set at least frustration index"] == ("skip", "antibalanced K5 block")
+        assert [c["outcome"] for c in report["checks"]].count("pass") == 4
+
     def test_enumerates_once_per_op(self, capsys, monkeypatch, write_sg):
         # Connected, unbalanced, bipartite E- and max degree 4: every row runs.
         g = corpus.random_subquartic_graph(random.Random(29), n_max=10)

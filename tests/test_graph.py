@@ -66,6 +66,8 @@ class TestConstruction:
         assert g.degree(0) == 2
         assert positive_neighbors(g, 0) == (1,)
         assert g.negative_neighbors(0) == (2,)
+        with pytest.raises(ValueError, match=r"vertex 3 outside 0\.\.2"):
+            g.neighbors(3)
         assert g.max_degree() == 2
         assert g.positive_edges() == frozenset({(0, 1)})
         assert g.negative_edges() == frozenset({(1, 2), (0, 2)})
@@ -85,6 +87,8 @@ class TestConstruction:
     def test_factories(self):
         assert complete_graph(4).edge_count == 6
         assert cycle_graph(5).edge_count == 5
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            cycle_graph(2)
         assert path_graph(4).edge_count == 3
         q = cube_graph()
         assert q.n == 8 and q.edge_count == 12
@@ -245,6 +249,26 @@ class TestSwitching:
         assert g.negate_edges([(0, 1)]).circle_sign((0, 1, 2)) == NEG
         with pytest.raises(ValueError):
             g.circle_sign((0, 1))
+        with pytest.raises(ValueError, match="repeats a vertex"):
+            g.circle_sign((0, 1, 0))
+
+    @given(vertex_subsets(connected_signed_graphs()))
+    def test_edge_masks_index_the_edge_pairs(self, gx):
+        g, xs = gx
+        incidence, negative = g.edge_masks()
+        pairs = g.edge_pairs()
+
+        def edges_of(mask):
+            return {e for i, e in enumerate(pairs) if mask >> i & 1}
+
+        assert negative < 1 << len(pairs)
+        assert edges_of(negative) == g.negative_edges()
+        for v in g.vertices():
+            assert edges_of(incidence[v]) == {e for e in pairs if v in e}
+        cut = 0
+        for v in xs:
+            cut ^= incidence[v]
+        assert edges_of(cut) == g.cut(xs).edges
 
 
 class TestSubgraphs:
@@ -303,6 +327,8 @@ class TestSubgraphs:
         full, none_removed = g.k_core(0)
         assert none_removed == ()
         assert full == frozenset(g.vertices())
+        with pytest.raises(ValueError, match="nonnegative"):
+            g.k_core(-1)
 
     @given(st.data())
     def test_k_core_batches_match_a_rescan_peel(self, data):
@@ -380,6 +406,13 @@ class TestSubsetWrappers:
         assert as_edge_set(g, frozenset({(1, 0)})) == frozenset({(0, 1)})
         with pytest.raises(ValueError, match="not an edge"):
             as_edge_set(path_graph(3), frozenset({(0, 2)}))
+
+    def test_as_vertex_set_returns_a_same_host_subsets_vertices(self):
+        g = triangle()
+        x = VertexSubset(g, frozenset({0, 2}))
+        assert as_vertex_set(g, x) is x.vertices
+        assert as_vertex_set(triangle(), x) is x.vertices  # an equal host is the same host
+        assert g.switch(x) == g.switch({0, 2})
 
     @given(st.frozensets(st.integers(0, 2)))
     def test_as_vertex_set_accepts_plain_iterables(self, xs):

@@ -377,6 +377,24 @@ class TestAcyclicHardInstances:
         with pytest.raises(InvariantError, match="rewrite budget of 1280 passes"):
             acyclic_negation(g)
 
+    def test_a_stale_preferred_circle_is_an_invariant_failure(self, monkeypatch):
+        # the shift switches a, b and v4 and follows the fully negative a b v3;
+        # planted instead, a b v4 keeps its edge a v4 positive
+        classify = negation._classify
+        planted = []
+
+        def plant(w, circle):
+            action = classify(w, circle)
+            if action is not None and action.label == "shared-pair-shift":
+                action.follow = action.switched
+                planted.append(action.follow)
+            return action
+
+        monkeypatch.setattr(negation, "_classify", plant)
+        with pytest.raises(InvariantError, match=r"preferred circle \(.*\) is not fully negative"):
+            acyclic_negation(golden_graph("pair-shift8"))
+        assert len(planted) == 1
+
 
 class TestClassifyCases:
     """White-box checks that each rewrite case fires on its designed shape."""

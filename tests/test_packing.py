@@ -345,6 +345,11 @@ class TestClassMachinery:
         with pytest.raises(ValueError, match="loop at class 1"):
             ClassGraph(1, 1, frozenset({(1, 1)}))
 
+    @pytest.mark.parametrize("edge", [(0, 2), (-1, 1)], ids=["above", "negative"])
+    def test_class_graph_rejects_a_class_index_out_of_range(self, edge):
+        with pytest.raises(ValueError, match="class index out of range"):
+            ClassGraph(1, 1, frozenset({edge}))
+
     def test_class_graph_balance_builds_no_signed_graph(self, monkeypatch):
         builds = []
         original = SignedGraph.__init__
