@@ -18,7 +18,6 @@ from .balance import (
     switching_for_negation_set,
 )
 from .errors import (
-    HostMismatchError,
     InvariantError,
     IterationBudgetError,
     MalformedCertificateError,
@@ -30,9 +29,7 @@ from .graph import (
     NEG,
     POS,
     Edge,
-    EdgeSubset,
     SignedGraph,
-    VertexSubset,
     edge_key,
 )
 from .minimality import (
@@ -70,9 +67,7 @@ __all__ = [
     "BipartiteNegation",
     "ClassGraph",
     "Edge",
-    "EdgeSubset",
     "HararyBipartition",
-    "HostMismatchError",
     "InvariantError",
     "IterationBudgetError",
     "MalformedCertificateError",
@@ -85,7 +80,6 @@ __all__ = [
     "SgParseError",
     "SignedGraph",
     "TraceEntry",
-    "VertexSubset",
     "acyclic_negation",
     "bipartite_negation_for_antibalanced_planar",
     "build_class_graph",

@@ -21,9 +21,7 @@ from .errors import InvariantError, PreconditionError
 from .graph import (
     NEG,
     Edge,
-    EdgeSubset,
     SignedGraph,
-    VertexSubset,
     as_edge_set,
 )
 
@@ -36,8 +34,8 @@ class HararyBipartition:
     in ``left``, making the result deterministic.
     """
 
-    left: VertexSubset
-    right: VertexSubset
+    left: frozenset[int]
+    right: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,7 @@ def check_balance(g: SignedGraph) -> BalanceResult:
                 raise InvariantError(f"edge ({u}, {w}) disagrees with the Harary bipartition")
     left = frozenset(v for v, c in enumerate(color) if c == 0)
     right = frozenset(v for v, c in enumerate(color) if c == 1)
-    bip = HararyBipartition(VertexSubset(g, left), VertexSubset(g, right))
-    return BalanceResult(True, bip, None)
+    return BalanceResult(True, HararyBipartition(left, right), None)
 
 
 def _two_color(
@@ -167,7 +164,7 @@ def switching_equivalent(g: SignedGraph, h: SignedGraph) -> bool:
     return not _two_color(g.signed_rows(), dict.fromkeys(h.negative_edges(), 1))[1]
 
 
-def is_negation_set(g: SignedGraph, b: EdgeSubset | Iterable[Edge]) -> bool:
+def is_negation_set(g: SignedGraph, b: Iterable[Edge]) -> bool:
     """Whether ``b`` occurs as the negative edge set of some switching of ``g``.
 
     ``b`` is a negation set iff the signing that is negative exactly on ``b``
@@ -205,19 +202,15 @@ def failing_flips(g: SignedGraph, flips: Mapping[Edge, int], full: int) -> int:
     return _two_color(g.signed_rows(), flips, full)[1]
 
 
-def negation_set_from_switching(
-    g: SignedGraph, x: VertexSubset | Iterable[int]
-) -> EdgeSubset:
+def negation_set_from_switching(g: SignedGraph, x: Iterable[int]) -> frozenset[Edge]:
     """The negation set realized by switching ``x``: ``E⁻(g) △ cut(x)``.
 
     Read off ``g`` itself, with no switched copy.
     """
-    return EdgeSubset(g, g.negative_edges() ^ g.cut(x).edges)
+    return g.negative_edges() ^ g.cut(x)
 
 
-def switching_for_negation_set(
-    g: SignedGraph, b: EdgeSubset | Iterable[Edge]
-) -> VertexSubset:
+def switching_for_negation_set(g: SignedGraph, b: Iterable[Edge]) -> frozenset[int]:
     """A switching set realizing negation set ``b`` (smallest-vertex side fixed).
 
     Raises :class:`PreconditionError` when ``b`` is not a negation set.  The
@@ -231,6 +224,6 @@ def switching_for_negation_set(
     # Switching one side of the product's bipartition flips exactly the edges
     # where g and the target signing disagree.
     x = frozenset(v for v, c in enumerate(color) if c == 1)
-    if negation_set_from_switching(g, x).edges != bs:
+    if negation_set_from_switching(g, x) != bs:
         raise InvariantError("switching does not realize the negation set")
-    return VertexSubset(g, x)
+    return x

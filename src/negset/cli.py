@@ -169,8 +169,8 @@ def _cmd_balance(g: SignedGraph, args, report: _Report) -> int:
     result = check_balance(g)
     report.data["balanced"] = result.balanced
     if result.balanced:
-        left = sorted(result.bipartition.left.vertices)
-        right = sorted(result.bipartition.right.vertices)
+        left = sorted(result.bipartition.left)
+        right = sorted(result.bipartition.right)
         report.data["bipartition"] = {"left": left, "right": right}
         report.data["negative_circle"] = None
         report.say("balanced")
@@ -232,13 +232,14 @@ def _cmd_certify_unique(g: SignedGraph, args, report: _Report) -> int:
 
 def _cmd_acyclic(g: SignedGraph, args, report: _Report) -> int:
     result = acyclic_negation(g, trace=args.trace)
-    edges = sorted(result.negation_set.edges)
+    edges = sorted(result.negation_set)
+    switching = sorted(result.switching)
     report.data["negation_set"] = edges
-    report.data["switching"] = sorted(result.switching.vertices)
+    report.data["switching"] = switching
     report.data["passes"] = result.stats.passes
     report.say(f"acyclic negation set with {len(edges)} edges")
     report.say("edges: " + " ".join(f"{u}-{v}" for u, v in edges))
-    report.say("switching: " + " ".join(map(str, sorted(result.switching.vertices))))
+    report.say("switching: " + " ".join(map(str, switching)))
     if args.trace:
         report.data["trace"] = [dataclasses.asdict(t) for t in result.stats.trace]
         report.say(f"trace ({len(result.stats.trace)} rewrites):")
@@ -292,7 +293,7 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
             continue
         result = component_packing_number(graph)
         # vertices is increasing, so a lifted edge stays normalized
-        family = [sorted((vertices[u], vertices[v]) for u, v in member.edges) for member in result.family]
+        family = [sorted((vertices[u], vertices[v]) for u, v in member) for member in result.family]
         section = {
             "vertices": host,
             "balanced": False,
@@ -304,8 +305,8 @@ def _cmd_packing(g: SignedGraph, args, report: _Report) -> int:
         if result.realizing_bipartition is not None:
             b1, b2 = result.realizing_bipartition
             section["bipartition"] = {
-                "left": sorted(vertices[v] for v in b1.vertices),
-                "right": sorted(vertices[v] for v in b2.vertices),
+                "left": sorted(vertices[v] for v in b1),
+                "right": sorted(vertices[v] for v in b2),
             }
         sections.append(section)
         report.say(f"component {host}: packing number {result.packing_number}")
@@ -437,7 +438,7 @@ def export_dot(g: SignedGraph, annotations: Sequence[frozenset[Edge]] = ()) -> s
 def _cmd_export_dot(g: SignedGraph, args, report: _Report) -> int:
     annotations: list[frozenset[Edge]] = []
     if args.packing:
-        annotations = [m.edges for m in packing_number(g).family]
+        annotations = list(packing_number(g).family)
     elif args.edges is not None:
         annotations = [_edges_or_negative(g, args)]
     text = export_dot(g, annotations)

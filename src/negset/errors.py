@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 
-class HostMismatchError(ValueError):
-    """Raised when vertex/edge subsets are combined across different host graphs."""
-
-
 class PreconditionError(ValueError):
     """An algorithm's documented input requirement was violated."""
 

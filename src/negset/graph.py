@@ -5,19 +5,15 @@ indexed vertices ``0..n-1`` with a sign (``+1`` or ``-1``) attached to every
 edge.  All higher-level operations (switching, balance checking, negation-set
 machinery) are built from the primitives here.
 
-Vertex and edge subsets that travel between functions are wrapped in
-:class:`VertexSubset` / :class:`EdgeSubset`, which remember the graph they
-belong to; combining a subset with a different graph raises
-:class:`~negset.errors.HostMismatchError` instead of silently producing
-garbage.
+A set of vertices is a frozenset of ints, and a set of edges a frozenset of
+pairs ``(u, v)`` with ``u < v`` (:func:`edge_key`), in no particular order.
+:func:`as_vertex_set` and :func:`as_edge_set` validate a set that comes from
+outside the package against its host graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-from .errors import HostMismatchError
 
 POS = 1
 NEG = -1
@@ -204,19 +200,19 @@ class SignedGraph:
 
     # -- switching and negation -----------------------------------------------
 
-    def switch(self, x: "VertexSubset | Iterable[int]") -> "SignedGraph":
+    def switch(self, x: Iterable[int]) -> "SignedGraph":
         """Negate every edge with exactly one end in ``x``.
 
         Switching preserves all circle signs; iterating it over subsets
         enumerates exactly the negation sets of the graph.
         """
-        return self._negated(self._cut(as_vertex_set(self, x)))
+        return self._negated(self.cut(x))
 
-    def negate_edges(self, y: "EdgeSubset | Iterable[Edge]") -> "SignedGraph":
+    def negate_edges(self, y: Iterable[Edge]) -> "SignedGraph":
         """Flip the signs of exactly the edges in ``y``."""
         return self._negated(as_edge_set(self, y))
 
-    def delete_edges(self, y: "EdgeSubset | Iterable[Edge]") -> "SignedGraph":
+    def delete_edges(self, y: Iterable[Edge]) -> "SignedGraph":
         """Drop exactly the edges in ``y``; the others keep their signs."""
         ys = as_edge_set(self, y)
         return SignedGraph(
@@ -283,12 +279,9 @@ class SignedGraph:
         ]
         return SignedGraph(len(to_host), edges)
 
-    def cut(self, x: "VertexSubset | Iterable[int]") -> "EdgeSubset":
-        """Edges with exactly one end in ``x``."""
-        return EdgeSubset(self, self._cut(as_vertex_set(self, x)))
-
-    def _cut(self, xs: frozenset[int]) -> frozenset[Edge]:
-        """The cut of a validated vertex set, read off the rows of its vertices."""
+    def cut(self, x: Iterable[int]) -> frozenset[Edge]:
+        """Edges with exactly one end in ``x``, read off the rows of its vertices."""
+        xs = as_vertex_set(self, x)
         rows = self._rows
         return frozenset((u, w) if u < w else (w, u) for u in xs for w, _ in rows[u] if w not in xs)
 
@@ -365,60 +358,11 @@ class SignedGraph:
         return frozenset(v for v in range(self._n) if alive[v]), tuple(batches)
 
 
-# -- subset wrappers ---------------------------------------------------------
+# -- validation of outside sets ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexSubset:
-    """A set of vertices remembered together with its host graph."""
-
-    host: SignedGraph
-    vertices: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", as_vertex_set(self.host, self.vertices))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.vertices))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-
-@dataclass(frozen=True)
-class EdgeSubset:
-    """A set of edges (normalized pairs) remembered with its host graph."""
-
-    host: SignedGraph
-    edges: frozenset[Edge]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", as_edge_set(self.host, self.edges))
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(sorted(self.edges))
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __contains__(self, e: Edge) -> bool:
-        return edge_key(*e) in self.edges
-
-    def isdisjoint(self, other: "EdgeSubset | Iterable[Edge]") -> bool:
-        if isinstance(other, EdgeSubset):
-            other = other.edges
-        return self.edges.isdisjoint(frozenset(edge_key(*e) for e in other))
-
-
-def as_vertex_set(g: SignedGraph, x: "VertexSubset | Iterable[int]") -> frozenset[int]:
+def as_vertex_set(g: SignedGraph, x: Iterable[int]) -> frozenset[int]:
     """Coerce to a validated plain frozenset of vertices of g."""
-    if isinstance(x, VertexSubset):
-        if x.host != g:
-            raise HostMismatchError("vertex subset belongs to a different graph")
-        return x.vertices
     xs = frozenset(x)
     for v in xs:
         if not isinstance(v, int):
@@ -428,12 +372,8 @@ def as_vertex_set(g: SignedGraph, x: "VertexSubset | Iterable[int]") -> frozense
     return xs
 
 
-def as_edge_set(g: SignedGraph, y: "EdgeSubset | Iterable[Edge]") -> frozenset[Edge]:
+def as_edge_set(g: SignedGraph, y: Iterable[Edge]) -> frozenset[Edge]:
     """Coerce to a validated plain frozenset of normalized edges of g."""
-    if isinstance(y, EdgeSubset):
-        if y.host != g:
-            raise HostMismatchError("edge subset belongs to a different graph")
-        return y.edges
     if y is g._negative:
         # the host's own E⁻, read off its rows
         return y

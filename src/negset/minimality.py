@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .balance import is_negation_set
 from .errors import InvariantError, MalformedCertificateError, PreconditionError
-from .graph import NEG, POS, Edge, EdgeSubset, SignedGraph, edge_key
+from .graph import NEG, POS, Edge, SignedGraph, as_edge_set, edge_key
 
 Triangle = tuple[int, int, int]
 CirclePair = tuple[Edge, tuple[int, ...], tuple[int, ...]]
@@ -40,13 +40,9 @@ def is_minimal(g: SignedGraph, b: Iterable[Edge]) -> bool:
     return g.delete_edges(_negation_set(g, b)).is_connected()
 
 
-def _negation_set(g: SignedGraph, b: Iterable[Edge]) -> EdgeSubset:
-    """``b`` as an edge subset of g, validated once; raises unless it is a negation set.
-
-    The subset passes as validated to the calls that take it, such as
-    ``delete_edges``, so they do not check its edges against g again.
-    """
-    bs = EdgeSubset(g, b)
+def _negation_set(g: SignedGraph, b: Iterable[Edge]) -> frozenset[Edge]:
+    """``b`` as a validated edge set of g; raises unless it is a negation set."""
+    bs = as_edge_set(g, b)
     if not is_negation_set(g, bs):
         raise PreconditionError("b is not a negation set of g")
     return bs

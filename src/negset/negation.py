@@ -35,9 +35,8 @@ from .errors import InvariantError, MinusK5Detected, PreconditionError
 from .graph import (
     NEG,
     POS,
-    EdgeSubset,
+    Edge,
     SignedGraph,
-    VertexSubset,
     edge_key,
 )
 from .packing import negative_component_classes
@@ -45,7 +44,7 @@ from .packing import negative_component_classes
 # -- disjoint partner ----------------------------------------------------------
 
 
-def disjoint_partner(g: SignedGraph) -> EdgeSubset:
+def disjoint_partner(g: SignedGraph) -> frozenset[Edge]:
     """A negation set disjoint from E⁻(g), which exists iff E⁻(g) is bipartite.
 
     Switches every even class of ``negative_component_classes`` (the stable
@@ -56,7 +55,7 @@ def disjoint_partner(g: SignedGraph) -> EdgeSubset:
     an odd circle.
     """
     if not g.negative_edges():
-        return EdgeSubset(g, frozenset())
+        return frozenset()
     class_of = negative_component_classes(g).class_of
     x = [v for v, c in enumerate(class_of) if c % 2 == 0 or c < 0]
     partner = negation_set_from_switching(g, x)
@@ -71,8 +70,8 @@ def disjoint_partner(g: SignedGraph) -> EdgeSubset:
 class BipartiteNegation:
     """A switching together with the (bipartite) negation set it realizes."""
 
-    negation_set: EdgeSubset
-    switching: VertexSubset
+    negation_set: frozenset[Edge]
+    switching: frozenset[int]
 
 
 def bipartite_negation_for_antibalanced_planar(
@@ -95,13 +94,13 @@ def bipartite_negation_for_antibalanced_planar(
         if colors[u] == colors[v]:
             raise PreconditionError(f"coloring is not proper at edge ({u}, {v})")
     try:
-        w = switching_for_negation_set(g, g.edge_pairs()).vertices
+        w = switching_for_negation_set(g, g.edge_pairs())
     except PreconditionError:
         raise PreconditionError("graph is not antibalanced") from None
     x = w ^ frozenset(v for v in range(g.n) if colors[v] >= 2)
     negation = negation_set_from_switching(g, x)
-    verify.bipartite(g.n, negation.edges)
-    return BipartiteNegation(negation, VertexSubset(g, x))
+    verify.bipartite(g.n, negation)
+    return BipartiteNegation(negation, x)
 
 
 # -- fully negative circles -----------------------------------------------------
@@ -179,8 +178,8 @@ class AcyclicStats:
 
 @dataclass(frozen=True)
 class AcyclicResult:
-    negation_set: EdgeSubset
-    switching: VertexSubset
+    negation_set: frozenset[Edge]
+    switching: frozenset[int]
     stats: AcyclicStats
 
 
@@ -198,10 +197,9 @@ class _Work:
     switched and their neighbours there.
     """
 
-    __slots__ = ("host", "rows", "factor", "active", "log", "circles")
+    __slots__ = ("rows", "factor", "active", "log", "circles")
 
     def __init__(self, host: SignedGraph):
-        self.host = host
         self.rows = host.signed_rows()
         self.factor = [POS] * host.n
         self.active: set[int] = set()
@@ -242,10 +240,12 @@ class _Work:
         return len(self.neg_neighbors(v))
 
     def edge_sign(self, u: int, v: int) -> int:
-        return self.host.sign(u, v) * self.factor[u] * self.factor[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self.active and v in self.active and self.host.has_edge(u, v)
+        """The current sign of host edge uv, read off u's row; 0 when uv is no edge."""
+        factor = self.factor
+        for x, s in self.rows[u]:
+            if x == v:
+                return s * factor[u] * factor[v]
+        return 0
 
 
 def _sweep(w: _Work, verts: Iterable[int], threshold: int, phase: str) -> None:
@@ -496,7 +496,7 @@ def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
         return None
 
     a, b, (v3, v4) = pair
-    if not (w.host.has_edge(v3, v4) and w.edge_sign(v3, v4) == NEG):
+    if w.edge_sign(v3, v4) != NEG:
         return _Action("shared-pair-rectangle", (a, b, v3, v4), True)
     if edge_key(a, b) in circle_edges:
         # trade the circle for the fully negative triangle a b v3
@@ -595,7 +595,7 @@ def _case_three(
     if episode is not None:
         wn = episode.path[-1]
         contact = min(
-            (z for z in circle if w.has_edge(z, wn) and w.edge_sign(z, wn) == POS),
+            (z for z in circle if w.edge_sign(z, wn) == POS),
             default=None,
         )
         if contact is not None:
@@ -714,8 +714,8 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
 
     switching = w.switching()
     negation = negation_set_from_switching(g, switching)
-    verify.forest(g.n, negation.edges)
+    verify.forest(g.n, negation)
     passes = sum(entry.phase == "main" for entry in w.log)
     stats = AcyclicStats(passes, tuple(w.log) if trace else None)
-    return AcyclicResult(negation, VertexSubset(g, switching), stats)
+    return AcyclicResult(negation, switching, stats)
 

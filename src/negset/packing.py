@@ -41,7 +41,7 @@ from typing import Iterable
 from . import verify
 from .balance import _two_color, is_balanced
 from .errors import InvariantError, IterationBudgetError, PreconditionError
-from .graph import NEG, POS, Edge, EdgeSubset, SignedGraph, VertexSubset, edge_key
+from .graph import NEG, POS, Edge, SignedGraph, edge_key
 
 __all__ = [
     "NegativeComponentClasses",
@@ -139,8 +139,8 @@ class PackingResult:
     """Packing number of E⁻(g) with an explicit witnessing family."""
 
     packing_number: int
-    family: tuple[EdgeSubset, ...]
-    realizing_bipartition: tuple[VertexSubset, VertexSubset] | None
+    family: tuple[frozenset[Edge], ...]
+    realizing_bipartition: tuple[frozenset[int], frozenset[int]] | None
     distance: int | None
 
 
@@ -429,7 +429,7 @@ def component_packing_number(g: SignedGraph) -> PackingResult:
     switchings.  Results from the mixed search carry
     ``realizing_bipartition=None`` and ``distance=None``.
     """
-    base = EdgeSubset(g, g.negative_edges())
+    base = g.negative_edges()
     try:
         classes = negative_component_classes(g)
     except PreconditionError:
@@ -472,7 +472,7 @@ def component_packing_number(g: SignedGraph) -> PackingResult:
             if low < w_p and reach[u] != reach[v]:
                 layers[low].add((u, v))
         members = [frozenset(layer) for layer in layers]
-        bipartition, distance = (VertexSubset(g, b1), VertexSubset(g, b2)), w_p
-    family = [base, *(EdgeSubset(g, member) for member in members)]
+        bipartition, distance = (b1, b2), w_p
+    family = [base, *members]
     verify.family(g, family)
     return PackingResult(len(family), tuple(family), bipartition, distance)

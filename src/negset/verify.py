@@ -6,7 +6,7 @@ from typing import Iterable
 
 from .balance import failing_negation_sets, is_balanced
 from .errors import InvariantError
-from .graph import NEG, Edge, EdgeSubset, SignedGraph, as_edge_set
+from .graph import NEG, Edge, SignedGraph, as_edge_set
 
 
 def forest(n: int, edges: Iterable[Edge]) -> None:
@@ -32,7 +32,7 @@ def bipartite(n: int, edges: Iterable[Edge]) -> None:
         raise InvariantError("edge set is not bipartite")
 
 
-def family(g: SignedGraph, members: Iterable[EdgeSubset | Iterable[Edge]]) -> None:
+def family(g: SignedGraph, members: Iterable[Iterable[Edge]]) -> None:
     """Every member must be a negation set of ``g``, and no edge may lie in two.
 
     Members are checked in order, and the first that fails raises.  Member i

@@ -75,9 +75,10 @@ def assert_trace_replays(g: SignedGraph, trace, negation_set) -> None:
     """Replay an ``acyclic`` rewrite log of ``(switched, strict)`` pairs on ``g``.
 
     Every strict rewrite must lower the number of fully negative circles in
-    the 4-core, and the replayed switchings must end at ``negation_set``.  No
-    edge joins two core components, so the whole-core count drops exactly
-    when the count in the component being rewritten does.
+    the 4-core, and the replayed switchings must end at ``negation_set``, a
+    set of ``(u, v)`` pairs with ``u < v``.  No edge joins two core
+    components, so the whole-core count drops exactly when the count in the
+    component being rewritten does.
     """
     core = g.k_core(4)[0]
     switched: set[int] = set()
@@ -90,4 +91,4 @@ def assert_trace_replays(g: SignedGraph, trace, negation_set) -> None:
         switched.symmetric_difference_update(vertices)
         if strict:
             assert core_circles() < before, (vertices, before)
-    assert g.switch(switched).negative_edges() == {tuple(e) for e in negation_set}
+    assert g.switch(switched).negative_edges() == negation_set

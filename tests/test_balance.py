@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from negset import (
     NEG,
     POS,
-    EdgeSubset,
+    HararyBipartition,
     SignedGraph,
-    VertexSubset,
     check_balance,
     is_antibalanced,
     is_balanced,
@@ -61,7 +60,7 @@ class TestCheckBalance:
         g = cycle_graph(6).negate_edges([(1, 2), (4, 5)])
         result = check_balance(g)
         assert result.balanced
-        switched = g.switch(result.bipartition.left.vertices)
+        switched = g.switch(result.bipartition.left)
         assert not switched.negative_edges()
 
     def test_bipartition_covers_disconnected_graphs(self):
@@ -69,7 +68,7 @@ class TestCheckBalance:
         result = check_balance(g)
         assert result.balanced
         assert set(result.bipartition.left) | set(result.bipartition.right) == set(range(5))
-        assert not g.switch(result.bipartition.left.vertices).negative_edges()
+        assert not g.switch(result.bipartition.left).negative_edges()
 
     def test_edgeless_graph(self):
         result = check_balance(SignedGraph(3))
@@ -79,7 +78,7 @@ class TestCheckBalance:
     def test_witnesses_are_consistent(self, g):
         result = check_balance(g)
         if result.balanced:
-            assert not g.switch(result.bipartition.left.vertices).negative_edges()
+            assert not g.switch(result.bipartition.left).negative_edges()
         else:
             assert g.circle_sign(result.negative_circle) == NEG
 
@@ -88,33 +87,33 @@ class TestYesNoAnswersBuildNoResults:
     """The yes/no questions read the BFS colouring and build no result objects."""
 
     @pytest.fixture
-    def subset_builds(self, monkeypatch):
+    def bipartition_builds(self, monkeypatch):
         calls = []
-        original = VertexSubset.__post_init__
+        original = HararyBipartition.__init__
 
-        def counting(self):
+        def counting(self, left, right):
             calls.append(self)
-            original(self)
+            original(self, left, right)
 
-        monkeypatch.setattr(VertexSubset, "__post_init__", counting)
+        monkeypatch.setattr(HararyBipartition, "__init__", counting)
         return calls
 
-    def test_yes_answers_build_no_vertex_subset(self, subset_builds):
+    def test_yes_answers_build_no_bipartition(self, bipartition_builds):
         g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
         h = g.switch([1, 2, 3])
         assert is_balanced(g)
         assert is_negation_set(g, h.negative_edges())
         assert switching_equivalent(g, h)
-        assert subset_builds == []
-        # check_balance still builds its certificate: one subset per side.
+        assert bipartition_builds == []
+        # check_balance still builds its certificate.
         assert check_balance(g).balanced
-        assert len(subset_builds) == 2
+        assert len(bipartition_builds) == 1
 
     def test_empty_graph(self):
         g = SignedGraph(0)
         assert is_balanced(g)
         assert is_negation_set(g, [])
-        assert switching_for_negation_set(g, []).vertices == frozenset()
+        assert switching_for_negation_set(g, []) == frozenset()
 
 
 class TestSwitchingInvariance:
@@ -168,7 +167,7 @@ class TestNegationSets:
         g, xs = gx
         b = negation_set_from_switching(g, xs)
         x = switching_for_negation_set(g, b)
-        assert negation_set_from_switching(g, x.vertices).edges == b.edges
+        assert negation_set_from_switching(g, x) == b
         assert 0 not in x  # pinned representative
 
     def test_switching_for_non_negation_set_raises(self):
@@ -207,7 +206,7 @@ def negation_set_families(draw, sizes=(1, 63, 64, 65)):
         kind = draw(st.sampled_from(["switching", "toggled", "subset"]))
         if kind == "switching":
             xs = draw(st.frozensets(st.integers(0, g.n - 1)))
-            members.append(negation_set_from_switching(g, xs).edges)
+            members.append(negation_set_from_switching(g, xs))
         elif kind == "toggled":
             members.append(negative ^ {draw(st.sampled_from(pairs))})
         else:

@@ -89,7 +89,7 @@ def _check_acyclic(g: SignedGraph) -> None:
     if minus_k5:
         raise AssertionError(f"{g.edges()}: -K5 got a negation set")
     negation = result.negation_set
-    verify.forest(g.n, negation.edges)
+    verify.forest(g.n, negation)
     if not is_negation_set(g, negation):
         raise AssertionError(f"{g.edges()}: acyclic set is not a negation set")
 

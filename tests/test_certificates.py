@@ -21,7 +21,6 @@ from negset import (
     ClassGraph,
     InvariantError,
     SignedGraph,
-    VertexSubset,
     balance,
     bipartite_negation_for_antibalanced_planar,
     disjoint_partner,
@@ -92,7 +91,7 @@ def test_antibalanced_construction_must_be_bipartite(monkeypatch):
     # with colour classes 2 and 3 it switches {1}, leaving the negative
     # triangle 0 2 3
     monkeypatch.setattr(
-        negation, "switching_for_negation_set", lambda h, b: VertexSubset(h, frozenset({1, 2, 3}))
+        negation, "switching_for_negation_set", lambda h, b: frozenset({1, 2, 3})
     )
     with pytest.raises(InvariantError, match="not bipartite"):
         bipartite_negation_for_antibalanced_planar(g, [0, 1, 2, 3])

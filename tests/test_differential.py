@@ -109,13 +109,13 @@ def assert_acyclic_matches_reference(nxg: nx.Graph) -> None:
             for b in rest[i + 1 :]
         )
         return
-    switched = result.switching.vertices
+    switched = result.switching
     realized = {
         (min(u, v), max(u, v))
         for u, v, d in nxg.edges(data=True)
         if d["sign"] * (-1 if (u in switched) != (v in switched) else 1) == NEG
     }
-    assert realized == result.negation_set.edges
+    assert realized == result.negation_set
     forest = nx.empty_graph(nxg.number_of_nodes())
     forest.add_edges_from(realized)
     assert nx.is_forest(forest)
@@ -133,7 +133,7 @@ def assert_balance_matches_reference(nxg: nx.Graph) -> None:
     result = check_balance(g)
     assert result.balanced == is_balanced(g) == balanced(nxg)
     if result.balanced:
-        left, right = result.bipartition.left.vertices, result.bipartition.right.vertices
+        left, right = result.bipartition.left, result.bipartition.right
         assert left.isdisjoint(right) and left | right == set(nxg)
         assert all(
             ((u in left) != (v in left)) == (d["sign"] == NEG)

@@ -127,4 +127,12 @@ def test_golden_trace_replays(case):
     report = json.loads((GOLDEN / f"{case}.json").read_text())
     g = load_path(GOLDEN / f"{CASES[case][1]}.sg")
     trace = [(entry["switched"], entry["strict"]) for entry in report["trace"]]
-    assert_trace_replays(g, trace, report["negation_set"])
+    assert_trace_replays(g, trace, {tuple(e) for e in report["negation_set"]})
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (cmd, *_) in CASES.items() if cmd == "acyclic"))
+def test_acyclic_builds_no_edge_map(case):
+    """The construction reads every sign off the rows, never the lazy ``(u, v) -> sign`` map."""
+    g = load_path(GOLDEN / f"{CASES[case][1]}.sg")
+    negation.acyclic_negation(g)
+    assert g._signs is None

@@ -43,9 +43,9 @@ from corpus import cube_graph, negate_all
 
 def assert_valid_acyclic(g: SignedGraph, result) -> None:
     """The three output contracts: switching-consistent, forest, balancing."""
-    switched = g.switch(result.switching.vertices)
-    assert switched.negative_edges() == result.negation_set.edges
-    verify.forest(g.n, result.negation_set.edges)
+    switched = g.switch(result.switching)
+    assert switched.negative_edges() == result.negation_set
+    verify.forest(g.n, result.negation_set)
     assert is_balanced(g.negate_edges(result.negation_set))
 
 
@@ -96,9 +96,9 @@ class TestBipartiteNegationForAntibalanced:
     def test_all_negative_k4(self):
         g = complete_graph(4, NEG)
         out = bipartite_negation_for_antibalanced_planar(g, [0, 1, 2, 3])
-        assert g.switch(out.switching.vertices).negative_edges() == out.negation_set.edges
+        assert g.switch(out.switching).negative_edges() == out.negation_set
         assert is_negation_set(g, out.negation_set)
-        assert edge_set_is_bipartite(g.n, out.negation_set.edges)
+        assert edge_set_is_bipartite(g.n, out.negation_set)
 
     def test_all_negative_octahedron(self):
         edges = [
@@ -110,7 +110,7 @@ class TestBipartiteNegationForAntibalanced:
         g = SignedGraph(6, edges)
         out = bipartite_negation_for_antibalanced_planar(g, [0, 1, 2, 0, 1, 2])
         assert is_negation_set(g, out.negation_set)
-        assert edge_set_is_bipartite(g.n, out.negation_set.edges)
+        assert edge_set_is_bipartite(g.n, out.negation_set)
 
     def test_switched_antibalanced_wheel(self):
         hub_edges = [(0, v, NEG) for v in range(1, 6)]
@@ -121,7 +121,7 @@ class TestBipartiteNegationForAntibalanced:
         g = g0.switch({1, 4})
         out = bipartite_negation_for_antibalanced_planar(g, coloring)
         assert is_negation_set(g, out.negation_set)
-        assert edge_set_is_bipartite(g.n, out.negation_set.edges)
+        assert edge_set_is_bipartite(g.n, out.negation_set)
 
     def test_rejects_bad_colorings(self):
         g = complete_graph(4, NEG)
@@ -162,8 +162,8 @@ def test_constructions_build_no_resigned_copy(monkeypatch):
         )
 
     expected = answers()
-    assert [m.edges for m in expected[2]] == [g.switch(x).negative_edges() for g, x in switchings]
-    assert expected[0][0].edges == frozenset()
+    assert expected[2] == [g.switch(x).negative_edges() for g, x in switchings]
+    assert expected[0][0] == frozenset()
 
     def refuse(*args):
         raise AssertionError("a construction built a re-signed copy")
@@ -264,7 +264,7 @@ class TestAcyclicNegation:
         replayed: set[int] = set()
         for entry in log:
             replayed ^= set(entry.switched)
-        assert replayed == traced.switching.vertices
+        assert replayed == traced.switching
 
     @given(subquartic_signed_graphs(max_n=12))
     def test_oracle_frustration_lower_bound(self, g):

@@ -196,8 +196,8 @@ def corridor_circulant(n: int, closed: bool) -> SignedGraph:
 def test_long_negative_corridor_does_not_overflow(closed):
     g = corridor_circulant(1200, closed)
     result = acyclic_negation(g)
-    assert g.switch(result.switching.vertices).negative_edges() == result.negation_set.edges
-    forest = SignedGraph(g.n, [(u, v, NEG) for u, v in result.negation_set.edges])
+    assert g.switch(result.switching).negative_edges() == result.negation_set
+    forest = SignedGraph(g.n, [(u, v, NEG) for u, v in result.negation_set])
     assert len(result.negation_set) == g.n - len(forest.connected_components())
 
 

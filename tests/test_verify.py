@@ -120,17 +120,17 @@ def families(draw):
     g = g.negate_edges(draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=3)))
     members = []
     if not is_balanced(g) and edge_set_is_bipartite(g.n, g.negative_edges()):
-        members = [member.edges for member in packing_number(g).family]
+        members = list(packing_number(g).family)
     while len(members) < 3:
         xs = draw(st.frozensets(st.integers(0, n - 1)))
-        members.append(negation_set_from_switching(g, xs).edges)
+        members.append(negation_set_from_switching(g, xs))
     for i in draw(st.lists(st.integers(0, len(members) - 1), max_size=2)):
         kind = draw(st.sampled_from(["edges", "switching", "copy"]))
         if kind == "edges":
             members[i] = frozenset(draw(st.lists(st.sampled_from(pairs), unique=True)))
         elif kind == "switching":
             xs = draw(st.frozensets(st.integers(0, n - 1)))
-            members[i] = negation_set_from_switching(g, xs).edges
+            members[i] = negation_set_from_switching(g, xs)
         else:
             members[i] = members[draw(st.integers(0, len(members) - 1))]
     return g, members
@@ -147,7 +147,7 @@ def test_family_reports_a_bad_last_member():
     # C8 with three negative edges packs into six members: E- and the five
     # positive edges one by one.
     g = cycle_graph(8).negate_edges([(0, 1), (2, 3), (4, 5)])
-    members = [member.edges for member in packing_number(g).family]
+    members = list(packing_number(g).family)
     assert len(members) == 6
     assert family_failure(g, members) is None
     for last, message in (
