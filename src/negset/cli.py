@@ -357,7 +357,11 @@ def _oracle_checks(g: SignedGraph, args):
         return
 
     # One column build, shared by every brute-force row below.
-    columns = tuple(oracle.negative_columns(g, max_n=args.max_n))
+    try:
+        columns = tuple(oracle.negative_columns(g, max_n=args.max_n))
+    except PreconditionError as exc:
+        yield ("negation enumeration", "skip", str(exc))
+        return
     pairs = g.edge_pairs()
     identity = frozenset(e for e, column in zip(pairs, columns) if column & 1)
     yield row("E- enumerated as a negation set", identity == g.negative_edges())

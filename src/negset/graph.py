@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+from .errors import MalformedCertificateError
+
 POS = 1
 NEG = -1
 
@@ -228,28 +230,33 @@ class SignedGraph:
             ((u, w, -s if (u, w) in flips else s) for u, row in enumerate(rows) for w, s in row if u < w),
         )
 
-    def circle_sign(self, cycle: Sequence[int]) -> int:
-        """Product of edge signs around a closed vertex cycle.
+    def circle_edges(self, cycle: Sequence[int]) -> tuple[frozenset[Edge], int]:
+        """Edge set and sign (product of edge signs) of a closed vertex cycle.
 
         ``cycle`` lists distinct vertices; the closing edge from last back to
-        first is implied.  Raises ``ValueError`` when the input is not a cycle
-        of this graph.  Reads the row of each vertex once, not the edge map,
-        so the cost is the sum of their degrees.
+        first is implied.  Raises :class:`MalformedCertificateError` when the
+        input is not a cycle of this graph.  Reads the row of each vertex
+        once, not the edge map, so the cost is the sum of their degrees.
         """
         k = len(cycle)
         if k < 3:
-            raise ValueError("a cycle needs at least 3 vertices")
+            raise MalformedCertificateError(f"circle {tuple(cycle)} has fewer than 3 vertices")
         if len(set(cycle)) != k:
-            raise ValueError("cycle repeats a vertex")
+            raise MalformedCertificateError(f"circle {tuple(cycle)} repeats a vertex")
+        edges = []
         sign = POS
         for i in range(k):
             u, v = cycle[i], cycle[(i + 1) % k]
-            self._check_vertex(u)
-            s = dict(self._rows[u]).get(v)
+            s = dict(self._rows[u]).get(v) if 0 <= u < self._n else None
             if s is None:
-                raise ValueError(f"({u}, {v}) is not an edge")
+                raise MalformedCertificateError(f"circle {tuple(cycle)} uses missing edge ({u}, {v})")
+            edges.append(edge_key(u, v))
             sign *= s
-        return sign
+        return frozenset(edges), sign
+
+    def circle_sign(self, cycle: Sequence[int]) -> int:
+        """The sign of :meth:`circle_edges`."""
+        return self.circle_edges(cycle)[1]
 
     # -- subgraphs --------------------------------------------------------------
 

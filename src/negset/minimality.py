@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .balance import is_negation_set
-from .errors import InvariantError, MalformedCertificateError, PreconditionError
-from .graph import NEG, POS, Edge, SignedGraph, as_edge_set, edge_key
+from .errors import InvariantError, PreconditionError
+from .graph import NEG, Edge, SignedGraph, as_edge_set, edge_key
 
 Triangle = tuple[int, int, int]
 CirclePair = tuple[Edge, tuple[int, ...], tuple[int, ...]]
@@ -48,26 +48,6 @@ def _negation_set(g: SignedGraph, b: Iterable[Edge]) -> frozenset[Edge]:
     return bs
 
 
-def _cycle_edges(g: SignedGraph, cycle: Sequence[int]) -> tuple[frozenset[Edge], int]:
-    """Edge set and sign of a closed cycle, in one walk, raising on structural defects."""
-    k = len(cycle)
-    if k < 3:
-        raise MalformedCertificateError(f"circle {tuple(cycle)} has fewer than 3 vertices")
-    if len(set(cycle)) != k:
-        raise MalformedCertificateError(f"circle {tuple(cycle)} repeats a vertex")
-    edges = set()
-    sign = POS
-    for i in range(k):
-        u, v = cycle[i], cycle[(i + 1) % k]
-        if not (0 <= u < g.n) or not g.has_edge(u, v):
-            raise MalformedCertificateError(
-                f"circle {tuple(cycle)} uses missing edge ({u}, {v})"
-            )
-        edges.add(edge_key(u, v))
-        sign *= g.sign(u, v)
-    return frozenset(edges), sign
-
-
 def verify_disjoint_circle_certificate(
     g: SignedGraph, b: Iterable[Edge], circles: Iterable[Sequence[int]]
 ) -> bool:
@@ -78,18 +58,18 @@ def verify_disjoint_circle_certificate(
     :class:`MalformedCertificateError`; semantic failures (wrong count, a
     positive circle, shared edges) return ``False``.
     """
-    bs = _negation_set(g, b)
-    walked = [_cycle_edges(g, tuple(c)) for c in circles]
-    if len(walked) != len(bs):
-        return False
-    if any(sign != NEG for _, sign in walked):
-        return False
+    return _disjoint_negative(g, len(_negation_set(g, b)), circles)
+
+
+def _disjoint_negative(g: SignedGraph, count: int, circles: Iterable[Sequence[int]]) -> bool:
+    """Whether ``circles`` are ``count`` pairwise edge-disjoint negative circles of g."""
+    walked = [g.circle_edges(c) for c in circles]
     used: set[Edge] = set()
-    for es, _ in walked:
-        if used & es:
+    for es, sign in walked:
+        if sign != NEG or used & es:
             return False
         used |= es
-    return True
+    return len(walked) == count
 
 
 def verify_two_circle_certificate(
@@ -104,22 +84,19 @@ def verify_two_circle_certificate(
     unique minimum.  Every edge of ``b`` must be covered exactly once.
     """
     bs = _negation_set(g, b)
-    entries = [
-        (edge_key(*e), _cycle_edges(g, tuple(c1)), _cycle_edges(g, tuple(c2))) for e, c1, c2 in pairs
-    ]
+    entries = [(edge_key(*e), g.circle_edges(c1), g.circle_edges(c2)) for e, c1, c2 in pairs]
     if sorted(e for e, *_ in entries) != sorted(bs):
         return False
-    unions: list[frozenset[Edge]] = []
+    used: set[Edge] = set()
     for e, (es1, sign1), (es2, sign2) in entries:
         if sign1 != NEG or sign2 != NEG:
             return False
         if es1 & es2 != {e}:
             return False
-        unions.append(es1 | es2)
-    for i in range(len(unions)):
-        for j in range(i + 1, len(unions)):
-            if unions[i] & unions[j]:
-                return False
+        union = es1 | es2
+        if used & union:
+            return False
+        used |= union
     return True
 
 
@@ -166,7 +143,7 @@ def triangle_certificate_for_complete(
         return None
     spare_of = dict(zip(colors_used, spare_pool))
     cert = tuple((u, v, spare_of[coloring[(u, v)]]) for u, v in sorted(bs))
-    if not verify_disjoint_circle_certificate(g, bs, cert):
+    if not _disjoint_negative(g, len(bs), cert):
         raise InvariantError("triangle certificate is not edge-disjoint and negative")
     return cert
 

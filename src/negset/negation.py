@@ -286,23 +286,24 @@ class _CircleIndex:
     the size of the components it touched rather than of the whole core.
     ``verts`` must be closed under active adjacency (a component), so the
     only other vertices a rewrite in it marks are inactive; every vertex
-    starts dirty.
+    starts dirty.  Each query takes the :class:`_Work` whose signs it reads:
+    the work state holds the index and not the other way round, so the two
+    form no reference cycle.
     """
 
-    __slots__ = ("work", "label", "by_label", "heap", "dirty", "stamp")
+    __slots__ = ("label", "by_label", "heap", "dirty", "stamp")
 
-    def __init__(self, w: _Work, verts: Iterable[int]):
-        self.work = w
+    def __init__(self, verts: Iterable[int]):
         self.label: dict[int, int] = {}
         self.by_label: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
         self.heap: list[tuple[tuple, int, int]] = []
         self.dirty = set(verts)
         self.stamp = 0
 
-    def refresh(self) -> None:
+    def refresh(self, w: _Work) -> None:
         """Recompute the circles of every negative component holding a dirty vertex."""
         dirty, label, by_label = self.dirty, self.label, self.by_label
-        active = self.work.active
+        active = w.active
         for v in dirty:
             by_label.pop(label.get(v), None)
         seen: set[int] = set()
@@ -314,7 +315,7 @@ class _CircleIndex:
             stack = [v]
             while stack:
                 u = stack.pop()
-                nbrs[u] = around = self.work.neg_neighbors(u)
+                nbrs[u] = around = w.neg_neighbors(u)
                 for x in around:
                     if x not in seen:
                         seen.add(x)
@@ -330,9 +331,9 @@ class _CircleIndex:
                     heapq.heappush(self.heap, (_circle_order(circle), self.stamp, root))
         dirty.clear()
 
-    def first(self) -> tuple[int, ...] | None:
+    def first(self, w: _Work) -> tuple[int, ...] | None:
         """The least fully negative circle under :func:`_circle_order`, or None."""
-        self.refresh()
+        self.refresh(w)
         heap, by_label = self.heap, self.by_label
         while heap:
             key, stamp, root = heap[0]
@@ -341,9 +342,9 @@ class _CircleIndex:
             heapq.heappop(heap)
         return None
 
-    def every(self) -> tuple[tuple[int, ...], ...]:
+    def every(self, w: _Work) -> tuple[tuple[int, ...], ...]:
         """Every fully negative circle, canonical and sorted."""
-        self.refresh()
+        self.refresh(w)
         found = [c for _, cs in self.by_label.values() for c in cs]
         return tuple(sorted(found, key=_circle_order))
 
@@ -456,7 +457,7 @@ def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
 
     # a circle vertex whose positive neighbors sit in different components of
     # the negative subgraph: switching it cannot close a new circle
-    w.circles.refresh()
+    w.circles.refresh(w)
     label = w.circles.label
     pos_of = {v: w.pos_neighbors(v) for v in sorted(cset)}
     for v in sorted(cset):
@@ -556,12 +557,12 @@ def _solve_core_component(w: _Work, comp: tuple[int, ...]) -> None:
     preferred: tuple[int, ...] | None = None
     episode: _Episode | None = None
 
-    w.circles = _CircleIndex(w, comp)
+    w.circles = _CircleIndex(comp)
     for _ in range(budget):
         # each rewrite that names a circle leaves it fully negative: a certificate
         if preferred is not None and not _still_fully_negative(w, preferred):
             raise InvariantError(f"preferred circle {preferred} is not fully negative")
-        circle = preferred if preferred is not None else w.circles.first()
+        circle = preferred if preferred is not None else w.circles.first(w)
         if circle is None:
             w.circles = None
             return
@@ -616,7 +617,7 @@ def _case_three(
         return replacement, episode
 
     # new episode: first prefer any circle that still matches an earlier case
-    for other in w.circles.every():
+    for other in w.circles.every(w):
         if other != circle and _classify(w, other) is not None:
             w.rewrite("main", "circle-preference", (), False)
             return other, None

@@ -17,9 +17,10 @@ oracle-verify``) builds them once.  Where sets are needed, as in
 code as one edge mask, E⁻ XOR the incidence masks of the vertices it
 switches; there is no second walk.
 
-All entry points enforce a vertex cap (default 16) and raise
-:class:`~negset.errors.PreconditionError` beyond it rather than silently
-taking forever.
+All entry points enforce a vertex cap (default 16) and a budget of
+``COLUMN_BITS`` on the m columns of 2^(n-1) bits, and raise
+:class:`~negset.errors.PreconditionError` beyond either, before any column
+is built, rather than silently taking forever or filling memory.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .graph import NEG, Edge, SignedGraph, as_edge_set
 
 DEFAULT_MAX_N = 16
 
+#: The most bits the m columns of 2^(n-1) bits may hold together: 32 MiB.
+#: K_16 needs 2^21.9 bits, so the default cap never reaches it.
+COLUMN_BITS = 1 << 28
+
 #: An enumeration as returned by :func:`enumerate_negation_sets`.
 NegationSets = tuple[frozenset[Edge], ...]
 
@@ -40,6 +45,11 @@ def _check_scale(g: SignedGraph, max_n: int) -> None:
         raise PreconditionError("switching enumeration requires a connected graph")
     if g.n > max_n:
         raise PreconditionError(f"graph has {g.n} vertices, above the enumeration cap {max_n}")
+    if g.edge_count << max(g.n - 1, 0) > COLUMN_BITS:
+        raise PreconditionError(
+            f"graph's {g.edge_count} columns of 2^{g.n - 1} bits exceed the enumeration budget of "
+            f"{COLUMN_BITS >> 23} MiB"
+        )
 
 
 def enumerate_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
@@ -158,12 +168,6 @@ def frustration_index(
     if columns is None:
         columns = negative_columns(g, max_n)
     return _smallest(columns, all_switchings(g))[0]
-
-
-def minimum_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
-    """All negation sets of minimum size, sorted by edges."""
-    columns = tuple(negative_columns(g, max_n))
-    return _sets_at(g, _smallest(columns, all_switchings(g))[1])
 
 
 def brute_is_minimal(

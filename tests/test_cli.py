@@ -266,6 +266,11 @@ class TestFrustrationCommand:
         path = write_sg(cycle_graph(6).negate_edges([(0, 1)]))
         assert main(["frustration", path, "--max-n", "5"]) == EXIT_PRECONDITION
 
+    def test_column_budget_applies_under_a_raised_cap(self, capsys, write_sg):
+        path = write_sg(cycle_graph(26).negate_edges([(0, 1)]))
+        assert main(["frustration", path, "--max-n", "26"]) == EXIT_PRECONDITION
+        assert "budget of 32 MiB" in capsys.readouterr().err
+
     @pytest.mark.parametrize("switched", [(), (0, 3, 4, 11)], ids=["positive", "switched"])
     def test_balanced_connected_input_is_zero_above_the_cap(
         self, capsys, monkeypatch, write_sg, switched
@@ -408,6 +413,19 @@ class TestOracleVerifyCommand:
         path = write_sg(cycle_graph(6).negate_edges([(0, 1)]))
         assert main(["oracle-verify", path, "--max-n", "5"]) == EXIT_HOLDS
         assert "skip" in capsys.readouterr().out
+
+    def test_column_budget_skips_enumeration_checks(self, capsys, write_sg):
+        path = write_sg(cycle_graph(26).negate_edges([(0, 1)]))
+        code, report = run_json(capsys, ["oracle-verify", path, "--max-n", "26", "--json"])
+        assert code == EXIT_HOLDS
+        assert report["checks"] == [
+            {"name": "balance switching-invariant", "outcome": "pass", "detail": ""},
+            {
+                "name": "negation enumeration",
+                "outcome": "skip",
+                "detail": "graph's 26 columns of 2^25 bits exceed the enumeration budget of 32 MiB",
+            },
+        ]
 
     def test_json_report(self, capsys, c5_one_negative):
         code, report = run_json(capsys, ["oracle-verify", c5_one_negative, "--json"])

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from negset import cli, negation
+from negset import balance, cli, minimality, negation
 from negset.sgio import load_path
 
 from conftest import assert_trace_replays
@@ -66,6 +66,10 @@ CASES = {
     "acyclic-replacement-junction17": ("acyclic", "replacement-junction17", ["--trace"]),
     "acyclic-march-junction30": ("acyclic", "march-junction30", ["--trace"]),
     "acyclic-circle-fallback22": ("acyclic", "circle-fallback22", ["--trace"]),
+    "certify-minimum-path12": ("certify-minimum", "certify12-path", []),
+    "certify-minimum-star9": ("certify-minimum", "certify9-star", []),
+    "certify-unique-path12": ("certify-unique", "certify12-path", []),
+    "certify-unique-star9": ("certify-unique", "certify9-star", []),
 }
 
 
@@ -136,3 +140,25 @@ def test_acyclic_builds_no_edge_map(case):
     g = load_path(GOLDEN / f"{CASES[case][1]}.sg")
     negation.acyclic_negation(g)
     assert g._signs is None
+
+
+def test_certify_minimum_decides_the_set_once_and_builds_no_edge_map(monkeypatch, capsys):
+    """One negation-set check of E⁻, and the triangles are walked on the rows, not the edge map."""
+    graphs, checked = [], []
+    load, decide = cli.load_path, balance.is_negation_set
+
+    def loading(path):
+        graphs.append(load(path))
+        return graphs[-1]
+
+    def deciding(g, b):
+        checked.append(b)
+        return decide(g, b)
+
+    monkeypatch.setattr(cli, "load_path", loading)
+    for module in (balance, cli, minimality):
+        monkeypatch.setattr(module, "is_negation_set", deciding)
+    assert cli.main(argv_of("certify-minimum-path12")) == 0
+    assert capsys.readouterr().out == (GOLDEN / "certify-minimum-path12.json").read_text()
+    assert len(checked) == 1
+    assert graphs[0]._signs is None

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from negset import (
     NEG,
     POS,
+    MalformedCertificateError,
     SignedGraph,
     edge_key,
 )
@@ -248,6 +249,21 @@ class TestSwitching:
             g.circle_sign((0, 1))
         with pytest.raises(ValueError, match="repeats a vertex"):
             g.circle_sign((0, 1, 0))
+
+    def test_circle_edges(self):
+        g = cycle_graph(4).negate_edges([(2, 3)])
+        assert g.circle_edges([3, 0, 1, 2]) == (frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}), NEG)
+        for cycle, message in [
+            ((0, 1), r"circle \(0, 1\) has fewer than 3 vertices"),
+            ([0, 1, 0], r"circle \(0, 1, 0\) repeats a vertex"),
+            ((0, 1, 2), r"circle \(0, 1, 2\) uses missing edge \(2, 0\)"),
+            ((0, 1, 4), r"circle \(0, 1, 4\) uses missing edge \(1, 4\)"),
+            ((-1, 0, 1), r"circle \(-1, 0, 1\) uses missing edge \(-1, 0\)"),
+        ]:
+            with pytest.raises(MalformedCertificateError, match=message):
+                g.circle_edges(cycle)
+            with pytest.raises(MalformedCertificateError, match=message):
+                g.circle_sign(cycle)
 
     @given(vertex_subsets(connected_signed_graphs()))
     def test_edge_masks_index_the_edge_pairs(self, gx):

@@ -3,6 +3,7 @@ antibalanced graphs, and the acyclic (forest) construction for max degree 4."""
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
@@ -340,6 +341,26 @@ class TestAcyclicHardInstances:
         result = acyclic_negation(g)
         assert_valid_acyclic(g, result)
 
+    def test_a_failed_run_leaves_no_reference_cycle(self):
+        # the run's data are freed by reference counting alone, as cli.main's
+        # paused collector needs, also when the construction gives up
+        g = golden_graph("gadget-triangle18")
+        failed = False
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            try:
+                acyclic_negation(g)
+            except InvariantError:
+                failed = True
+            gc.collect()
+            cyclic = [o for o in gc.garbage if isinstance(o, (negation._Work, negation._CircleIndex))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert failed
+        assert cyclic == []
+
     def test_pair_shift_instance(self):
         g = golden_graph("pair-shift8")
         result = acyclic_negation(g, trace=True)
@@ -405,7 +426,7 @@ class TestClassifyCases:
 
         w = _Work(g)
         w.active = set(range(g.n))
-        w.circles = _CircleIndex(w, range(g.n))
+        w.circles = _CircleIndex(range(g.n))
         return _classify(w, circle)
 
     def test_high_negative_degree(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -157,7 +158,7 @@ class TestColumns:
         columns = tuple(oracle.negative_columns(g))
         smallest = len(sets[0])
         assert oracle.frustration_index(g, columns=columns) == smallest
-        assert oracle.minimum_negation_sets(g) == tuple(s for s in sets if len(s) == smallest)
+        assert corpus.minimum_negation_sets(g) == tuple(s for s in sets if len(s) == smallest)
         for b in {g.negative_edges(), *sets[:4], *sets[-2:]}:
             expected = not any(s < b for s in sets)
             assert oracle.brute_is_minimal(g, b, columns=columns) == expected
@@ -192,6 +193,29 @@ class TestScaleGuards:
         with pytest.raises(PreconditionError, match="cap"):
             oracle.frustration_index(path_graph(6), max_n=5)
 
+    def test_column_budget_is_checked_before_any_column(self):
+        # C_26 under a cap of 26: 26 columns of 2^25 bits, about 100 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match=r"26 columns of 2\^25 bits exceed .* 32 MiB"):
+                oracle.frustration_index(cycle_graph(26), max_n=26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_column_budget_boundary(self):
+        # a 24-vertex path plus chords: m columns of 2^23 bits, 2^28 bits at m = 32
+        chords = [(0, v, POS) for v in range(2, 11)]
+        at_budget = SignedGraph(24, [(i, i + 1, POS) for i in range(23)] + chords)
+        assert at_budget.edge_count << 23 == oracle.COLUMN_BITS
+        oracle._check_scale(at_budget, 24)
+        over = SignedGraph(24, at_budget.edges() + ((0, 11, POS),))
+        with pytest.raises(PreconditionError, match="budget"):
+            oracle._check_scale(over, 24)
+        # the default cap never reaches the budget
+        assert complete_graph(oracle.DEFAULT_MAX_N).edge_count << (oracle.DEFAULT_MAX_N - 1) < oracle.COLUMN_BITS
+
 
 class TestDerivedQuantities:
     def test_frustration_anchors(self):
@@ -200,7 +224,7 @@ class TestDerivedQuantities:
         assert oracle.frustration_index(complete_graph(5, NEG)) == 4
 
     def test_minimum_sets_of_the_all_negative_k5(self):
-        sets = oracle.minimum_negation_sets(complete_graph(5, NEG))
+        sets = corpus.minimum_negation_sets(complete_graph(5, NEG))
         assert len(sets) == 10  # one per 2-element switching set
         assert all(len(s) == 4 for s in sets)
 

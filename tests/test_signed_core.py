@@ -85,8 +85,8 @@ signings = st.tuples(
 
 def assert_index_matches_the_enumerator(w: _Work, verts) -> None:
     circles = _enumerate_circles(verts, w.neg_neighbors)
-    assert w.circles.every() == circles
-    assert w.circles.first() == (circles[0] if circles else None)
+    assert w.circles.every(w) == circles
+    assert w.circles.first(w) == (circles[0] if circles else None)
 
 
 @given(signings)
@@ -94,7 +94,7 @@ def test_core_circle_search_matches_the_enumerator(case):
     g, switched = case
     w = work_on(g, switched)
     everything = range(g.n)
-    w.circles = _CircleIndex(w, everything)
+    w.circles = _CircleIndex(everything)
     assert_index_matches_the_enumerator(w, everything)
     # after the preprocess sweep every negative degree is at most two, so
     # the core is 2-regular and its cycles are walked directly
@@ -107,7 +107,7 @@ def test_circle_index_follows_every_rewrite(case, rewrites):
     g, switched = case
     w = work_on(g, switched)
     everything = range(g.n)
-    w.circles = _CircleIndex(w, everything)
+    w.circles = _CircleIndex(everything)
     for vertices in rewrites:
         w.rewrite("main", "test", [v for v in vertices if v < g.n], False)
         assert_index_matches_the_enumerator(w, everything)
@@ -226,9 +226,9 @@ def test_tracing_adds_no_circle_search(stem, monkeypatch):
     refresh = negation._CircleIndex.refresh
     calls = []
 
-    def counted(index):
+    def counted(index, w):
         calls.append(index)
-        return refresh(index)
+        return refresh(index, w)
 
     monkeypatch.setattr(negation._CircleIndex, "refresh", counted)
     counts = []
