@@ -349,13 +349,6 @@ def _oracle_checks(g: SignedGraph, args):
     )
     yield row("balance switching-invariant", invariant)
 
-    if g.n > args.max_n:
-        yield ("negation enumeration", "skip", f"n > {args.max_n}")
-        return
-    if not g.is_connected():
-        yield ("negation enumeration", "skip", "graph not connected")
-        return
-
     # One column build, shared by every brute-force row below.
     try:
         columns = tuple(oracle.negative_columns(g, max_n=args.max_n))

@@ -214,14 +214,6 @@ class SignedGraph:
         """Flip the signs of exactly the edges in ``y``."""
         return self._negated(as_edge_set(self, y))
 
-    def delete_edges(self, y: Iterable[Edge]) -> "SignedGraph":
-        """Drop exactly the edges in ``y``; the others keep their signs."""
-        ys = as_edge_set(self, y)
-        return SignedGraph(
-            self._n,
-            ((u, w, s) for u, row in enumerate(self._rows) for w, s in row if u < w and (u, w) not in ys),
-        )
-
     def _negated(self, flips: frozenset[Edge]) -> "SignedGraph":
         """A copy with the normalized edges in ``flips`` negated, fed in row order (the sorted path)."""
         rows = self._rows

@@ -33,11 +33,16 @@ def is_minimal(g: SignedGraph, b: Iterable[Edge]) -> bool:
     """Whether negation set ``b`` contains no smaller negation set.
 
     Characterization: ``b`` is minimal iff the graph with ``b`` deleted is
-    still connected.  Requires ``g`` connected and ``b`` a negation set.
+    still connected.  Requires ``g`` connected and ``b`` a negation set;
+    G − b is built from the rows and the set just validated.
     """
     if not g.is_connected():
         raise PreconditionError("minimality characterization requires a connected graph")
-    return g.delete_edges(_negation_set(g, b)).is_connected()
+    bs = _negation_set(g, b)
+    rows = g.signed_rows()
+    return SignedGraph(
+        g.n, ((u, w, s) for u, row in enumerate(rows) for w, s in row if u < w and (u, w) not in bs)
+    ).is_connected()
 
 
 def _negation_set(g: SignedGraph, b: Iterable[Edge]) -> frozenset[Edge]:

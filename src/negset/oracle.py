@@ -17,10 +17,11 @@ oracle-verify``) builds them once.  Where sets are needed, as in
 code as one edge mask, E⁻ XOR the incidence masks of the vertices it
 switches; there is no second walk.
 
-All entry points enforce a vertex cap (default 16) and a budget of
-``COLUMN_BITS`` on the m columns of 2^(n-1) bits, and raise
-:class:`~negset.errors.PreconditionError` beyond either, before any column
-is built, rather than silently taking forever or filling memory.
+All entry points test, in this order, a vertex cap (default 16), that the
+graph is connected, and a budget of ``COLUMN_BITS`` on the m columns of
+2^(n-1) bits, and raise :class:`~negset.errors.PreconditionError` at the
+first that fails: the cap before the graph is walked, all three before any
+column is built, rather than silently taking forever or filling memory.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ NegationSets = tuple[frozenset[Edge], ...]
 
 
 def _check_scale(g: SignedGraph, max_n: int) -> None:
-    if not g.is_connected():
-        raise PreconditionError("switching enumeration requires a connected graph")
     if g.n > max_n:
         raise PreconditionError(f"graph has {g.n} vertices, above the enumeration cap {max_n}")
+    if not g.is_connected():
+        raise PreconditionError("switching enumeration requires a connected graph")
     if g.edge_count << max(g.n - 1, 0) > COLUMN_BITS:
         raise PreconditionError(
             f"graph's {g.edge_count} columns of 2^{g.n - 1} bits exceed the enumeration budget of "

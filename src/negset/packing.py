@@ -28,14 +28,14 @@ Only then is one family built and certified: the mixed family when the
 search found one, else the ``w_p + 1`` layered switchings measured from one
 side of the last balanced class graph's bipartition.  The class graphs
 and the certificate both go through the package's one signed BFS: a class
-graph is 2-coloured from its multigraph rows, and the certificate
+graph is 2-coloured once, when it is built, and the certificate
 two-colours every member at once, bit-parallel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import verify
@@ -90,36 +90,36 @@ class ClassGraph:
     Class ``2i`` and ``2i + 1`` are always joined by a negative edge; the
     positive edges come from a distance threshold.  A positive edge parallel
     to a negative one forms a negative digon, which the signed BFS over the
-    multigraph's rows meets as an ordinary colouring conflict.
+    multigraph's rows meets as an ordinary colouring conflict.  That BFS
+    runs once, in the pass that validates the edges and builds the rows.
     """
 
     m: int
     threshold: int
     positive_edges: frozenset[Edge]
+    _left: frozenset[int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = frozenset(edge_key(*e) for e in self.positive_edges)
         object.__setattr__(self, "positive_edges", norm)
+        # Unsorted rows, negative entry first: no answer reads their order.
+        rows = [[(c ^ 1, NEG)] for c in range(2 * self.m)]
         for u, v in norm:
             if not (0 <= u < 2 * self.m and 0 <= v < 2 * self.m):
                 raise ValueError(f"class index out of range in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"loop at class {u} is not allowed")
+            rows[u].append((v, POS))
+            rows[v].append((u, POS))
+        color, conflict, _ = _two_color(rows)
+        left = None if conflict else frozenset(c for c, side in enumerate(color) if side == 0)
+        object.__setattr__(self, "_left", left)
 
     def negative_edges(self) -> tuple[Edge, ...]:
         return tuple((2 * i, 2 * i + 1) for i in range(self.m))
 
-    def _rows(self) -> list[list[tuple[int, int]]]:
-        """Per-class ``(neighbour, sign)`` multigraph rows, unsorted: no answer reads their order."""
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * self.m)]
-        for edges, sign in ((self.negative_edges(), NEG), (self.positive_edges, POS)):
-            for u, v in edges:
-                rows[u].append((v, sign))
-                rows[v].append((u, sign))
-        return rows
-
     def balanced(self) -> bool:
-        return not _two_color(self._rows())[1]
+        return self._left is not None
 
     def harary_sides(self) -> frozenset[int]:
         """Class indices on the left of the Harary split (balanced only).
@@ -128,10 +128,9 @@ class ClassGraph:
         the left), so the result is deterministic even when the class graph
         is disconnected.
         """
-        color, conflict, _ = _two_color(self._rows())
-        if conflict:
+        if self._left is None:
             raise InvariantError("harary_sides called on an unbalanced class graph")
-        return frozenset(c for c, side in enumerate(color) if side == 0)
+        return self._left
 
 
 @dataclass(frozen=True)

@@ -412,7 +412,8 @@ class TestOracleVerifyCommand:
     def test_large_graphs_skip_enumeration_checks(self, capsys, write_sg):
         path = write_sg(cycle_graph(6).negate_edges([(0, 1)]))
         assert main(["oracle-verify", path, "--max-n", "5"]) == EXIT_HOLDS
-        assert "skip" in capsys.readouterr().out
+        rows = capsys.readouterr().out.splitlines()
+        assert "negation enumeration         skip  (graph has 6 vertices, above the enumeration cap 5)" in rows
 
     def test_column_budget_skips_enumeration_checks(self, capsys, write_sg):
         path = write_sg(cycle_graph(26).negate_edges([(0, 1)]))
@@ -442,7 +443,11 @@ class TestOracleVerifyCommand:
         assert code == EXIT_HOLDS
         assert report["checks"] == [
             {"name": "balance switching-invariant", "outcome": "pass", "detail": ""},
-            {"name": "negation enumeration", "outcome": "skip", "detail": "graph not connected"},
+            {
+                "name": "negation enumeration",
+                "outcome": "skip",
+                "detail": "switching enumeration requires a connected graph",
+            },
         ]
 
     def test_minus_k5_skips_the_packing_and_acyclic_rows(self, capsys, write_sg):

@@ -193,6 +193,14 @@ class TestScaleGuards:
         with pytest.raises(PreconditionError, match="cap"):
             oracle.frustration_index(path_graph(6), max_n=5)
 
+    def test_cap_is_checked_before_the_graph_is_walked(self, monkeypatch):
+        def no_walk(self, vertices):
+            raise AssertionError("the component walk ran")
+
+        monkeypatch.setattr(SignedGraph, "_component_walk", no_walk)
+        with pytest.raises(PreconditionError, match="graph has 6 vertices, above the enumeration cap 5"):
+            oracle.negative_columns(path_graph(6), max_n=5)
+
     def test_column_budget_is_checked_before_any_column(self):
         # C_26 under a cap of 26: 26 columns of 2^25 bits, about 100 MB
         tracemalloc.start()

@@ -369,6 +369,20 @@ class TestClassMachinery:
         assert square.harary_sides() == frozenset({0, 2})
         assert builds == []
 
+    def test_class_graph_is_coloured_once_when_built(self, monkeypatch):
+        digon = ClassGraph(1, 1, frozenset({(0, 1)}))
+        square = ClassGraph(2, 1, frozenset({(0, 2), (1, 3)}))
+
+        def no_bfs(*args, **kwargs):
+            raise AssertionError("a class graph was coloured again")
+
+        monkeypatch.setattr(packing, "_two_color", no_bfs)
+        assert not digon.balanced()
+        with pytest.raises(InvariantError, match="unbalanced class graph"):
+            digon.harary_sides()
+        assert square.balanced()
+        assert square.harary_sides() == frozenset({0, 2})
+
 
 def scan_sequence(g: SignedGraph):
     classes = negative_component_classes(g)
