@@ -8,11 +8,13 @@ machinery) are built from the primitives here.
 A set of vertices is a frozenset of ints, and a set of edges a frozenset of
 pairs ``(u, v)`` with ``u < v`` (:func:`edge_key`), in no particular order.
 :func:`as_vertex_set` and :func:`as_edge_set` validate a set that comes from
-outside the package against its host graph.
+outside the package against its host graph.  Every one-edge lookup is
+:func:`row_sign`, a bisection of the graph's sorted signed rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedCertificateError
@@ -39,6 +41,18 @@ def _edge_fault(n: int, u: int, v: int, s: int) -> str:
     return f"parallel edge ({u}, {v})"
 
 
+def row_sign(rows: Sequence[Sequence[tuple[int, int]]], u: object, v: object) -> int:
+    """The package's one edge lookup: uv's sign, bisected out of u's sorted row, or 0 for no edge.
+
+    Only an int in ``0..len(rows)-1`` indexes a row, never one from the end; ``1.0`` is no vertex."""
+    if isinstance(u, int) and isinstance(v, int) and 0 <= u < len(rows):
+        row = rows[u]
+        i = bisect_left(row, (v,))
+        if i < len(row) and row[i][0] == v:
+            return row[i][1]
+    return 0
+
+
 class SignedGraph:
     """Immutable simple signed graph.
 
@@ -54,7 +68,7 @@ class SignedGraph:
     against a set of those before it, and the rows are sorted at the end.
     """
 
-    __slots__ = ("_n", "_m", "_rows", "_signs", "_negative")
+    __slots__ = ("_n", "_m", "_rows", "_negative")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
         if n < 0:
@@ -89,7 +103,6 @@ class SignedGraph:
         self._n = n
         self._m = sum(map(len, rows)) // 2
         self._rows = tuple(map(tuple, rows))
-        self._signs: dict[Edge, int] | None = None
         self._negative: frozenset[Edge] | None = None
 
     # -- basic queries --------------------------------------------------------
@@ -127,21 +140,15 @@ class SignedGraph:
                 negative |= 1 << i
         return incidence, negative
 
-    def _edge_signs(self) -> dict[Edge, int]:
-        """The ``(u, v) -> sign`` map, ``u < v``, built on the first one-edge lookup."""
-        if self._signs is None:
-            self._signs = {(u, w): s for u, row in enumerate(self._rows) for w, s in row if u < w}
-        return self._signs
-
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._edge_signs()
+        return row_sign(self._rows, u, v) != 0
 
     def sign(self, u: int, v: int) -> int:
         """Sign of edge uv; raises if uv is not an edge."""
-        try:
-            return self._edge_signs()[edge_key(u, v)]
-        except KeyError:
-            raise ValueError(f"({u}, {v}) is not an edge") from None
+        s = row_sign(self._rows, u, v)
+        if not s:
+            raise ValueError(f"({u}, {v}) is not an edge")
+        return s
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -227,8 +234,8 @@ class SignedGraph:
 
         ``cycle`` lists distinct vertices; the closing edge from last back to
         first is implied.  Raises :class:`MalformedCertificateError` when the
-        input is not a cycle of this graph.  Reads the row of each vertex
-        once, not the edge map, so the cost is the sum of their degrees.
+        input is not a cycle of this graph.  Each edge is one
+        :func:`row_sign` lookup.
         """
         k = len(cycle)
         if k < 3:
@@ -239,8 +246,8 @@ class SignedGraph:
         sign = POS
         for i in range(k):
             u, v = cycle[i], cycle[(i + 1) % k]
-            s = dict(self._rows[u]).get(v) if 0 <= u < self._n else None
-            if s is None:
+            s = row_sign(self._rows, u, v)
+            if not s:
                 raise MalformedCertificateError(f"circle {tuple(cycle)} uses missing edge ({u}, {v})")
             edges.append(edge_key(u, v))
             sign *= s
@@ -372,20 +379,23 @@ def as_vertex_set(g: SignedGraph, x: Iterable[int]) -> frozenset[int]:
 
 
 def as_edge_set(g: SignedGraph, y: Iterable[Edge]) -> frozenset[Edge]:
-    """Coerce to a validated plain frozenset of normalized edges of g."""
+    """Coerce to a validated plain frozenset of normalized edges of g, one :func:`row_sign` per pair.
+
+    A frozenset of normalized edges comes back as the same object, the host's own E⁻ unchecked."""
     if y is g._negative:
-        # the host's own E⁻, read off its rows
         return y
-    edges = g._edge_signs().keys()
-    if isinstance(y, frozenset) and y <= edges:
-        # every element is already a normalized edge of g
-        return y
-    ys = frozenset(edge_key(*e) for e in y)
-    if not edges >= ys:
-        for u, v in ys:
-            if not g.has_edge(u, v):
-                raise ValueError(f"({u}, {v}) is not an edge of the host graph")
-    return ys
+    as_is = isinstance(y, frozenset)
+    ys = y if as_is else tuple(y)
+    rows = g._rows
+    for e in ys:
+        u, v = e
+        if not row_sign(rows, u, v):
+            for x in (u, v):
+                if not isinstance(x, int):
+                    raise ValueError(f"vertex {x!r} is not an integer")
+            raise ValueError(f"{edge_key(u, v)} is not an edge of the host graph")
+        as_is = as_is and u < v and type(e) is tuple
+    return ys if as_is else frozenset(edge_key(u, v) for u, v in ys)
 
 
 # -- small graph factory helpers ----------------------------------------------

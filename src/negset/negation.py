@@ -32,13 +32,7 @@ from typing import Iterable, Mapping, Sequence
 from . import verify
 from .balance import negation_set_from_switching, switching_for_negation_set
 from .errors import InvariantError, MinusK5Detected, PreconditionError
-from .graph import (
-    NEG,
-    POS,
-    Edge,
-    SignedGraph,
-    edge_key,
-)
+from .graph import NEG, POS, Edge, SignedGraph, edge_key, row_sign
 from .packing import negative_component_classes
 
 # -- disjoint partner ----------------------------------------------------------
@@ -240,12 +234,8 @@ class _Work:
         return len(self.neg_neighbors(v))
 
     def edge_sign(self, u: int, v: int) -> int:
-        """The current sign of host edge uv, read off u's row; 0 when uv is no edge."""
-        factor = self.factor
-        for x, s in self.rows[u]:
-            if x == v:
-                return s * factor[u] * factor[v]
-        return 0
+        """The current sign of host edge uv; 0 when uv is no edge."""
+        return row_sign(self.rows, u, v) * self.factor[u] * self.factor[v]
 
 
 def _sweep(w: _Work, verts: Iterable[int], threshold: int, phase: str) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from negset.graph import (
     as_vertex_set,
     complete_graph,
     cycle_graph,
+    row_sign,
 )
 
 from conftest import connected_signed_graphs, vertex_subsets
@@ -188,13 +191,6 @@ class TestConstructionOrder:
         switched = g.switch(xs)
         assert switched == flipped and hash(switched) == hash(flipped)
 
-    def test_edge_map_is_built_on_the_first_lookup(self):
-        g = triangle()
-        assert g._signs is None
-        check = g.circle_sign((0, 1, 2)) == POS and g.negative_edges() and g.edges()
-        assert check and g._signs is None
-        assert g.sign(1, 2) == NEG and g._signs == {(0, 1): POS, (0, 2): NEG, (1, 2): NEG}
-
     @given(connected_signed_graphs(max_n=8))
     def test_one_edge_lookups_agree_with_the_edges(self, g):
         signs = {(u, v): s for u, v, s in g.edges()}
@@ -207,6 +203,14 @@ class TestConstructionOrder:
                         g.sign(u, v)
                 else:
                     assert g.sign(u, v) == s
+
+    def test_a_non_int_or_negative_endpoint_is_no_edge(self):
+        g = triangle()
+        # vertex 2's row holds 0 and 1, but -1 must not read it from the end; 1.0 must not match 1
+        assert row_sign(g.signed_rows(), -1, 0) == 0 and row_sign(g.signed_rows(), 0, 1.0) == 0
+        assert not g.has_edge(0, 1.0) and not g.has_edge(1.0, 0) and not g.has_edge(0, "a")
+        with pytest.raises(ValueError, match=r"\(0, 1\.0\) is not an edge"):
+            g.sign(0, 1.0)
 
 
 class TestSwitching:
@@ -259,6 +263,8 @@ class TestSwitching:
             ((0, 1, 2), r"circle \(0, 1, 2\) uses missing edge \(2, 0\)"),
             ((0, 1, 4), r"circle \(0, 1, 4\) uses missing edge \(1, 4\)"),
             ((-1, 0, 1), r"circle \(-1, 0, 1\) uses missing edge \(-1, 0\)"),
+            ((0, 1.0, 2), r"circle \(0, 1\.0, 2\) uses missing edge \(0, 1\.0\)"),
+            ((0, "a", 2), r"circle \(0, 'a', 2\) uses missing edge \(0, a\)"),
         ]:
             with pytest.raises(MalformedCertificateError, match=message):
                 g.circle_edges(cycle)
@@ -372,8 +378,15 @@ class TestSubsetWrappers:
     def test_edge_subset_validates_membership(self):
         g = triangle()
         assert as_edge_set(g, [(1, 0)]) == frozenset({(0, 1)})
-        with pytest.raises(ValueError, match=r"\(0, 5\) is not an edge"):
-            as_edge_set(g, [(0, 5)])
+        for pairs, message in [
+            ([(0, 5)], r"\(0, 5\) is not an edge of the host graph"),
+            ([(-1, 0)], r"\(-1, 0\) is not an edge of the host graph"),
+            ([(0, 1.0)], r"vertex 1\.0 is not an integer"),
+            (frozenset({(1.0, 2)}), r"vertex 1\.0 is not an integer"),
+            ([(0, 1), ("a", 2)], "vertex 'a' is not an integer"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                as_edge_set(g, pairs)
 
     def test_vertex_subset_validates_membership(self):
         g = triangle()
@@ -389,8 +402,8 @@ class TestSubsetWrappers:
         g, h = triangle(), triangle()
         neg = g.negative_edges()
         assert g.negative_edges() is neg
-        assert as_edge_set(g, neg) is neg and g._signs is None
-        assert as_edge_set(h, neg) == neg and h._signs is not None
+        assert as_edge_set(g, neg) is neg
+        assert as_edge_set(h, neg) == neg
         with pytest.raises(ValueError, match="not an edge"):
             as_edge_set(path_graph(3), neg)
 
@@ -401,6 +414,40 @@ class TestSubsetWrappers:
         assert as_edge_set(g, frozenset({(1, 0)})) == frozenset({(0, 1)})
         with pytest.raises(ValueError, match="not an edge"):
             as_edge_set(path_graph(3), frozenset({(0, 2)}))
+
+    @given(connected_signed_graphs(max_n=8), st.data())
+    def test_as_edge_set_agrees_with_the_edge_pairs(self, g, data):
+        edges = sorted(g.edge_pairs())
+        ends = st.integers(-1, g.n)
+        pair = st.one_of(
+            st.sampled_from(edges),
+            st.sampled_from(edges).map(lambda e: e[::-1]),
+            st.tuples(ends, ends),
+            ends.map(lambda u: (u, u)),
+        )
+        pairs = data.draw(st.lists(pair, max_size=8))
+        want = frozenset(edge_key(u, v) for u, v in pairs)
+        if want <= set(edges):
+            for ys in (pairs, tuple(pairs), iter(pairs), frozenset(pairs)):
+                assert as_edge_set(g, ys) == want
+            assert as_edge_set(g, want) is want
+        else:
+            for ys in (pairs, tuple(pairs), iter(pairs), frozenset(pairs)):
+                with pytest.raises(ValueError, match="is not an edge of the host graph"):
+                    as_edge_set(g, ys)
+
+    def test_validating_a_small_cut_allocates_only_the_set(self):
+        # C_n(1, 2) at n = 24k; nine spread vertices cut 36 edges, given reversed
+        n = 24000
+        g = SignedGraph(n, sorted((*edge_key(i, (i + d) % n), POS) for i in range(n) for d in (1, 2)))
+        pairs = [(v, u) for u, v in g.cut(range(0, 900, 100))]
+        tracemalloc.start()
+        try:
+            ys = as_edge_set(g, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ys) == 36 and peak < 64 * 1024
 
     @given(st.frozensets(st.integers(0, 2)))
     def test_as_vertex_set_accepts_plain_iterables(self, xs):
