@@ -361,19 +361,25 @@ def _oracle_checks(g: SignedGraph, args):
     failing = failing_flips(g, dict(zip(pairs, columns)), oracle.all_switchings(g))
     yield row("enumeration agrees with is_negation_set", failing == 0)
 
-    sample = oracle.smallest_negation_sets(g, 8, columns=columns)
+    # E- and the switchings of every subset of vertices 1-3.
+    sample = oracle.negation_sets(g, oracle.all_switchings(g) & 0xFF)
     ok = all(
         is_minimal(g, s) == oracle.brute_is_minimal(g, s, columns=columns)
         for s in sample
     )
     yield row("minimality agrees with brute force", ok)
 
-    if not base and is_balanced(g.negative_subgraph()):
+    if not base:
         mine = component_packing_number(g).packing_number
         brute = oracle.brute_packing_number(g, columns=columns)
-        yield row("packing number agrees with brute force", mine == brute, f"{mine} vs {brute}")
+        if mine == brute == 1:
+            # The brute force reads 1 exactly when E- holds an odd circle, which
+            # every negation set meets: the row passes only on bipartite E-.
+            yield ("packing number agrees with brute force", "skip", "1 vs 1, E- holds an odd circle")
+        else:
+            yield row("packing number agrees with brute force", mine == brute, f"{mine} vs {brute}")
     else:
-        yield ("packing number agrees with brute force", "skip", "needs connected, unbalanced, bipartite E-")
+        yield ("packing number agrees with brute force", "skip", "needs an unbalanced graph")
 
     if g.max_degree() <= 4 and not base:
         try:
@@ -484,8 +490,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("path", help=".sg input file")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--output", "-o", help="write the report to a file")
+        # export-dot colours either --edges or the packing family, not both
+        choice = p.add_mutually_exclusive_group() if name == "export-dot" else p
         if name in {"negation-check", "minimal", "certify-minimum", "certify-unique", "export-dot"}:
-            p.add_argument(
+            choice.add_argument(
                 "--edges",
                 help="edge list, e.g. 0-1,2-3 (default: the negative edges)",
             )
@@ -500,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "oracle-verify":
             p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         if name == "export-dot":
-            p.add_argument(
+            choice.add_argument(
                 "--packing", action="store_true",
                 help="color the packing family, one color per member",
             )

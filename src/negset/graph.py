@@ -259,12 +259,6 @@ class SignedGraph:
 
     # -- subgraphs --------------------------------------------------------------
 
-    def negative_subgraph(self) -> "SignedGraph":
-        """Same vertices, negative edges only."""
-        return SignedGraph(
-            self._n, [(u, w, s) for u, row in enumerate(self._rows) for w, s in row if u < w and s == NEG]
-        )
-
     def induced(self, vertices: Iterable[int]) -> "SignedGraph":
         """Subgraph induced on ``vertices``, reindexed densely.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .balance import is_negation_set
+from .balance import failing_flips
 from .errors import InvariantError, PreconditionError
 from .graph import NEG, Edge, SignedGraph, as_edge_set, edge_key
 
@@ -46,9 +46,9 @@ def is_minimal(g: SignedGraph, b: Iterable[Edge]) -> bool:
 
 
 def _negation_set(g: SignedGraph, b: Iterable[Edge]) -> frozenset[Edge]:
-    """``b`` as a validated edge set of g; raises unless it is a negation set."""
+    """``b`` as an edge set of g, validated once; raises unless one signed BFS finds a negation set."""
     bs = as_edge_set(g, b)
-    if not is_negation_set(g, bs):
+    if failing_flips(g, dict.fromkeys(bs, 1), 1):
         raise PreconditionError("b is not a negation set of g")
     return bs
 

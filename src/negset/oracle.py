@@ -12,10 +12,10 @@ j is set when the edge is negative under switching j, so switching 0 is
 E⁻.  A question becomes a few whole-column operations; no set is built per
 switching.  The query functions take the finished columns as ``columns``,
 so a caller that asks several questions of one graph (``negset
-oracle-verify``) builds them once.  Where sets are needed, as in
-:func:`enumerate_negation_sets`, switching j's set is read off its Gray
-code as one edge mask, E⁻ XOR the incidence masks of the vertices it
-switches; there is no second walk.
+oracle-verify``) builds them once.  Where sets are needed,
+:func:`negation_sets` reads switching j's set off its Gray code as one edge
+mask, E⁻ XOR the incidence masks of the vertices it switches; there is no
+second walk.
 
 All entry points test, in this order, a vertex cap (default 16), that the
 graph is connected, and a budget of ``COLUMN_BITS`` on the m columns of
@@ -61,7 +61,7 @@ def enumerate_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> Negat
     set appears exactly once.
     """
     _check_scale(g, max_n)
-    return _sets_at(g, all_switchings(g))
+    return negation_sets(g, all_switchings(g))
 
 
 def all_switchings(g: SignedGraph) -> int:
@@ -120,14 +120,16 @@ def _masks_at(g: SignedGraph, mask: int) -> list[int]:
     return masks
 
 
-def _sets_at(g: SignedGraph, mask: int) -> NegationSets:
-    """The negation sets of the switchings in ``mask``, sorted by (size, edges).
+def negation_sets(g: SignedGraph, switchings: int) -> NegationSets:
+    """The negation sets of the Gray switchings in mask ``switchings``, sorted by (size, edges).
 
-    Edge i precedes edge j exactly when i < j, so ascending edge-index rows
-    sort like the sorted edge lists.
+    Bit j of the mask selects switching j, as in :func:`negative_columns`:
+    ``all_switchings(g) & 0xFF`` selects E⁻ and the switchings of every
+    subset of vertices 1–3.  Edge i precedes edge j exactly when i < j, so
+    ascending edge-index rows sort like the sorted edge lists.
     """
     pairs = g.edge_pairs()
-    rows = sorted((list(_bits(edges)) for edges in _masks_at(g, mask)), key=lambda row: (len(row), row))
+    rows = sorted((list(_bits(edges)) for edges in _masks_at(g, switchings)), key=lambda row: (len(row), row))
     return tuple(frozenset([pairs[i] for i in row]) for row in rows)
 
 
@@ -161,19 +163,17 @@ def frustration_index(
 ) -> int:
     """Minimum number of negative edges over all switchings.
 
-    ``columns``, here and in :func:`brute_is_minimal`,
-    :func:`smallest_negation_sets` and :func:`brute_packing_number`, is
-    ``tuple(negative_columns(g, max_n))`` when the caller already has it;
-    by default the columns are built.
+    ``columns``, here and in :func:`brute_is_minimal` and
+    :func:`brute_packing_number`, is ``tuple(negative_columns(g, max_n))``
+    when the caller already has it.  By default they are built, under
+    ``max_n`` here and under ``DEFAULT_MAX_N`` in the other two.
     """
     if columns is None:
         columns = negative_columns(g, max_n)
     return _smallest(columns, all_switchings(g))[0]
 
 
-def brute_is_minimal(
-    g: SignedGraph, b: Iterable[Edge], max_n: int = DEFAULT_MAX_N, *, columns: Iterable[int] | None = None
-) -> bool:
+def brute_is_minimal(g: SignedGraph, b: Iterable[Edge], *, columns: Iterable[int] | None = None) -> bool:
     """Whether no negation set is a proper subset of ``b``.
 
     A switching's set lies inside ``b`` exactly when the switching has no
@@ -183,7 +183,7 @@ def brute_is_minimal(
     """
     bs = as_edge_set(g, b)
     if columns is None:
-        columns = negative_columns(g, max_n)
+        columns = negative_columns(g)
     inside, outside = -1, 0
     for column, e in zip(columns, g.edge_pairs()):
         if e in bs:
@@ -198,42 +198,7 @@ def brute_is_minimal(
     return within == own
 
 
-def smallest_negation_sets(
-    g: SignedGraph, count: int, max_n: int = DEFAULT_MAX_N, *, columns: Iterable[int] | None = None
-) -> list[frozenset[Edge]]:
-    """The ``count`` negation sets whose sorted edge lists come first, in that order.
-
-    A preorder descent over the edges: a node holds the chosen edges and
-    the switchings whose sets hold exactly those among the edges passed, and
-    is a set itself when one of them has no later edge.
-    """
-    columns = tuple(negative_columns(g, max_n) if columns is None else columns)
-    pairs = g.edge_pairs()
-    later = [0] * (len(columns) + 1)  # later[i]: the OR of columns i, i + 1, ...
-    for i in reversed(range(len(columns))):
-        later[i] = later[i + 1] | columns[i]
-    found: list[frozenset[Edge]] = []
-
-    def descend(start: int, reach: int, chosen: list[Edge]) -> None:
-        if reach & ~later[start]:
-            found.append(frozenset(chosen))
-        for i in range(start, len(columns)):
-            if len(found) >= count or not reach:
-                return
-            hit = reach & columns[i]
-            if hit:
-                chosen.append(pairs[i])
-                descend(i + 1, hit, chosen)
-                chosen.pop()
-            reach &= ~columns[i]
-
-    descend(0, all_switchings(g), [])
-    return found[:count]
-
-
-def brute_packing_number(
-    g: SignedGraph, max_n: int = DEFAULT_MAX_N, *, columns: Iterable[int] | None = None
-) -> int:
+def brute_packing_number(g: SignedGraph, *, columns: Iterable[int] | None = None) -> int:
     """Maximum size of a pairwise-disjoint family of negation sets containing E⁻(g).
 
     Straight branch and bound over the sets disjoint from E⁻: the switchings
@@ -241,7 +206,7 @@ def brute_packing_number(
     defined for unbalanced graphs (a balanced graph has the empty negation
     set, for which disjoint packing is meaningless).
     """
-    columns = tuple(negative_columns(g, max_n) if columns is None else columns)
+    columns = tuple(negative_columns(g) if columns is None else columns)
     anywhere = negative = 0
     for column in columns:
         anywhere |= column

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 from negset import NEG, POS, ClassGraph, SignedGraph
 from negset.graph import Edge, as_edge_set, complete_graph, cycle_graph, edge_key
-from negset.oracle import DEFAULT_MAX_N, NegationSets, _sets_at, _smallest, all_switchings, negative_columns
+from negset.oracle import DEFAULT_MAX_N, NegationSets, _smallest, all_switchings, negation_sets, negative_columns
 
 
 def path_graph(n: int, sign: int = POS) -> SignedGraph:
@@ -53,7 +53,7 @@ def cube_graph(sign: int = POS) -> SignedGraph:
 def minimum_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
     """All negation sets of minimum size, sorted by edges, by the oracle's columns."""
     columns = tuple(negative_columns(g, max_n))
-    return _sets_at(g, _smallest(columns, all_switchings(g))[1])
+    return negation_sets(g, _smallest(columns, all_switchings(g))[1])
 
 
 def brute_is_unique_minimum(

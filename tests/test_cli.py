@@ -451,16 +451,37 @@ class TestOracleVerifyCommand:
         ]
 
     def test_minus_k5_skips_the_packing_and_acyclic_rows(self, capsys, write_sg):
-        # E- of a switched -K5 holds a triangle, and -K5 has no acyclic negation set
+        # E- of a switched -K5 holds a triangle, which every negation set meets,
+        # so both packing numbers read 1; -K5 has no acyclic negation set
         g = complete_graph(5, NEG).switch({0, 2})
         code, report = run_json(capsys, ["oracle-verify", write_sg(g), "--json"])
         assert code == EXIT_HOLDS
         rows = {c["name"]: (c["outcome"], c["detail"]) for c in report["checks"]}
-        assert rows["packing number agrees with brute force"] == (
-            "skip", "needs connected, unbalanced, bipartite E-"
-        )
+        assert rows["packing number agrees with brute force"] == ("skip", "1 vs 1, E- holds an odd circle")
         assert rows["acyclic set at least frustration index"] == ("skip", "antibalanced K5 block")
         assert [c["outcome"] for c in report["checks"]].count("pass") == 4
+
+    def test_packing_row_fails_when_the_fast_path_misses_an_odd_circle(self, capsys, monkeypatch, write_sg):
+        g = complete_graph(5, NEG).switch({0, 2})
+        wrong = packing.PackingResult(2, (g.negative_edges(), frozenset()), None, None)
+        monkeypatch.setattr(cli, "component_packing_number", lambda graph: wrong)
+        code, report = run_json(capsys, ["oracle-verify", write_sg(g), "--json"])
+        assert code == EXIT_FAILS
+        rows = {c["name"]: (c["outcome"], c["detail"]) for c in report["checks"]}
+        assert rows["packing number agrees with brute force"] == ("fail", "2 vs 1")
+
+    def test_small_golden_inputs_pass_or_skip_every_row(self, capsys):
+        small = [path for path in sorted(GOLDEN.glob("*.sg")) if load_path(str(path)).n <= 16]
+        assert len(small) == 13
+        for path in small:
+            code, report = run_json(capsys, ["oracle-verify", str(path), "--json"])
+            rows = {c["name"]: (c["outcome"], c["detail"]) for c in report["checks"]}
+            assert code == EXIT_HOLDS, path.name
+            assert {outcome for outcome, _ in rows.values()} <= {"pass", "skip"}, (path.name, rows)
+            if path.name == "packing-odd-negative.sg":
+                assert rows["packing number agrees with brute force"] == (
+                    "skip", "1 vs 1, E- holds an odd circle"
+                )
 
     def test_enumerates_once_per_op(self, capsys, monkeypatch, write_sg):
         # Connected, unbalanced, bipartite E- and max degree 4: every row runs.
@@ -575,6 +596,15 @@ class TestExportDot:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: (0, 9) is not an edge of the host graph\n"
+
+    def test_edges_with_packing_is_a_usage_error(self, capsys, c5_one_negative):
+        # Either flag picks what is coloured; together one would be ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(["export-dot", c5_one_negative, "--packing", "--edges", "9-9"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --edges: not allowed with argument --packing" in captured.err
 
     def test_json_report_carries_the_dot_text(self, capsys, c5_one_negative):
         code, report = run_json(capsys, ["export-dot", c5_one_negative, "--json"])

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from negset import balance, cli, minimality, negation
+from negset import balance, cli, negation
 from negset.sgio import load_path
 
 from conftest import assert_trace_replays
@@ -135,16 +135,15 @@ def test_golden_trace_replays(case):
 
 
 def test_certify_minimum_decides_the_set_once_and_builds_no_edge_map(monkeypatch, capsys):
-    """One negation-set check of E⁻; the triangles are walked by one-edge lookups on the rows."""
-    checked = []
-    decide = balance.is_negation_set
+    """One signed BFS decides E⁻; the triangles are walked by one-edge lookups on the rows."""
+    calls = []
+    decide = balance._two_color
 
-    def deciding(g, b):
-        checked.append(b)
-        return decide(g, b)
+    def deciding(*args):
+        calls.append(args)
+        return decide(*args)
 
-    for module in (balance, cli, minimality):
-        monkeypatch.setattr(module, "is_negation_set", deciding)
+    monkeypatch.setattr(balance, "_two_color", deciding)
     assert cli.main(argv_of("certify-minimum-path12")) == 0
     assert capsys.readouterr().out == (GOLDEN / "certify-minimum-path12.json").read_text()
-    assert len(checked) == 1
+    assert len(calls) == 1

@@ -291,11 +291,6 @@ class TestSwitching:
 
 
 class TestSubgraphs:
-    def test_negative_subgraph(self):
-        g = triangle()
-        assert g.negative_subgraph().edge_count == 2
-        assert g.negative_subgraph().negative_edges() == g.negative_edges()
-
     def test_induced_mapping_round_trip(self):
         g = SignedGraph(5, [(0, 2, POS), (2, 4, NEG), (1, 3, POS)])
         vs = [4, 0, 2]

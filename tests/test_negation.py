@@ -140,8 +140,8 @@ class TestBipartiteNegationForAntibalanced:
 def test_constructions_build_no_resigned_copy(monkeypatch):
     """Each construction reads a switching's negation set as E⁻ △ cut(X) off its input.
 
-    The answers are taken first with ``switch``, ``negate_edges`` and
-    ``negative_subgraph`` in place, then again with all three raising.
+    The answers are taken first with ``switch`` and ``negate_edges`` in
+    place, then again with both raising.
     """
     hub = [(0, v, NEG) for v in range(1, 6)]
     wheel = SignedGraph(6, hub + [(v, v % 5 + 1, NEG) for v in range(1, 6)])
@@ -169,7 +169,7 @@ def test_constructions_build_no_resigned_copy(monkeypatch):
     def refuse(*args):
         raise AssertionError("a construction built a re-signed copy")
 
-    for name in ("switch", "negate_edges", "negative_subgraph"):
+    for name in ("switch", "negate_edges"):
         monkeypatch.setattr(SignedGraph, name, refuse)
     assert answers() == expected
 

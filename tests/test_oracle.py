@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import random
 import tracemalloc
 from itertools import combinations
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from negset import NEG, POS, PreconditionError, SignedGraph, is_negation_set, load_path
 from negset import oracle
@@ -162,17 +162,27 @@ class TestColumns:
         for b in {g.negative_edges(), *sets[:4], *sets[-2:]}:
             expected = not any(s < b for s in sets)
             assert oracle.brute_is_minimal(g, b, columns=columns) == expected
-        sample = oracle.smallest_negation_sets(g, 8, columns=columns)
-        assert sample == heapq.nsmallest(8, sets, key=sorted)
         if frozenset() not in sets:
             expected = reference_packing_number(g, sets)
             assert oracle.brute_packing_number(g, columns=columns) == expected
 
-    def test_sample_sizes(self):
-        g = cycle_graph(5).negate_edges([(0, 1)])
-        sets = oracle.enumerate_negation_sets(g)
-        for count in (0, 1, len(sets), len(sets) + 3):
-            assert oracle.smallest_negation_sets(g, count) == heapq.nsmallest(count, sets, key=sorted)
+    @given(connected_signed_graphs(max_n=8), st.data())
+    def test_sets_of_a_mask_are_its_switchings_sets(self, g, data):
+        full = oracle.all_switchings(g)
+        mask = data.draw(st.integers(0, full))
+        sets = [
+            g.switch([k + 1 for k in range(g.n - 1) if (j ^ (j >> 1)) >> k & 1]).negative_edges()
+            for j in range(full.bit_length())
+            if mask >> j & 1
+        ]
+        assert oracle.negation_sets(g, mask) == tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
+
+    def test_minimality_sample_holds_minimal_and_non_minimal_sets(self):
+        # oracle-verify's minimality row: E- and the switchings of vertices 1-3
+        g = load_path(str(GOLDEN / "oracle-packing10.sg"))
+        sample = oracle.negation_sets(g, oracle.all_switchings(g) & 0xFF)
+        assert len(sample) == 8
+        assert {oracle.brute_is_minimal(g, s) for s in sample} == {True, False}
 
 
 class TestScaleGuards:
