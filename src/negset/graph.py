@@ -391,16 +391,3 @@ def as_edge_set(g: SignedGraph, y: Iterable[Edge]) -> frozenset[Edge]:
         as_is = as_is and u < v and type(e) is tuple
     return ys if as_is else frozenset(edge_key(u, v) for u, v in ys)
 
-
-# -- small graph factory helpers ----------------------------------------------
-
-
-def complete_graph(n: int, sign: int = POS) -> SignedGraph:
-    return SignedGraph(n, [(u, v, sign) for u in range(n) for v in range(u + 1, n)])
-
-
-def cycle_graph(n: int, sign: int = POS) -> SignedGraph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return SignedGraph(n, [(i, (i + 1) % n, sign) for i in range(n)])
-

@@ -7,9 +7,11 @@ the largest positive-subgraph distance between the two sides of a stable
 bipartition of the negative subgraph, maximized over all such bipartitions.
 
 :func:`packing_number` goes classes, bound, distances, scan, family.  The
-scan builds a sequence of small signed "class graphs" on the 2m
-bipartition classes and finds the first unbalanced one; its threshold
-``w_p`` is the best distance over single bipartitions.
+class distances are a sparse table ``{(a, b): d}`` holding only the class
+pairs within the bound.  The scan builds a sequence of small signed "class
+graphs" on the 2m bipartition classes, one per distinct distance of that
+table, and finds the first unbalanced one; its threshold ``w_p`` is the
+best distance over single bipartitions.
 
 The scan value is exact whenever it matches the shortest-path upper bound:
 every member of a disjoint family must separate the two classes of every
@@ -18,7 +20,7 @@ component's classes in the positive subgraph with classes contracted.  The
 bound is one BFS per component over the host's signed rows, stepping over
 negative entries, each stopped once it can no longer beat the best so far.
 It comes first, because ``w_p`` never exceeds it: every class BFS stops at
-the bound's depth, and a class distance beyond it reads ``inf``.  With one
+the bound's depth, and a class pair beyond it has no key.  With one
 negative component the two figures always coincide.  With several they can
 genuinely differ — families may mix cuts from different bipartitions — and
 then an exact (exponential, budget-kept) search over class-respecting
@@ -186,20 +188,19 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
 
 def _positive_distances(
     g: SignedGraph, sources: Iterable[int], limit: float = math.inf
-) -> list[float]:
-    """Multi-source BFS over the rows' positive entries; beyond ``limit``, distance ``inf``."""
+) -> dict[int, int]:
+    """Multi-source BFS over the rows' positive entries: ``{v: distance}``, in
+    BFS order, for the vertices within ``limit``."""
     rows = g.signed_rows()
-    dist: list[float] = [math.inf] * g.n
-    queue = sorted(set(sources))
-    for s in queue:
-        dist[s] = 0
+    dist = dict.fromkeys(sources, 0)
+    queue = list(dist)
     for u in queue:
-        if dist[u] >= limit:
+        step = dist[u] + 1
+        if step > limit:
             # BFS order: every vertex still queued is at least this deep.
             break
-        step = dist[u] + 1
         for w, sign in rows[u]:
-            if sign == POS and dist[w] == math.inf:
+            if sign == POS and w not in dist:
                 dist[w] = step
                 queue.append(w)
     return dist
@@ -207,56 +208,44 @@ def _positive_distances(
 
 def class_distances(
     g: SignedGraph, classes: NegativeComponentClasses, limit: float = math.inf
-) -> tuple[tuple[float, ...], ...]:
-    """Minimum positive-subgraph distance between every pair of classes.
+) -> dict[Edge, int]:
+    """Least positive-subgraph distance ``{(a, b): d}``, ``a < b``, between classes.
 
-    Row and column order follow :meth:`NegativeComponentClasses.flat`;
-    unreachable pairs, and pairs farther apart than ``limit``, get
-    ``math.inf``.  One BFS per class, each stopped at depth ``limit``.
+    Class indices follow :meth:`NegativeComponentClasses.flat`.  A pair that
+    is not joined, or is farther apart than ``limit``, has no key.  One BFS
+    per class, each stopped at depth ``limit``, reads the class of every
+    vertex it reaches; BFS order meets each class first at its distance.
     """
-    flat = classes.flat()
-    rows = []
-    for cls in flat:
-        dist = _positive_distances(g, cls, limit)
-        rows.append(tuple(min(dist[v] for v in other) for other in flat))
-    return tuple(rows)
+    class_of = classes.class_of
+    pairs: dict[Edge, int] = {}
+    for a, cls in enumerate(classes.flat()):
+        for v, d in _positive_distances(g, cls, limit).items():
+            if class_of[v] > a:
+                pairs.setdefault((a, class_of[v]), d)
+    return pairs
 
 
-def thresholds(distances: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
-    """Distinct finite class distances, ascending (self-distances excluded)."""
-    vals = {
-        int(d)
-        for a, row in enumerate(distances)
-        for b, d in enumerate(row)
-        if a != b and math.isfinite(d)
-    }
-    return tuple(sorted(vals))
+def thresholds(distances: dict[Edge, int]) -> tuple[int, ...]:
+    """Distinct class distances, ascending."""
+    return tuple(sorted(set(distances.values())))
 
 
 def build_class_graph(
-    classes: NegativeComponentClasses,
-    distances: tuple[tuple[float, ...], ...],
-    k: int,
+    classes: NegativeComponentClasses, distances: dict[Edge, int], w: int
 ) -> ClassGraph:
-    """The k-th class graph of the scan (k counted from 1).
+    """The class graph of the scan at threshold ``w``.
 
-    Positive edges join class pairs within distance ``w_k``, closed under
+    Positive edges join class pairs within distance ``w``, closed under
     the mirror swap that exchanges the two classes of every component: if
     (V_iα, V_jβ) is within threshold then (V_iᾱ, V_jβ̄) is also added.
     """
-    ws = thresholds(distances)
-    if not 1 <= k <= len(ws):
-        raise ValueError(f"scan index {k} outside 1..{len(ws)}")
-    wk = ws[k - 1]
     positive: set[Edge] = set()
-    size = 2 * classes.m
-    for a in range(size):
-        for b in range(a + 1, size):
-            if distances[a][b] <= wk:
-                positive.add((a, b))
-                # mirror both endpoints into the opposite classes
-                positive.add(edge_key(a ^ 1, b ^ 1))
-    return ClassGraph(classes.m, wk, frozenset(positive))
+    for (a, b), d in distances.items():
+        if d <= w:
+            positive.add((a, b))
+            # mirror both endpoints into the opposite classes
+            positive.add(edge_key(a ^ 1, b ^ 1))
+    return ClassGraph(classes.m, w, frozenset(positive))
 
 
 def _contracted_bound(g: SignedGraph, classes: NegativeComponentClasses) -> float:
@@ -280,16 +269,14 @@ def _contracted_bound(g: SignedGraph, classes: NegativeComponentClasses) -> floa
     rows = g.signed_rows()
 
     def distance(source: int, cutoff: float) -> float:
-        dist = [-1] * g.n
-        queue = list(flat[source])
-        for v in queue:
-            dist[v] = 0
+        dist = dict.fromkeys(flat[source], 0)
+        queue = list(dist)
         for u in queue:
             step = dist[u] + 1
             if step >= cutoff:
                 return math.inf
             for w, sign in rows[u]:
-                if sign == NEG or dist[w] >= 0:
+                if sign == NEG or w in dist:
                     continue
                 c = class_of[w]
                 if c == source + 1:
@@ -436,15 +423,14 @@ def component_packing_number(g: SignedGraph) -> PackingResult:
         # fully negative circle: no second disjoint negation set exists.
         return PackingResult(1, (base,), None, None)
     # The witnessed family can never beat the contracted shortest-path bound,
-    # so the scan's answer lies within it and farther class distances read inf.
+    # so the scan's answer lies within it and farther class pairs get no key.
     bound = _contracted_bound(g, classes)
     dist = class_distances(g, classes, bound)
-    ws = thresholds(dist)
     # The last balanced class graph of the scan; the empty one, whose Harary
     # sides are exactly the first classes, stands in before the first step.
     last = ClassGraph(classes.m, 0, frozenset())
-    for k in range(1, len(ws) + 1):
-        cg = build_class_graph(classes, dist, k)
+    for w in thresholds(dist):
+        cg = build_class_graph(classes, dist, w)
         if not cg.balanced():
             break
         last = cg
@@ -462,14 +448,15 @@ def component_packing_number(g: SignedGraph) -> PackingResult:
         b1 = frozenset(v for v, c in enumerate(classes.class_of) if c in side)
         b2 = frozenset(v for v, c in enumerate(classes.class_of) if c >= 0 and c not in side)
         reach = _positive_distances(g, b1, w_p)
-        # Member i is E⁻ switched by the layer {v : reach[v] <= i}.  Every
-        # negative edge joins b1 to b2 and so lies in that layer's cut, which
-        # leaves exactly the positive edges from distance i to distance i + 1.
+        # Member i is E⁻ switched by the layer {v : reach(v) <= i}, where a
+        # vertex beyond w_p reads w_p.  Every negative edge joins b1 to b2 and
+        # so lies in that layer's cut, which leaves exactly the positive edges
+        # from distance i to distance i + 1.
         layers: list[set[Edge]] = [set() for _ in range(w_p)]
         for u, v in g.positive_edges():
-            low = min(reach[u], reach[v])
-            if low < w_p and reach[u] != reach[v]:
-                layers[low].add((u, v))
+            du, dv = reach.get(u, w_p), reach.get(v, w_p)
+            if du != dv:
+                layers[min(du, dv)].add((u, v))
         members = [frozenset(layer) for layer in layers]
         bipartition, distance = (b1, b2), w_p
     family = [base, *members]

@@ -11,8 +11,18 @@ import random
 from typing import Iterable, Iterator
 
 from negset import NEG, POS, ClassGraph, SignedGraph
-from negset.graph import Edge, as_edge_set, complete_graph, cycle_graph, edge_key
+from negset.graph import Edge, as_edge_set, edge_key
 from negset.oracle import DEFAULT_MAX_N, NegationSets, _smallest, all_switchings, negation_sets, negative_columns
+
+
+def complete_graph(n: int, sign: int = POS) -> SignedGraph:
+    return SignedGraph(n, [(u, v, sign) for u in range(n) for v in range(u + 1, n)])
+
+
+def cycle_graph(n: int, sign: int = POS) -> SignedGraph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return SignedGraph(n, [(i, (i + 1) % n, sign) for i in range(n)])
 
 
 def path_graph(n: int, sign: int = POS) -> SignedGraph:

@@ -9,7 +9,6 @@ random connected signed graphs on at most 7 vertices; the larger families
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from itertools import combinations
@@ -36,10 +35,10 @@ from negset import (
 )
 from negset import oracle
 from negset.errors import PreconditionError
-from negset.graph import SignedGraph, complete_graph, cycle_graph
+from negset.graph import SignedGraph
 
 import corpus
-from corpus import has_negative_digon, negate_all
+from corpus import complete_graph, cycle_graph, has_negative_digon, negate_all
 from conftest import edge_set_is_bipartite
 from test_negation import assert_valid_acyclic
 from test_packing import assert_valid_family
@@ -279,19 +278,16 @@ def test_criterion_09_balance_scan_shape():
         classes = negative_component_classes(g)
         dist = class_distances(g, classes)
         ws = thresholds(dist)
-        graphs = [build_class_graph(classes, dist, k) for k in range(1, len(ws) + 1)]
+        graphs = [build_class_graph(classes, dist, w) for w in ws]
         flags = [cg.balanced() for cg in graphs]
         for earlier, later in zip(flags, flags[1:]):
             assert earlier or not later, "balance scan is not monotone"
-        intra = [
-            dist[2 * i][2 * i + 1]
-            for i in range(classes.m)
-            if math.isfinite(dist[2 * i][2 * i + 1])
-        ]
+        # the two classes of one component are the pair (2i, 2i + 1)
+        intra = [d for (a, b), d in dist.items() if b == a ^ 1]
         if intra:
-            mu = next(k for k, w in enumerate(ws, start=1) if w >= min(intra))
-            assert has_negative_digon(graphs[mu - 1])
-            assert not graphs[mu - 1].balanced()
+            mu = next(k for k, w in enumerate(ws) if w >= min(intra))
+            assert has_negative_digon(graphs[mu])
+            assert not graphs[mu].balanced()
             digons += 1
         scans += 1
     print(

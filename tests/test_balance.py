@@ -21,10 +21,9 @@ from negset import (
     switching_for_negation_set,
 )
 from negset.balance import failing_negation_sets
-from negset.graph import complete_graph, cycle_graph
 
 from conftest import connected_signed_graphs, vertex_subsets
-from corpus import path_graph
+from corpus import complete_graph, cycle_graph, path_graph
 
 
 class TestCheckBalance:

@@ -31,7 +31,8 @@ from negset import (
     switching_for_negation_set,
     triangle_certificate_for_complete,
 )
-from negset.graph import complete_graph, cycle_graph
+
+from corpus import complete_graph, cycle_graph
 
 
 def _generic_failure(node: ast.AST) -> bool:

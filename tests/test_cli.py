@@ -40,9 +40,9 @@ from negset.cli import (
     export_dot,
     main,
 )
-from negset.graph import complete_graph, cycle_graph
 
 import corpus
+from corpus import complete_graph, cycle_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -18,13 +18,11 @@ from negset import (
 from negset.graph import (
     as_edge_set,
     as_vertex_set,
-    complete_graph,
-    cycle_graph,
     row_sign,
 )
 
 from conftest import connected_signed_graphs, vertex_subsets
-from corpus import cube_graph, negate_all, path_graph, positive_neighbors
+from corpus import complete_graph, cube_graph, cycle_graph, negate_all, path_graph, positive_neighbors
 
 
 def triangle():

@@ -24,11 +24,10 @@ from negset import (
     verify_two_circle_certificate,
 )
 from negset import oracle
-from negset.graph import complete_graph, cycle_graph
 from negset.minimality import misra_gries_edge_coloring
 
 import corpus
-from corpus import path_graph
+from corpus import complete_graph, cycle_graph, path_graph
 from conftest import connected_signed_graphs
 
 

@@ -29,7 +29,6 @@ from negset import (
     switching_for_negation_set,
 )
 from negset import negation, oracle, verify
-from negset.graph import complete_graph, cycle_graph
 from negset.negation import negative_circles
 from negset.sgio import load_path
 
@@ -39,7 +38,7 @@ from conftest import (
     edge_set_is_bipartite,
     subquartic_signed_graphs,
 )
-from corpus import cube_graph, negate_all
+from corpus import complete_graph, cube_graph, cycle_graph, negate_all
 
 
 def assert_valid_acyclic(g: SignedGraph, result) -> None:

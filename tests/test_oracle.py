@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from negset import NEG, POS, PreconditionError, SignedGraph, is_negation_set, load_path
 from negset import oracle
-from negset.graph import complete_graph, cycle_graph
 
 import corpus
-from corpus import negate_all, path_graph
+from corpus import complete_graph, cycle_graph, negate_all, path_graph
 from conftest import connected_signed_graphs
 
 GOLDEN = Path(__file__).parent / "golden"

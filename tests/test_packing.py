@@ -28,10 +28,9 @@ from negset import (
     thresholds,
 )
 from negset import oracle, packing, verify
-from negset.graph import complete_graph, cycle_graph
 
 import corpus
-from corpus import has_negative_digon, path_graph
+from corpus import complete_graph, cycle_graph, has_negative_digon, path_graph
 from conftest import connected_signed_graphs, edge_set_is_bipartite
 
 
@@ -199,6 +198,27 @@ def split_negative_graphs(draw, max_n: int = 9):
     ])
 
 
+def dense_class_distances(g: SignedGraph, classes) -> list[list[float]]:
+    """Reference 2m × 2m matrix: one plain BFS per class over the positive
+    edges, then the least distance to each class; ``inf`` when not joined."""
+    adjacency: dict[int, list[int]] = {v: [] for v in g.vertices()}
+    for u, v in g.positive_edges():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    flat = classes.flat()
+    matrix = []
+    for cls in flat:
+        dist = dict.fromkeys(cls, 0)
+        queue = list(cls)
+        for x in queue:
+            for y in adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        matrix.append([min(dist.get(v, math.inf) for v in other) for other in flat])
+    return matrix
+
+
 class TestContractedBound:
     @given(split_negative_graphs())
     @settings(max_examples=150)
@@ -283,18 +303,28 @@ class TestClassMachinery:
         g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
         classes = negative_component_classes(g)
         dist = class_distances(g, classes)
+        dense = dense_class_distances(g, classes)
         size = 2 * classes.m
         for a in range(size):
-            assert dist[a][a] == 0
+            # a class's distance to itself is 0, so the table keeps no key for it
+            assert dense[a][a] == 0 and (a, a) not in dist
             for b in range(size):
-                assert dist[a][b] == dist[b][a]
+                assert dense[a][b] == dense[b][a]
+        # one key per joined unordered pair, read the same from either class's BFS
+        assert dist == {
+            (a, b): dense[a][b]
+            for a in range(size)
+            for b in range(a + 1, size)
+            if math.isfinite(dense[a][b])
+        }
 
     def test_unreachable_classes_get_infinity(self):
         # The positive subgraph of an all-negative path is empty.
         g = path_graph(3, NEG)
         classes = negative_component_classes(g)
         dist = class_distances(g, classes)
-        assert dist[0][1] == math.inf
+        assert dist == {}
+        assert dense_class_distances(g, classes)[0][1] == math.inf
 
     @given(connected_signed_graphs(max_n=9), st.integers(0, 9))
     @settings(max_examples=120)
@@ -303,11 +333,22 @@ class TestClassMachinery:
         if not negative or not edge_set_is_bipartite(g.n, negative):
             return
         classes = negative_component_classes(g)
-        capped = tuple(
-            tuple(d if d <= limit else math.inf for d in row)
-            for row in class_distances(g, classes)
-        )
+        capped = {pair: d for pair, d in class_distances(g, classes).items() if d <= limit}
         assert class_distances(g, classes, limit) == capped
+
+    @given(split_negative_graphs(max_n=14))
+    @settings(max_examples=100)
+    def test_sparse_table_is_the_dense_reference_within_the_limit(self, g):
+        classes = negative_component_classes(g)
+        dense = dense_class_distances(g, classes)
+        for limit in (math.inf, packing._contracted_bound(g, classes), 1):
+            expected = {
+                (a, b): d
+                for a, row in enumerate(dense)
+                for b, d in enumerate(row)
+                if a < b and math.isfinite(d) and d <= limit
+            }
+            assert class_distances(g, classes, limit) == expected
 
     def test_thresholds_are_distinct_ascending_finite(self):
         g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
@@ -316,26 +357,21 @@ class TestClassMachinery:
         assert list(ws) == sorted(set(ws))
         assert all(isinstance(w, int) and w >= 1 for w in ws)
 
-    def test_class_graph_mirror_closure_and_range_check(self):
+    def test_class_graph_mirror_closure(self):
         g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
         classes = negative_component_classes(g)
         dist = class_distances(g, classes)
-        ws = thresholds(dist)
-        for k in range(1, len(ws) + 1):
-            cg = build_class_graph(classes, dist, k)
+        for w in thresholds(dist):
+            cg = build_class_graph(classes, dist, w)
+            assert cg.threshold == w
             for u, v in cg.positive_edges:
                 assert (min(u ^ 1, v ^ 1), max(u ^ 1, v ^ 1)) in cg.positive_edges
-        with pytest.raises(ValueError, match="scan index"):
-            build_class_graph(classes, dist, 0)
-        with pytest.raises(ValueError, match="scan index"):
-            build_class_graph(classes, dist, len(ws) + 1)
 
     def test_digon_detection(self):
         g = cycle_graph(4).negate_edges([(0, 1)])
         classes = negative_component_classes(g)
         dist = class_distances(g, classes)
-        ws = thresholds(dist)
-        last = build_class_graph(classes, dist, len(ws))
+        last = build_class_graph(classes, dist, thresholds(dist)[-1])
         # at the largest threshold the two classes of the single component
         # are within reach of each other, closing a digon
         assert has_negative_digon(last)
@@ -388,7 +424,7 @@ def scan_sequence(g: SignedGraph):
     classes = negative_component_classes(g)
     dist = class_distances(g, classes)
     ws = thresholds(dist)
-    graphs = [build_class_graph(classes, dist, k) for k in range(1, len(ws) + 1)]
+    graphs = [build_class_graph(classes, dist, w) for w in ws]
     return classes, dist, ws, graphs
 
 
@@ -417,33 +453,27 @@ class TestBalanceScanShape:
         if not edge_set_is_bipartite(g.n, g.negative_edges()):
             return
         classes, dist, ws, graphs = scan_sequence(g)
-        intra = [
-            dist[2 * i][2 * i + 1]
-            for i in range(classes.m)
-            if math.isfinite(dist[2 * i][2 * i + 1])
-        ]
+        # the two classes of one component are the pair (2i, 2i + 1)
+        intra = [d for (a, b), d in dist.items() if b == a ^ 1]
         if not intra:
             return
-        mu = next(k for k, w in enumerate(ws, start=1) if w >= min(intra))
-        assert has_negative_digon(graphs[mu - 1])
-        assert not graphs[mu - 1].balanced()
+        mu = next(k for k, w in enumerate(ws) if w >= min(intra))
+        assert has_negative_digon(graphs[mu])
+        assert not graphs[mu].balanced()
 
     def test_scan_stops_exactly_at_first_unbalanced_class_graph(self):
         g = cycle_graph(5).negate_edges([(0, 1)])
         _, _, ws, graphs = scan_sequence(g)
         result = packing_number(g)
-        first_unbalanced = next(
-            k for k, cg in enumerate(graphs, start=1) if not cg.balanced()
-        )
-        assert result.distance == ws[first_unbalanced - 1]
+        first_unbalanced = next(k for k, cg in enumerate(graphs) if not cg.balanced())
+        assert result.distance == ws[first_unbalanced]
 
 
 _CHECK_FAMILY_SCRIPT = """
-from negset import InvariantError, verify
-from negset.graph import cycle_graph
+from negset import NEG, POS, InvariantError, SignedGraph, verify
 
 assert not __debug__
-g = cycle_graph(5).negate_edges([(0, 1)])
+g = SignedGraph(5, [(i, (i + 1) % 5, NEG if i == 0 else POS) for i in range(5)])
 member = g.negative_edges()
 for family in ([member, member], [member, frozenset()]):
     try:

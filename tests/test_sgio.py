@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from negset import NEG, POS, SgParseError, SignedGraph, dump, load, load_path, parse, serialize
-from negset.graph import cycle_graph
 from negset.sgio import _parse_canonical, _parse_lines
 
 from conftest import connected_signed_graphs
+from corpus import cycle_graph
 
 
 SAMPLE = """\

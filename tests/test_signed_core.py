@@ -36,7 +36,7 @@ from negset import (
     is_negation_set,
 )
 from negset import negation
-from negset.graph import cycle_graph, edge_key
+from negset.graph import edge_key
 from negset.negation import (
     _CircleIndex,
     _component_k5_check,
@@ -48,6 +48,7 @@ from negset.negation import (
 from negset.sgio import load_path
 
 from conftest import subquartic_signed_graphs
+from corpus import cycle_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 

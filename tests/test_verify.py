@@ -32,11 +32,11 @@ from negset import (
     packing_number,
     verify,
 )
-from negset.graph import complete_graph, cycle_graph
 from negset.negation import negative_circles
 
 import corpus
 from conftest import edge_set_is_bipartite
+from corpus import complete_graph, cycle_graph
 
 
 def rejects(check, *args) -> bool:
