@@ -22,9 +22,8 @@ import functools
 import gc
 import json
 import os
-import random
 import sys
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
@@ -324,7 +323,7 @@ def _cmd_frustration(g: SignedGraph, args, report: _Report) -> int:
     sections = []
     total = 0
     for vertices, graph in _component_views(g)[1]:
-        value = 0 if graph is None else oracle.frustration_index(graph, max_n=args.max_n)
+        value = 0 if graph is None else oracle.frustration_index(graph)
         total += value
         sections.append({"vertices": list(vertices), "frustration_index": value})
         report.say(f"component {list(vertices)}: frustration index {value}")
@@ -334,24 +333,21 @@ def _cmd_frustration(g: SignedGraph, args, report: _Report) -> int:
     return EXIT_HOLDS
 
 
-def _oracle_checks(g: SignedGraph, args):
+def _oracle_checks(g: SignedGraph):
     """Yield (name, outcome, detail) rows; outcome is pass/fail/skip."""
-    rng = random.Random(args.seed)
 
     def row(name, ok, detail=""):
         return (name, "pass" if ok else "fail", detail)
 
-    # Balance is switching invariant.
+    # Balance is switching invariant: switch every subset of vertices 1-3.
     base = is_balanced(g)
-    invariant = all(
-        is_balanced(g.switch([v for v in g.vertices() if rng.random() < 0.5])) == base
-        for _ in range(8)
-    )
+    trio = range(1, min(g.n, 4))
+    invariant = all(is_balanced(g.switch(x)) == base for k in range(4) for x in combinations(trio, k))
     yield row("balance switching-invariant", invariant)
 
     # One column build, shared by every brute-force row below.
     try:
-        columns = tuple(oracle.negative_columns(g, max_n=args.max_n))
+        columns = tuple(oracle.negative_columns(g))
     except PreconditionError as exc:
         yield ("negation enumeration", "skip", str(exc))
         return
@@ -369,17 +365,22 @@ def _oracle_checks(g: SignedGraph, args):
     )
     yield row("minimality agrees with brute force", ok)
 
-    if not base:
-        mine = component_packing_number(g).packing_number
-        brute = oracle.brute_packing_number(g, columns=columns)
-        if mine == brute == 1:
-            # The brute force reads 1 exactly when E- holds an odd circle, which
-            # every negation set meets: the row passes only on bipartite E-.
-            yield ("packing number agrees with brute force", "skip", "1 vs 1, E- holds an odd circle")
-        else:
-            yield row("packing number agrees with brute force", mine == brute, f"{mine} vs {brute}")
+    packing = "packing number agrees with brute force"
+    if base:
+        yield (packing, "skip", "needs an unbalanced graph")
     else:
-        yield ("packing number agrees with brute force", "skip", "needs an unbalanced graph")
+        mine = component_packing_number(g).packing_number
+        try:
+            brute = oracle.brute_packing_number(g, columns=columns)
+        except PreconditionError as exc:
+            yield (packing, "skip", str(exc))
+        else:
+            if mine == brute == 1:
+                # The brute force reads 1 exactly when E- holds an odd circle, which
+                # every negation set meets: the row passes only on bipartite E-.
+                yield (packing, "skip", "1 vs 1, E- holds an odd circle")
+            else:
+                yield row(packing, mine == brute, f"{mine} vs {brute}")
 
     if g.max_degree() <= 4 and not base:
         try:
@@ -398,7 +399,7 @@ def _oracle_checks(g: SignedGraph, args):
 
 
 def _cmd_oracle_verify(g: SignedGraph, args, report: _Report) -> int:
-    rows = list(_oracle_checks(g, args))
+    rows = list(_oracle_checks(g))
     report.data["checks"] = [
         {"name": name, "outcome": outcome, "detail": detail}
         for name, outcome, detail in rows
@@ -481,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "certify-unique": "size-bound uniqueness test (complete graphs)",
         "acyclic": "construct an acyclic negation set (max degree 4)",
         "packing": "exact packing number with a witnessing family",
-        "frustration": "brute-force frustration index (small graphs)",
+        "frustration": "brute-force frustration index (per component; its columns must fit 32 MiB)",
         "oracle-verify": "cross-check fast paths against brute force on this input",
         "export-dot": "emit DOT (positive solid, negative dashed red)",
     }
@@ -499,14 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         if name == "acyclic":
             p.add_argument("--trace", action="store_true", help="log every rewrite")
-        if name in {"frustration", "oracle-verify"}:
-            p.add_argument(
-                "--max-n", type=int, default=oracle.DEFAULT_MAX_N,
-                help="largest vertex count the oracle will enumerate; "
-                "frustration applies it per unbalanced component",
-            )
-        if name == "oracle-verify":
-            p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         if name == "export-dot":
             choice.add_argument(
                 "--packing", action="store_true",

@@ -17,11 +17,12 @@ oracle-verify``) builds them once.  Where sets are needed,
 mask, E⁻ XOR the incidence masks of the vertices it switches; there is no
 second walk.
 
-All entry points test, in this order, a vertex cap (default 16), that the
-graph is connected, and a budget of ``COLUMN_BITS`` on the m columns of
-2^(n-1) bits, and raise :class:`~negset.errors.PreconditionError` at the
-first that fails: the cap before the graph is walked, all three before any
-column is built, rather than silently taking forever or filling memory.
+Each entry point is gated by what it builds, not by a vertex count, and
+raises :class:`~negset.errors.PreconditionError` at the first gate that
+fails: the m columns of 2^(n-1) bits must fit ``COLUMN_BITS``, tested from n
+and m alone before the graph is walked; the graph must be connected; a call
+may make at most ``SET_COUNT`` sets or masks, tested in :func:`_masks_at`
+before the first; the packing search may make ``PACKING_STEPS`` checks.
 """
 
 from __future__ import annotations
@@ -31,36 +32,38 @@ from typing import Iterable, Iterator
 from .errors import PreconditionError
 from .graph import NEG, Edge, SignedGraph, as_edge_set
 
-DEFAULT_MAX_N = 16
-
-#: The most bits the m columns of 2^(n-1) bits may hold together: 32 MiB.
-#: K_16 needs 2^21.9 bits, so the default cap never reaches it.
+#: The most bits the m columns of 2^(n-1) bits may hold: 32 MiB, n <= 24 if connected.
 COLUMN_BITS = 1 << 28
+
+#: The most negation sets or edge masks one call may make: every set at n = 16.
+SET_COUNT = 1 << 15
+
+#: The most candidate checks in :func:`brute_packing_number`, each call counting those left.
+PACKING_STEPS = 1 << 22
 
 #: An enumeration as returned by :func:`enumerate_negation_sets`.
 NegationSets = tuple[frozenset[Edge], ...]
 
 
-def _check_scale(g: SignedGraph, max_n: int) -> None:
-    if g.n > max_n:
-        raise PreconditionError(f"graph has {g.n} vertices, above the enumeration cap {max_n}")
-    if not g.is_connected():
-        raise PreconditionError("switching enumeration requires a connected graph")
-    if g.edge_count << max(g.n - 1, 0) > COLUMN_BITS:
+def _check_scale(g: SignedGraph) -> None:
+    # m * 2^(n-1) > COLUMN_BITS, with no int of 2^(n-1) made on a large n
+    if g.edge_count > COLUMN_BITS >> max(g.n - 1, 0):
         raise PreconditionError(
             f"graph's {g.edge_count} columns of 2^{g.n - 1} bits exceed the enumeration budget of "
             f"{COLUMN_BITS >> 23} MiB"
         )
+    if not g.is_connected():
+        raise PreconditionError("switching enumeration requires a connected graph")
 
 
-def enumerate_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
+def enumerate_negation_sets(g: SignedGraph) -> NegationSets:
     """All negation sets of a small connected graph, sorted by (size, edges).
 
     Enumerates every switching set not containing vertex 0; on a connected
     graph that hits each switching function exactly once, so each negation
     set appears exactly once.
     """
-    _check_scale(g, max_n)
+    _check_scale(g)
     return negation_sets(g, all_switchings(g))
 
 
@@ -69,7 +72,7 @@ def all_switchings(g: SignedGraph) -> int:
     return (1 << (1 << max(g.n - 1, 0))) - 1
 
 
-def negative_columns(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> Iterator[int]:
+def negative_columns(g: SignedGraph) -> Iterator[int]:
     """Per edge of ``g.edge_pairs()``, the switchings under which it is negative.
 
     Bit j of an edge's column is set when the edge is negative under Gray
@@ -78,7 +81,7 @@ def negative_columns(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> Iterator[int
     made as they are read, so a caller that reads each once holds one at a
     time.
     """
-    _check_scale(g, max_n)
+    _check_scale(g)
     full = all_switchings(g)
     count = full.bit_length()
     switched = [0] * g.n
@@ -110,6 +113,8 @@ def _masks_at(g: SignedGraph, mask: int) -> list[int]:
     ``j ^ (j >> 1)``, has bit k set when vertex k + 1 is switched, and its
     set is E⁻ △ cut(X), built from the switched vertices' incidence masks.
     """
+    if mask.bit_count() > SET_COUNT:
+        raise PreconditionError(f"{mask.bit_count()} sets exceed the enumeration budget of {SET_COUNT}")
     incidence, negative = g.edge_masks()
     masks = []
     for j in _bits(mask):
@@ -158,18 +163,15 @@ def _smallest(columns: Iterable[int], full: int) -> tuple[int, int]:
     return size, reach
 
 
-def frustration_index(
-    g: SignedGraph, max_n: int = DEFAULT_MAX_N, *, columns: Iterable[int] | None = None
-) -> int:
+def frustration_index(g: SignedGraph, *, columns: Iterable[int] | None = None) -> int:
     """Minimum number of negative edges over all switchings.
 
     ``columns``, here and in :func:`brute_is_minimal` and
-    :func:`brute_packing_number`, is ``tuple(negative_columns(g, max_n))``
-    when the caller already has it.  By default they are built, under
-    ``max_n`` here and under ``DEFAULT_MAX_N`` in the other two.
+    :func:`brute_packing_number`, is ``tuple(negative_columns(g))`` when the
+    caller already has it; by default it is built.
     """
     if columns is None:
-        columns = negative_columns(g, max_n)
+        columns = negative_columns(g)
     return _smallest(columns, all_switchings(g))[0]
 
 
@@ -216,10 +218,13 @@ def brute_packing_number(g: SignedGraph, *, columns: Iterable[int] | None = None
     if anywhere != full:
         raise PreconditionError("packing number is defined for unbalanced graphs")
     candidates = sorted(_masks_at(g, full & ~negative), key=int.bit_count)
-    best = 0
+    best = steps = 0
 
     def extend(start: int, used: int, size: int) -> None:
-        nonlocal best
+        nonlocal best, steps
+        steps += len(candidates) - start
+        if steps > PACKING_STEPS:
+            raise PreconditionError(f"brute-force packing search passed its budget of {PACKING_STEPS} checks")
         best = max(best, size)
         if size + (len(candidates) - start) <= best:
             return

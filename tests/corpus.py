@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 from negset import NEG, POS, ClassGraph, SignedGraph
 from negset.graph import Edge, as_edge_set, edge_key
-from negset.oracle import DEFAULT_MAX_N, NegationSets, _smallest, all_switchings, negation_sets, negative_columns
+from negset.oracle import NegationSets, _smallest, all_switchings, negation_sets, negative_columns
 
 
 def complete_graph(n: int, sign: int = POS) -> SignedGraph:
@@ -60,17 +60,15 @@ def cube_graph(sign: int = POS) -> SignedGraph:
     return SignedGraph(8, edges)
 
 
-def minimum_negation_sets(g: SignedGraph, max_n: int = DEFAULT_MAX_N) -> NegationSets:
+def minimum_negation_sets(g: SignedGraph) -> NegationSets:
     """All negation sets of minimum size, sorted by edges, by the oracle's columns."""
-    columns = tuple(negative_columns(g, max_n))
+    columns = tuple(negative_columns(g))
     return negation_sets(g, _smallest(columns, all_switchings(g))[1])
 
 
-def brute_is_unique_minimum(
-    g: SignedGraph, b: Iterable[Edge], max_n: int = DEFAULT_MAX_N
-) -> bool:
+def brute_is_unique_minimum(g: SignedGraph, b: Iterable[Edge]) -> bool:
     """Whether ``b`` is the only negation set of minimum size, by the oracle."""
-    return minimum_negation_sets(g, max_n) == (as_edge_set(g, b),)
+    return minimum_negation_sets(g) == (as_edge_set(g, b),)
 
 
 def corpus_families() -> tuple[tuple[str, SignedGraph], ...]:

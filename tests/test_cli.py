@@ -10,8 +10,10 @@ import json
 import os
 import random
 import sys
+import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -263,13 +265,21 @@ class TestFrustrationCommand:
         assert [c["frustration_index"] for c in report["components"]] == [1, 1]
 
     def test_cap_applies(self, capsys, write_sg):
-        path = write_sg(cycle_graph(6).negate_edges([(0, 1)]))
-        assert main(["frustration", path, "--max-n", "5"]) == EXIT_PRECONDITION
+        # the oracle's column budget is frustration's one gate: on a cycle it
+        # admits 24 vertices, 24 columns of 2^23 bits, and no more
+        path = write_sg(cycle_graph(25).negate_edges([(0, 1)]))
+        assert main(["frustration", path]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "graph's 25 columns of 2^24 bits exceed the enumeration budget of 32 MiB" in err
 
-    def test_column_budget_applies_under_a_raised_cap(self, capsys, write_sg):
-        path = write_sg(cycle_graph(26).negate_edges([(0, 1)]))
-        assert main(["frustration", path, "--max-n", "26"]) == EXIT_PRECONDITION
-        assert "budget of 32 MiB" in capsys.readouterr().err
+    @pytest.mark.parametrize("n", range(17, 25))
+    def test_cycles_above_sixteen_vertices_have_the_closed_form(self, capsys, write_sg, n):
+        # C_n with k negative edges has frustration index k mod 2
+        k = n - 16
+        path = write_sg(cycle_graph(n).negate_edges([(i, i + 1) for i in range(0, 2 * k, 2)]))
+        code, report = run_json(capsys, ["frustration", path, "--json"])
+        assert code == EXIT_HOLDS
+        assert report["total"] == k % 2
 
     @pytest.mark.parametrize("switched", [(), (0, 3, 4, 11)], ids=["positive", "switched"])
     def test_balanced_connected_input_is_zero_above_the_cap(
@@ -286,7 +296,7 @@ class TestFrustrationCommand:
 
     def test_all_positive_component_is_zero_above_the_cap(self, capsys, write_sg):
         # a 20-vertex positive path beside a negative triangle: the path has
-        # no negative edge, so the oracle's vertex cap never applies to it
+        # no negative edge, so it never reaches the oracle
         edges = [(i, i + 1, POS) for i in range(19)]
         edges += [(20, 21, NEG), (21, 22, NEG), (20, 22, NEG)]
         code, report = run_json(capsys, ["frustration", write_sg(SignedGraph(23, edges)), "--json"])
@@ -404,20 +414,23 @@ class TestComponentCopies:
 
 class TestOracleVerifyCommand:
     def test_passes_on_a_small_graph(self, capsys, c5_one_negative):
-        assert main(["oracle-verify", c5_one_negative, "--seed", "3"]) == EXIT_HOLDS
+        assert main(["oracle-verify", c5_one_negative]) == EXIT_HOLDS
         out = capsys.readouterr().out
         assert "OK" in out
         assert "fail" not in out
 
     def test_large_graphs_skip_enumeration_checks(self, capsys, write_sg):
-        path = write_sg(cycle_graph(6).negate_edges([(0, 1)]))
-        assert main(["oracle-verify", path, "--max-n", "5"]) == EXIT_HOLDS
+        path = write_sg(corpus.path_graph(40).negate_edges([(0, 1)]))
+        assert main(["oracle-verify", path]) == EXIT_HOLDS
         rows = capsys.readouterr().out.splitlines()
-        assert "negation enumeration         skip  (graph has 6 vertices, above the enumeration cap 5)" in rows
+        assert (
+            "negation enumeration         skip  "
+            "(graph's 39 columns of 2^39 bits exceed the enumeration budget of 32 MiB)"
+        ) in rows
 
     def test_column_budget_skips_enumeration_checks(self, capsys, write_sg):
         path = write_sg(cycle_graph(26).negate_edges([(0, 1)]))
-        code, report = run_json(capsys, ["oracle-verify", path, "--max-n", "26", "--json"])
+        code, report = run_json(capsys, ["oracle-verify", path, "--json"])
         assert code == EXIT_HOLDS
         assert report["checks"] == [
             {"name": "balance switching-invariant", "outcome": "pass", "detail": ""},
@@ -427,6 +440,45 @@ class TestOracleVerifyCommand:
                 "detail": "graph's 26 columns of 2^25 bits exceed the enumeration budget of 32 MiB",
             },
         ]
+
+    def test_every_row_runs_above_sixteen_vertices(self, capsys, write_sg):
+        # a signing of C_20(1, 5): 40 columns of 2^19 bits, inside the column budget
+        rng = random.Random(20)
+        pairs = sorted({tuple(sorted((i, (i + d) % 20))) for i in range(20) for d in (1, 5)})
+        g = SignedGraph(20, [(u, v, NEG if rng.random() < 0.3 else POS) for u, v in pairs])
+        code, report = run_json(capsys, ["oracle-verify", write_sg(g), "--json"])
+        assert code == EXIT_HOLDS
+        assert [c["outcome"] for c in report["checks"]] == ["pass"] * 6
+
+    def test_packing_row_skips_past_the_step_budget(self, capsys, write_sg):
+        # C_14 with one negative edge: 2^12 candidates, and a branch and bound
+        # that grows about 8x per vertex, to some 2^33 checks unbounded
+        path = write_sg(cycle_graph(14).negate_edges([(0, 1)]))
+        start = time.perf_counter()
+        code, report = run_json(capsys, ["oracle-verify", path, "--json"])
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_HOLDS
+        rows = {c["name"]: (c["outcome"], c["detail"]) for c in report["checks"]}
+        assert rows.pop("packing number agrees with brute force") == (
+            "skip",
+            f"brute-force packing search passed its budget of {oracle.PACKING_STEPS} checks",
+        )
+        assert [outcome for outcome, _ in rows.values()] == ["pass"] * 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frustration", "--max-n", "5"],
+            ["oracle-verify", "--max-n", "5"],
+            ["oracle-verify", "--seed", "3"],
+        ],
+        ids=["frustration-max-n", "oracle-verify-max-n", "oracle-verify-seed"],
+    )
+    def test_size_and_seed_flags_are_usage_errors(self, capsys, c5_one_negative, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], c5_one_negative, *argv[1:]])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_json_report(self, capsys, c5_one_negative):
         code, report = run_json(capsys, ["oracle-verify", c5_one_negative, "--json"])
@@ -533,8 +585,8 @@ class TestParserReuse:
         parser = cli._build_parser()
         assert cli._build_parser() is parser
         path = str(tmp_path / "input.sg")
-        assert parser.parse_args(["oracle-verify", path, "--seed", "3"]).seed == 3
-        assert parser.parse_args(["oracle-verify", path]).seed == 0
+        assert parser.parse_args(["acyclic", path, "--trace"]).trace is True
+        assert parser.parse_args(["acyclic", path]).trace is False
         assert parser.parse_args(["minimal", path, "--edges", "0-1"]).edges == "0-1"
         assert parser.parse_args(["minimal", path]).edges is None
 
@@ -542,10 +594,10 @@ class TestParserReuse:
         "first, second",
         [
             (["minimal", "--edges", "1-2"], ["minimal"]),
-            (["oracle-verify", "--seed", "3"], ["oracle-verify"]),
+            (["export-dot", "--packing"], ["export-dot"]),
             (["acyclic", "--trace"], ["acyclic"]),
         ],
-        ids=["minimal-edges", "oracle-seed", "acyclic-trace"],
+        ids=["minimal-edges", "export-dot-packing", "acyclic-trace"],
     )
     def test_a_second_call_inherits_nothing(self, capsys, c5_one_negative, first, second):
         def isolated(argv):
@@ -854,10 +906,6 @@ def cli_argvs(draw, path: str):
         argv += ["--edges", draw(_EDGE_SPECS)]
     if command == "acyclic" and draw(st.booleans()):
         argv.append("--trace")
-    if command in {"frustration", "oracle-verify"} and draw(st.booleans()):
-        argv += ["--max-n", str(draw(st.integers(-1, 10)))]
-    if command == "oracle-verify" and draw(st.booleans()):
-        argv += ["--seed", str(draw(st.integers(0, 5)))]
     if command == "export-dot" and draw(st.booleans()):
         argv.append("--packing")
     return argv
@@ -874,7 +922,12 @@ def test_fuzzed_input_and_flags_exit_in_range_without_traceback(fuzz_path, text,
         fp.write(text)
     argv = data.draw(cli_argvs(fuzz_path))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # one oracle budget shrunk, so that these small inputs reach each of its refusals
+    budget = data.draw(st.sampled_from([None, "COLUMN_BITS", "SET_COUNT", "PACKING_STEPS"]))
+    shrunk = contextlib.nullcontext()
+    if budget is not None:
+        shrunk = mock.patch.object(oracle, budget, data.draw(st.sampled_from([1, 8, 64])))
+    with shrunk, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the flags

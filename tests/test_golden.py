@@ -52,7 +52,7 @@ CASES = {
     "minimal-ball-cut": ("minimal", "check400-balanced", ["--edges", BALL_CUT]),
     "minimal-default": ("minimal", "check400-late", []),
     "minimal-torus12": ("minimal", "torus12", []),
-    "oracle-verify-packing10": ("oracle-verify", "oracle-packing10", ["--seed", "3"]),
+    "oracle-verify-packing10": ("oracle-verify", "oracle-packing10", []),
     "oracle-verify-subquartic12": ("oracle-verify", "oracle-subquartic12", []),
     "frustration-connected11": ("frustration", "frustration11", []),
     "acyclic-pair-rectangle10": ("acyclic", "pair-rectangle10", ["--trace"]),

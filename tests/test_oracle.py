@@ -186,10 +186,32 @@ class TestColumns:
 
 class TestScaleGuards:
     def test_vertex_cap(self):
-        g = path_graph(6)
-        with pytest.raises(PreconditionError, match="cap"):
-            oracle.enumerate_negation_sets(g, max_n=5)
-        assert oracle.enumerate_negation_sets(g, max_n=6)
+        # enumerate_negation_sets makes all 2^(n-1) sets, so the set budget
+        # caps it at 16 vertices
+        assert len(oracle.enumerate_negation_sets(path_graph(16))) == oracle.SET_COUNT
+        with pytest.raises(PreconditionError, match="65536 sets exceed the enumeration budget of 32768"):
+            oracle.enumerate_negation_sets(path_graph(17))
+
+    def test_set_budget_is_checked_before_any_mask(self):
+        # 2^19 sets, and 2^16 packing candidates, would take tens of MB as masks
+        g = cycle_graph(18).negate_edges([(0, 1)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="524288 sets exceed"):
+                oracle.enumerate_negation_sets(path_graph(20))
+            with pytest.raises(PreconditionError, match="65536 sets exceed"):
+                oracle.brute_packing_number(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_packing_step_budget(self):
+        # C_n with one negative edge packs its n edges; the search grows about
+        # 8x per vertex: 2^21.4 checks at n = 10, 2^24.7 at n = 11
+        assert oracle.brute_packing_number(cycle_graph(10).negate_edges([(0, 1)])) == 10
+        with pytest.raises(PreconditionError, match=f"budget of {oracle.PACKING_STEPS} checks"):
+            oracle.brute_packing_number(cycle_graph(11).negate_edges([(0, 1)]))
 
     def test_disconnected_graphs_are_rejected(self):
         g = SignedGraph(4, [(0, 1, NEG), (2, 3, NEG)])
@@ -198,24 +220,20 @@ class TestScaleGuards:
         with pytest.raises(PreconditionError, match="connected"):
             oracle.frustration_index(g)
 
-    def test_frustration_index_applies_the_cap(self):
-        with pytest.raises(PreconditionError, match="cap"):
-            oracle.frustration_index(path_graph(6), max_n=5)
-
-    def test_cap_is_checked_before_the_graph_is_walked(self, monkeypatch):
+    def test_column_budget_is_checked_before_the_graph_is_walked(self, monkeypatch):
         def no_walk(self, vertices):
             raise AssertionError("the component walk ran")
 
         monkeypatch.setattr(SignedGraph, "_component_walk", no_walk)
-        with pytest.raises(PreconditionError, match="graph has 6 vertices, above the enumeration cap 5"):
-            oracle.negative_columns(path_graph(6), max_n=5)
+        with pytest.raises(PreconditionError, match=r"graph's 26 columns of 2\^25 bits exceed"):
+            oracle.negative_columns(cycle_graph(26))
 
     def test_column_budget_is_checked_before_any_column(self):
-        # C_26 under a cap of 26: 26 columns of 2^25 bits, about 100 MB
+        # C_26: 26 columns of 2^25 bits, about 100 MB
         tracemalloc.start()
         try:
             with pytest.raises(PreconditionError, match=r"26 columns of 2\^25 bits exceed .* 32 MiB"):
-                oracle.frustration_index(cycle_graph(26), max_n=26)
+                oracle.frustration_index(cycle_graph(26))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -226,12 +244,14 @@ class TestScaleGuards:
         chords = [(0, v, POS) for v in range(2, 11)]
         at_budget = SignedGraph(24, [(i, i + 1, POS) for i in range(23)] + chords)
         assert at_budget.edge_count << 23 == oracle.COLUMN_BITS
-        oracle._check_scale(at_budget, 24)
+        oracle._check_scale(at_budget)
         over = SignedGraph(24, at_budget.edges() + ((0, 11, POS),))
         with pytest.raises(PreconditionError, match="budget"):
-            oracle._check_scale(over, 24)
-        # the default cap never reaches the budget
-        assert complete_graph(oracle.DEFAULT_MAX_N).edge_count << (oracle.DEFAULT_MAX_N - 1) < oracle.COLUMN_BITS
+            oracle._check_scale(over)
+        # a connected graph within the budget has at most 24 vertices
+        oracle._check_scale(path_graph(24))
+        with pytest.raises(PreconditionError, match="budget"):
+            oracle._check_scale(path_graph(25))
 
 
 class TestDerivedQuantities:
