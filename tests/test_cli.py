@@ -272,6 +272,13 @@ class TestFrustrationCommand:
         err = capsys.readouterr().err
         assert "graph's 25 columns of 2^24 bits exceed the enumeration budget of 32 MiB" in err
 
+    def test_column_budget_applies_under_a_raised_cap(self, capsys, write_sg):
+        # the column budget raised the old 16-vertex cap to 24 vertices on a
+        # cycle, and still refuses C_26, which an explicit cap of 26 once let in
+        path = write_sg(cycle_graph(26).negate_edges([(0, 1)]))
+        assert main(["frustration", path]) == EXIT_PRECONDITION
+        assert "budget of 32 MiB" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", range(17, 25))
     def test_cycles_above_sixteen_vertices_have_the_closed_form(self, capsys, write_sg, n):
         # C_n with k negative edges has frustration index k mod 2

@@ -220,6 +220,11 @@ class TestScaleGuards:
         with pytest.raises(PreconditionError, match="connected"):
             oracle.frustration_index(g)
 
+    def test_frustration_index_applies_the_cap(self):
+        # its one cap is the column budget: P_25 has 24 columns of 2^24 bits
+        with pytest.raises(PreconditionError, match=r"24 columns of 2\^24 bits exceed .* 32 MiB"):
+            oracle.frustration_index(path_graph(25))
+
     def test_column_budget_is_checked_before_the_graph_is_walked(self, monkeypatch):
         def no_walk(self, vertices):
             raise AssertionError("the component walk ran")
