@@ -54,7 +54,7 @@ def check_balance(g: SignedGraph) -> BalanceResult:
     is checked against ``g`` before it is returned: the circle's sign, or
     every edge against the coloring, in one pass over the rows.
     """
-    color, conflict, circle = _two_color(g.signed_rows())
+    color, conflict, circle, _ = _two_color(g.signed_rows())
     if conflict:
         try:
             negative = g.circle_sign(circle) == NEG
@@ -77,37 +77,49 @@ def _two_color(
     rows: Sequence[Sequence[tuple[int, int]]],
     flips: Mapping[Edge, int] = {},
     full: int = 1,
-) -> tuple[list[int], int, tuple[int, ...] | None]:
+    signs: bool = True,
+) -> tuple[list[int], int, tuple[int, ...] | None, int]:
     """Signed BFS two-colouring of up to ``full.bit_length()`` signings at once.
 
     ``rows`` are per-vertex ``(neighbour, sign)`` rows.  Signing i negates,
-    besides the negative edges, every edge whose ``flips`` mask has bit i,
+    besides the negative edges (none when ``signs`` is false: every row
+    entry then reads positive), every edge whose ``flips`` mask has bit i,
     and bit i of a vertex's potential is its colour under signing i.  The
     BFS tree is the same for every signing, so an edge that disagrees with
     its ends' potentials in bit i closes a negative circle of signing i.
 
-    Returns ``(potentials, conflict, circle)``: bit i of ``conflict`` is set
-    when signing i is unbalanced.  The BFS stops once every signing has
-    disagreed (``conflict == full``), with ``circle`` the tree circle
-    through that last edge; otherwise ``circle`` is ``None``.  Flips are
-    applied while reading the rows, so no negated graph is ever built.
+    Returns ``(potentials, conflict, circle, roots)``: bit i of ``conflict``
+    is set when signing i is unbalanced, and ``roots`` counts the BFS roots
+    started.  The BFS stops once every signing has disagreed (``conflict ==
+    full``), with ``circle`` the tree circle through that last edge;
+    otherwise ``circle`` is ``None`` and ``roots`` is the number of
+    components.  Flips are applied while reading the rows, so no negated
+    graph is ever built; a key is built and looked up only in the rows of
+    the vertices that touch a flipped edge.
     """
     n = len(rows)
     flip = flips.get
+    touched = bytearray(n)
+    for u, w in flips:
+        touched[u] = touched[w] = 1
+    neg = NEG if signs else 0  # no row sign equals 0
     potential = [-1] * n
     parent = [-1] * n
     depth = [0] * n
     conflict = 0
+    roots = 0
     for root in range(n):
         if potential[root] >= 0:
             continue
+        roots += 1
         potential[root] = 0
         queue = [root]
         for u in queue:
             pu = potential[u]
+            hit = touched[u]
             for w, s in rows[u]:
-                want = pu ^ full if s == NEG else pu
-                if flips:
+                want = pu ^ full if s == neg else pu
+                if hit:
                     want ^= flip((u, w) if u < w else (w, u), 0)
                 pw = potential[w]
                 if pw < 0:
@@ -118,8 +130,8 @@ def _two_color(
                 elif pw != want:
                     conflict |= pw ^ want
                     if conflict == full:
-                        return potential, conflict, _tree_circle(parent, depth, u, w)
-    return potential, conflict, None
+                        return potential, conflict, _tree_circle(parent, depth, u, w), roots
+    return potential, conflict, None, roots
 
 
 def _tree_circle(parent, depth, u: int, w: int) -> tuple[int, ...]:
@@ -147,21 +159,51 @@ def is_balanced(g: SignedGraph) -> bool:
 
 
 def is_antibalanced(g: SignedGraph) -> bool:
-    """True when negating every edge yields a balanced graph: when E is a negation set."""
-    return not failing_flips(g, dict.fromkeys(g.edge_pairs(), 1), 1)
+    """True when negating every edge yields a balanced graph: when E is a negation set.
+
+    The product signing of E is negative exactly on E⁺."""
+    return not product_coloring(g, frozenset(g.edge_pairs()))[1]
 
 
 def switching_equivalent(g: SignedGraph, h: SignedGraph) -> bool:
     """Whether two signings of the same underlying graph differ by a switching.
 
-    Equivalent to the product signing (negative where the two disagree) being
-    balanced.  Raises :class:`PreconditionError` when the underlying graphs
-    differ.
+    Equivalent to ``h``'s negative edges being a negation set of ``g``: the
+    product signing, negative where the two disagree, is balanced.  Raises
+    :class:`PreconditionError` when the underlying graphs differ.
     """
     if not g.underlying_matches(h):
         raise PreconditionError("graphs have different underlying edge sets")
-    # the product signing is g with h's negative edges negated
-    return not _two_color(g.signed_rows(), dict.fromkeys(h.negative_edges(), 1))[1]
+    return not product_coloring(g, h.negative_edges())[1]
+
+
+def product_coloring(
+    g: SignedGraph, bs: frozenset[Edge]
+) -> tuple[list[int], int, tuple[int, ...] | None, int | None]:
+    """Two-colour the product signing: ``g`` with the edges of ``bs`` negated.
+
+    ``bs`` holds edges of ``g`` as :func:`as_edge_set` returns them.  Returns
+    ``(potentials, conflict, circle, roots)`` as :func:`_two_color` does.  The
+    product is read whichever way flips fewer edges: the row signs with
+    ``bs`` flipped, or no row signs with ``E⁻ △ bs`` (the product's own
+    negative set) flipped.  ``E⁻ △ bs`` is formed only when it can be the
+    smaller (``|E⁻| < 2|bs|``), and E⁻ is built for the choice only when
+    ``bs`` holds over half the edges; otherwise only an E⁻ that ``g``
+    already keeps is used.  Both readings give every edge the same sign in
+    the same BFS order, so potentials and circles do not depend on the
+    choice.  An empty ``E⁻ △ bs`` leaves the product all positive, hence
+    balanced with every potential 0: then no BFS runs and ``roots`` is
+    ``None``.
+    """
+    rows = g.signed_rows()
+    negative = g.negative_edges() if 2 * len(bs) > g.edge_count else g.built_negative_edges()
+    if negative is not None and len(negative) < 2 * len(bs):
+        product = negative ^ bs
+        if not product:
+            return [0] * g.n, 0, None, None
+        if len(product) < len(bs):
+            return _two_color(rows, dict.fromkeys(product, 1), 1, False)
+    return _two_color(rows, dict.fromkeys(bs, 1))
 
 
 def is_negation_set(g: SignedGraph, b: Iterable[Edge]) -> bool:
@@ -169,11 +211,10 @@ def is_negation_set(g: SignedGraph, b: Iterable[Edge]) -> bool:
 
     ``b`` is a negation set iff the signing that is negative exactly on ``b``
     is switching equivalent to ``g``, i.e. iff their product signing is
-    balanced.  That product is ``g`` with ``b`` negated, which a signed BFS
-    decides in O(n + m) by flipping the edges of ``b`` as it reads them.
+    balanced.  :func:`product_coloring` decides that in one signed BFS, in
+    O(n + m), and with no BFS at all when ``b`` is the E⁻ that ``g`` keeps.
     """
-    bs = as_edge_set(g, b)
-    return not _two_color(g.signed_rows(), dict.fromkeys(bs, 1))[1]
+    return not product_coloring(g, as_edge_set(g, b))[1]
 
 
 def failing_negation_sets(g: SignedGraph, sets: Sequence[Iterable[Edge]]) -> int:
@@ -218,7 +259,7 @@ def switching_for_negation_set(g: SignedGraph, b: Iterable[Edge]) -> frozenset[i
     of the two complementary representatives per component.
     """
     bs = as_edge_set(g, b)
-    color, conflict, _ = _two_color(g.signed_rows(), dict.fromkeys(bs, 1))
+    color, conflict, _, _ = product_coloring(g, bs)
     if conflict:
         raise PreconditionError("the given edge set is not a negation set")
     # Switching one side of the product's bipartition flips exactly the edges

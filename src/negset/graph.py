@@ -183,6 +183,10 @@ class SignedGraph:
             )
         return self._negative
 
+    def built_negative_edges(self) -> frozenset[Edge] | None:
+        """E⁻ if :meth:`negative_edges` has already built it, else ``None``; builds nothing."""
+        return self._negative
+
     def underlying_matches(self, other: "SignedGraph") -> bool:
         """Same vertex count and same edge set, signs ignored."""
         return self._n == other._n and self.edge_pairs() == other.edge_pairs()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .balance import failing_flips
+from .balance import product_coloring
 from .errors import InvariantError, PreconditionError
 from .graph import NEG, Edge, SignedGraph, as_edge_set, edge_key
 
@@ -33,12 +33,19 @@ def is_minimal(g: SignedGraph, b: Iterable[Edge]) -> bool:
     """Whether negation set ``b`` contains no smaller negation set.
 
     Characterization: ``b`` is minimal iff the graph with ``b`` deleted is
-    still connected.  Requires ``g`` connected and ``b`` a negation set;
-    G − b is built from the rows and the set just validated.
+    still connected.  Requires ``g`` connected, checked first, and ``b`` a
+    negation set.  One BFS of the product signing settles both: when ``b``
+    is a negation set it visits all of ``g``, from one root iff ``g`` is
+    connected, so the connectivity walk runs only when that BFS stopped at
+    a conflict or did not run (``b`` equals E⁻).  G − b is built from the
+    rows and the set just validated.
     """
-    if not g.is_connected():
+    bs = as_edge_set(g, b)
+    _, conflict, _, roots = product_coloring(g, bs)
+    if not (g.is_connected() if conflict or roots is None else roots <= 1):
         raise PreconditionError("minimality characterization requires a connected graph")
-    bs = _negation_set(g, b)
+    if conflict:
+        raise PreconditionError("b is not a negation set of g")
     rows = g.signed_rows()
     return SignedGraph(
         g.n, ((u, w, s) for u, row in enumerate(rows) for w, s in row if u < w and (u, w) not in bs)
@@ -46,9 +53,9 @@ def is_minimal(g: SignedGraph, b: Iterable[Edge]) -> bool:
 
 
 def _negation_set(g: SignedGraph, b: Iterable[Edge]) -> frozenset[Edge]:
-    """``b`` as an edge set of g, validated once; raises unless one signed BFS finds a negation set."""
+    """``b`` as an edge set of g, validated once; raises unless its product signing is balanced."""
     bs = as_edge_set(g, b)
-    if failing_flips(g, dict.fromkeys(bs, 1), 1):
+    if product_coloring(g, bs)[1]:
         raise PreconditionError("b is not a negation set of g")
     return bs
 

@@ -113,7 +113,7 @@ class ClassGraph:
                 raise ValueError(f"loop at class {u} is not allowed")
             rows[u].append((v, POS))
             rows[v].append((u, POS))
-        color, conflict, _ = _two_color(rows)
+        color, conflict, _, _ = _two_color(rows)
         left = None if conflict else frozenset(c for c, side in enumerate(color) if side == 0)
         object.__setattr__(self, "_left", left)
 

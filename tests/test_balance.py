@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,16 +12,19 @@ from negset import (
     NEG,
     POS,
     HararyBipartition,
+    PreconditionError,
     SignedGraph,
     check_balance,
     is_antibalanced,
     is_balanced,
+    is_minimal,
     is_negation_set,
     negation_set_from_switching,
     oracle,
     switching_equivalent,
     switching_for_negation_set,
 )
+from negset import balance
 from negset.balance import failing_negation_sets
 
 from conftest import connected_signed_graphs, vertex_subsets
@@ -186,6 +191,105 @@ class TestNegationSets:
         for r in range(len(edges) + 1):
             for sub in combinations(edges, r):
                 assert is_negation_set(g, sub) == (r % 2 == 1)
+
+
+@st.composite
+def signed_graphs(draw, max_n: int = 10):
+    """A signed graph on 1..max_n vertices with any edge set, often disconnected."""
+    n = draw(st.integers(1, max_n))
+    pool = list(combinations(range(n), 2))
+    pairs = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    return SignedGraph(n, [(u, v, NEG if draw(st.booleans()) else POS) for u, v in sorted(pairs)])
+
+
+def hand_cut(g: SignedGraph, xs) -> frozenset:
+    return frozenset((u, v) for u, v in g.edge_pairs() if (u in xs) != (v in xs))
+
+
+class TestProductSigning:
+    """Membership reads the product signing with b flipped, or with E⁻ △ b and no row signs."""
+
+    @given(st.data())
+    def test_membership_agrees_with_the_oracle(self, data):
+        g = data.draw(st.one_of(connected_signed_graphs(max_n=10), signed_graphs()))
+        # every negation set: the switchings that fix vertex 0 reach them all,
+        # some of them twice or more on a disconnected graph
+        sets = set(oracle.negation_sets(g, oracle.all_switchings(g)))
+        pairs = g.edge_pairs()
+        negative = g.negative_edges()
+        switched = negative ^ hand_cut(g, data.draw(st.frozensets(st.integers(0, g.n - 1))))
+        candidates = [negative, sorted(negative), switched, pairs]
+        subset = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        candidates.append(frozenset(subset))
+        if pairs:
+            candidates.append(switched ^ {data.draw(st.sampled_from(pairs))})
+        connected = g.is_connected()
+        component_min = {min(c) for c in g.connected_components()}
+        for b in candidates:
+            bs = frozenset(b)
+            member = bs in sets
+            target = SignedGraph(g.n, [(u, v, NEG if (u, v) in bs else POS) for u, v in pairs])
+            # a fresh copy has no E⁻ built; g keeps its own
+            for h in (SignedGraph(g.n, g.edges()), g):
+                assert is_negation_set(h, b) == member
+                assert switching_equivalent(h, target) == member
+                if member:
+                    x = switching_for_negation_set(h, b)
+                    assert negative ^ hand_cut(g, x) == bs
+                    assert not x & component_min
+                else:
+                    with pytest.raises(PreconditionError, match="not a negation set"):
+                        switching_for_negation_set(h, b)
+                if not connected:
+                    with pytest.raises(PreconditionError, match="requires a connected graph"):
+                        is_minimal(h, b)
+                elif not member:
+                    with pytest.raises(PreconditionError, match="b is not a negation set of g"):
+                        is_minimal(h, b)
+                else:
+                    assert is_minimal(h, b) == oracle.brute_is_minimal(g, b)
+        assert is_antibalanced(g) == (frozenset(pairs) in sets)
+        assert is_antibalanced(SignedGraph(g.n, g.edges())) == (frozenset(pairs) in sets)
+
+    @pytest.fixture
+    def readings(self, monkeypatch):
+        """The (flipped edges, row signs read) of every BFS."""
+        seen = []
+        bfs = balance._two_color
+
+        def recording(rows, flips={}, full=1, signs=True):
+            seen.append((frozenset(flips), signs))
+            return bfs(rows, flips, full, signs)
+
+        monkeypatch.setattr(balance, "_two_color", recording)
+        return seen
+
+    def test_each_set_is_read_with_the_fewer_flips(self, readings):
+        # C6 negative on 0-1, 1-2, 2-3
+        g = cycle_graph(6).negate_edges([(0, 1), (1, 2), (2, 3)])
+        # a small set is flipped on the row signs, and E⁻ is not built for it
+        assert is_negation_set(g, [(0, 1)])
+        assert g.built_negative_edges() is None
+        # over half the edges: E⁻ is built, and the product's negative set
+        # E⁻ △ b = {0-1, 3-4, 4-5, 0-5} is flipped with no row signs
+        assert is_negation_set(g, [(1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+        assert readings == [
+            (frozenset({(0, 1)}), True),
+            (frozenset({(0, 1), (3, 4), (4, 5), (0, 5)}), False),
+        ]
+        # E⁻ itself needs no BFS, and E⁻ with one edge more (even, where
+        # every negation set of this circle is odd) a one-edge flip
+        readings.clear()
+        assert is_negation_set(g, g.negative_edges())
+        assert not is_minimal(g, g.negative_edges())
+        assert not is_negation_set(g, g.negative_edges() | {(3, 4)})
+        assert readings == [(frozenset({(3, 4)}), False)]
+
+    def test_all_edges_read_as_the_positive_edges(self, readings):
+        # K4 negative on 0-1: negating every edge leaves the triangle 1 2 3 negative
+        g = complete_graph(4).negate_edges([(0, 1)])
+        assert not is_antibalanced(g)
+        assert readings == [(g.positive_edges(), False)]
 
 
 @st.composite

@@ -135,7 +135,9 @@ def test_golden_trace_replays(case):
 
 
 def test_certify_minimum_decides_the_set_once_and_builds_no_edge_map(monkeypatch, capsys):
-    """One signed BFS decides E⁻; the triangles are walked by one-edge lookups on the rows."""
+    """At most one signed BFS decides the set: none for E⁻, whose product signing is all
+    positive, and one for the same set listed by ``--edges``.  The triangles are walked by
+    one-edge lookups on the rows."""
     calls = []
     decide = balance._two_color
 
@@ -144,6 +146,10 @@ def test_certify_minimum_decides_the_set_once_and_builds_no_edge_map(monkeypatch
         return decide(*args)
 
     monkeypatch.setattr(balance, "_two_color", deciding)
-    assert cli.main(argv_of("certify-minimum-path12")) == 0
-    assert capsys.readouterr().out == (GOLDEN / "certify-minimum-path12.json").read_text()
-    assert len(calls) == 1
+    golden = (GOLDEN / "certify-minimum-path12.json").read_text()
+    listed = ",".join(f"{u}-{v}" for u, v in json.loads(golden)["edges"])
+    for extra, bfs in (([], 0), (["--edges", listed], 1)):
+        calls.clear()
+        assert cli.main(argv_of("certify-minimum-path12") + extra) == 0
+        assert capsys.readouterr().out == golden
+        assert len(calls) == bfs

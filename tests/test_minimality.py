@@ -55,6 +55,15 @@ class TestIsMinimal:
         with pytest.raises(PreconditionError, match="negation set"):
             is_minimal(g, [(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize("b", [[(0, 1)], [(3, 4)]], ids=["first-component", "second-component"])
+    def test_disconnection_is_reported_before_a_non_negation_set(self, b):
+        # two positive triangles: one negated edge closes a negative triangle
+        # in its own component, found before or after the second BFS root
+        g = SignedGraph(6, [(0, 1, POS), (0, 2, POS), (1, 2, POS), (3, 4, POS), (3, 5, POS), (4, 5, POS)])
+        assert not is_negation_set(g, b)
+        with pytest.raises(PreconditionError, match="connected"):
+            is_minimal(g, b)
+
     @given(connected_signed_graphs(max_n=7))
     def test_agrees_with_brute_force(self, g):
         rng = random.Random(g.edge_count * 1000003 + g.n)
