@@ -77,13 +77,11 @@ def _two_color(
     rows: Sequence[Sequence[tuple[int, int]]],
     flips: Mapping[Edge, int] = {},
     full: int = 1,
-    signs: bool = True,
 ) -> tuple[list[int], int, tuple[int, ...] | None, int]:
     """Signed BFS two-colouring of up to ``full.bit_length()`` signings at once.
 
     ``rows`` are per-vertex ``(neighbour, sign)`` rows.  Signing i negates,
-    besides the negative edges (none when ``signs`` is false: every row
-    entry then reads positive), every edge whose ``flips`` mask has bit i,
+    besides the negative edges, every edge whose ``flips`` mask has bit i,
     and bit i of a vertex's potential is its colour under signing i.  The
     BFS tree is the same for every signing, so an edge that disagrees with
     its ends' potentials in bit i closes a negative circle of signing i.
@@ -102,7 +100,6 @@ def _two_color(
     touched = bytearray(n)
     for u, w in flips:
         touched[u] = touched[w] = 1
-    neg = NEG if signs else 0  # no row sign equals 0
     potential = [-1] * n
     parent = [-1] * n
     depth = [0] * n
@@ -118,7 +115,7 @@ def _two_color(
             pu = potential[u]
             hit = touched[u]
             for w, s in rows[u]:
-                want = pu ^ full if s == neg else pu
+                want = pu ^ full if s == NEG else pu
                 if hit:
                     want ^= flip((u, w) if u < w else (w, u), 0)
                 pw = potential[w]
@@ -159,10 +156,8 @@ def is_balanced(g: SignedGraph) -> bool:
 
 
 def is_antibalanced(g: SignedGraph) -> bool:
-    """True when negating every edge yields a balanced graph: when E is a negation set.
-
-    The product signing of E is negative exactly on E⁺."""
-    return not product_coloring(g, frozenset(g.edge_pairs()))[1]
+    """True when negating every edge yields a balanced graph: when E is a negation set."""
+    return not failing_flips(g, dict.fromkeys(g.edge_pairs(), 1), 1)
 
 
 def switching_equivalent(g: SignedGraph, h: SignedGraph) -> bool:
@@ -183,27 +178,16 @@ def product_coloring(
     """Two-colour the product signing: ``g`` with the edges of ``bs`` negated.
 
     ``bs`` holds edges of ``g`` as :func:`as_edge_set` returns them.  Returns
-    ``(potentials, conflict, circle, roots)`` as :func:`_two_color` does.  The
-    product is read whichever way flips fewer edges: the row signs with
-    ``bs`` flipped, or no row signs with ``E⁻ △ bs`` (the product's own
-    negative set) flipped.  ``E⁻ △ bs`` is formed only when it can be the
-    smaller (``|E⁻| < 2|bs|``), and E⁻ is built for the choice only when
-    ``bs`` holds over half the edges; otherwise only an E⁻ that ``g``
-    already keeps is used.  Both readings give every edge the same sign in
-    the same BFS order, so potentials and circles do not depend on the
-    choice.  An empty ``E⁻ △ bs`` leaves the product all positive, hence
-    balanced with every potential 0: then no BFS runs and ``roots`` is
-    ``None``.
+    ``(potentials, conflict, circle, roots)`` as :func:`_two_color` does,
+    from one signed BFS that flips ``bs``.  When ``bs`` is the E⁻ that ``g``
+    keeps (empty on an all-positive ``g``), the product is all positive,
+    hence balanced with every potential 0: then no BFS runs and ``roots``
+    is ``None``.
     """
-    rows = g.signed_rows()
-    negative = g.negative_edges() if 2 * len(bs) > g.edge_count else g.built_negative_edges()
-    if negative is not None and len(negative) < 2 * len(bs):
-        product = negative ^ bs
-        if not product:
-            return [0] * g.n, 0, None, None
-        if len(product) < len(bs):
-            return _two_color(rows, dict.fromkeys(product, 1), 1, False)
-    return _two_color(rows, dict.fromkeys(bs, 1))
+    negative = g.built_negative_edges()
+    if negative is not None and negative == bs:
+        return [0] * g.n, 0, None, None
+    return _two_color(g.signed_rows(), dict.fromkeys(bs, 1))
 
 
 def is_negation_set(g: SignedGraph, b: Iterable[Edge]) -> bool:

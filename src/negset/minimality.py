@@ -37,8 +37,8 @@ def is_minimal(g: SignedGraph, b: Iterable[Edge]) -> bool:
     negation set.  One BFS of the product signing settles both: when ``b``
     is a negation set it visits all of ``g``, from one root iff ``g`` is
     connected, so the connectivity walk runs only when that BFS stopped at
-    a conflict or did not run (``b`` equals E⁻).  G − b is built from the
-    rows and the set just validated.
+    a conflict or did not run (``b`` is the E⁻ that ``g`` keeps).  G − b is
+    built from the rows and the set just validated.
     """
     bs = as_edge_set(g, b)
     _, conflict, _, roots = product_coloring(g, bs)

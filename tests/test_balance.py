@@ -207,7 +207,7 @@ def hand_cut(g: SignedGraph, xs) -> frozenset:
 
 
 class TestProductSigning:
-    """Membership reads the product signing with b flipped, or with E⁻ △ b and no row signs."""
+    """Membership reads the product signing, G with b negated, in at most one BFS."""
 
     @given(st.data())
     def test_membership_agrees_with_the_oracle(self, data):
@@ -252,44 +252,43 @@ class TestProductSigning:
         assert is_antibalanced(SignedGraph(g.n, g.edges())) == (frozenset(pairs) in sets)
 
     @pytest.fixture
-    def readings(self, monkeypatch):
-        """The (flipped edges, row signs read) of every BFS."""
+    def flipped(self, monkeypatch):
+        """The flipped edge set of every BFS."""
         seen = []
         bfs = balance._two_color
 
-        def recording(rows, flips={}, full=1, signs=True):
-            seen.append((frozenset(flips), signs))
-            return bfs(rows, flips, full, signs)
+        def recording(rows, flips={}, full=1):
+            seen.append(frozenset(flips))
+            return bfs(rows, flips, full)
 
         monkeypatch.setattr(balance, "_two_color", recording)
         return seen
 
-    def test_each_set_is_read_with_the_fewer_flips(self, readings):
+    def test_the_kept_negative_edges_need_no_bfs(self, flipped):
         # C6 negative on 0-1, 1-2, 2-3
         g = cycle_graph(6).negate_edges([(0, 1), (1, 2), (2, 3)])
-        # a small set is flipped on the row signs, and E⁻ is not built for it
+        # a listed set is flipped, and E⁻ is not built for it
         assert is_negation_set(g, [(0, 1)])
         assert g.built_negative_edges() is None
-        # over half the edges: E⁻ is built, and the product's negative set
-        # E⁻ △ b = {0-1, 3-4, 4-5, 0-5} is flipped with no row signs
-        assert is_negation_set(g, [(1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
-        assert readings == [
-            (frozenset({(0, 1)}), True),
-            (frozenset({(0, 1), (3, 4), (4, 5), (0, 5)}), False),
-        ]
-        # E⁻ itself needs no BFS, and E⁻ with one edge more (even, where
-        # every negation set of this circle is odd) a one-edge flip
-        readings.clear()
+        assert flipped == [frozenset({(0, 1)})]
+        # E⁻ itself, once kept, needs no BFS; E⁻ with one edge more (even,
+        # where every negation set of this circle is odd) one
+        flipped.clear()
         assert is_negation_set(g, g.negative_edges())
         assert not is_minimal(g, g.negative_edges())
         assert not is_negation_set(g, g.negative_edges() | {(3, 4)})
-        assert readings == [(frozenset({(3, 4)}), False)]
+        assert flipped == [frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})]
 
-    def test_all_edges_read_as_the_positive_edges(self, readings):
-        # K4 negative on 0-1: negating every edge leaves the triangle 1 2 3 negative
-        g = complete_graph(4).negate_edges([(0, 1)])
-        assert not is_antibalanced(g)
-        assert readings == [(g.positive_edges(), False)]
+    def test_an_all_positive_graph_needs_no_bfs_for_its_empty_negative_set(self, flipped):
+        g = complete_graph(5)
+        assert is_negation_set(g, g.negative_edges())
+        assert is_minimal(g, g.negative_edges())
+        assert switching_for_negation_set(g, g.negative_edges()) == frozenset()
+        assert flipped == []
+        # the same empty set, before E⁻ is kept, is decided by one BFS
+        h = complete_graph(5)
+        assert is_negation_set(h, [])
+        assert flipped == [frozenset()]
 
 
 @st.composite

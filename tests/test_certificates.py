@@ -59,7 +59,7 @@ def test_switching_must_realize_the_negation_set(monkeypatch):
     g = cycle_graph(5).negate_edges([(0, 1)])
     # an all-zero colouring switches nothing, which realizes E⁻, not {(1, 2)}
     monkeypatch.setattr(
-        balance, "_two_color", lambda rows, flips={}, full=1, signs=True: ([0] * len(rows), 0, None, 1)
+        balance, "_two_color", lambda rows, flips={}, full=1: ([0] * len(rows), 0, None, 1)
     )
     with pytest.raises(InvariantError, match="does not realize"):
         switching_for_negation_set(g, [(1, 2)])
@@ -111,7 +111,7 @@ def test_balance_witness_colouring_must_agree_with_every_edge(monkeypatch):
     g = cycle_graph(4).negate_edges([(0, 1), (2, 3)])
     # one colour for every vertex puts the negative edge 0-1 inside a side
     monkeypatch.setattr(
-        balance, "_two_color", lambda rows, flips={}, full=1, signs=True: ([0] * len(rows), 0, None, 1)
+        balance, "_two_color", lambda rows, flips={}, full=1: ([0] * len(rows), 0, None, 1)
     )
     with pytest.raises(InvariantError, match="disagrees with the Harary bipartition"):
         balance.check_balance(g)
