@@ -102,7 +102,6 @@ def _two_color(
         touched[u] = touched[w] = 1
     potential = [-1] * n
     parent = [-1] * n
-    depth = [0] * n
     conflict = 0
     roots = 0
     for root in range(n):
@@ -122,33 +121,29 @@ def _two_color(
                 if pw < 0:
                     potential[w] = want
                     parent[w] = u
-                    depth[w] = depth[u] + 1
                     queue.append(w)
                 elif pw != want:
                     conflict |= pw ^ want
                     if conflict == full:
-                        return potential, conflict, _tree_circle(parent, depth, u, w), roots
+                        return potential, conflict, _tree_circle(parent, u, w), roots
     return potential, conflict, None, roots
 
 
-def _tree_circle(parent, depth, u: int, w: int) -> tuple[int, ...]:
+def _tree_circle(parent, u: int, w: int) -> tuple[int, ...]:
     """Close the BFS tree paths from u and w into the circle through edge uw.
 
-    The conflict is found while u scans uw, so w is never shallower than u:
-    a shallower w was scanned first and would have reported the same edge.
+    Walks u's parent chain to its root, then w's chain up to the first
+    vertex on it: their lowest common ancestor.
     """
-    pu, pw = [u], [w]
-    a, b = u, w
-    while depth[b] > depth[a]:
-        b = parent[b]
-        pw.append(b)
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-        pu.append(a)
-        pw.append(b)
-    # pu ends at the common ancestor, pw likewise; drop the duplicate.
-    return tuple(pu + pw[-2::-1])
+    pu = [u]
+    while parent[pu[-1]] >= 0:
+        pu.append(parent[pu[-1]])
+    index = {v: i for i, v in enumerate(pu)}
+    pw = [w]
+    while pw[-1] not in index:
+        pw.append(parent[pw[-1]])
+    # pu up to the common ancestor, then pw back down from below it.
+    return tuple(pu[: index[pw.pop()] + 1] + pw[::-1])
 
 
 def is_balanced(g: SignedGraph) -> bool:
@@ -199,22 +194,6 @@ def is_negation_set(g: SignedGraph, b: Iterable[Edge]) -> bool:
     O(n + m), and with no BFS at all when ``b`` is the E⁻ that ``g`` keeps.
     """
     return not product_coloring(g, as_edge_set(g, b))[1]
-
-
-def failing_negation_sets(g: SignedGraph, sets: Sequence[Iterable[Edge]]) -> int:
-    """Bitmask of the members of ``sets`` that are not negation sets of ``g``.
-
-    Bit i is set when ``sets[i]`` is not a negation set.  Members hold edges
-    of ``g`` as ``(u, v)`` with ``u < v``, as :func:`as_edge_set` returns
-    them.  Member i negates the edges it holds in bit i of their
-    :func:`failing_flips` masks, OR-ed in one edge at a time; families are
-    a packing or a partner pair, a few members each.
-    """
-    flips: dict[Edge, int] = {}
-    for i, edges in enumerate(sets):
-        for e in edges:
-            flips[e] = flips.get(e, 0) | 1 << i
-    return failing_flips(g, flips, (1 << len(sets)) - 1)
 
 
 def failing_flips(g: SignedGraph, flips: Mapping[Edge, int], full: int) -> int:

@@ -369,10 +369,10 @@ def _oracle_checks(g: SignedGraph):
     if base:
         yield (packing, "skip", "needs an unbalanced graph")
     else:
-        mine = component_packing_number(g).packing_number
         try:
+            mine = component_packing_number(g).packing_number
             brute = oracle.brute_packing_number(g, columns=columns)
-        except PreconditionError as exc:
+        except (PreconditionError, IterationBudgetError) as exc:
             yield (packing, "skip", str(exc))
         else:
             if mine == brute == 1:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .balance import failing_negation_sets, is_balanced
+from .balance import failing_flips, is_balanced
 from .errors import InvariantError
 from .graph import NEG, Edge, SignedGraph, as_edge_set
 
@@ -36,26 +36,33 @@ def family(g: SignedGraph, members: Iterable[Iterable[Edge]]) -> None:
     """Every member must be a negation set of ``g``, and no edge may lie in two.
 
     Members are checked in order, and the first that fails raises.  Member i
-    is a negation set when ``g`` with its edges negated is balanced;
-    :func:`negset.balance.failing_negation_sets` decides every member in
-    one signed BFS.  A member that cannot be read as edges of ``g`` raises
-    once every member before it has passed.
+    is read once, OR-ing bit i into its edges' flip masks, where an edge
+    already holding a bit is an overlap; one
+    :func:`negset.balance.failing_flips` BFS then decides every member.  A
+    member that cannot be read as edges of ``g`` raises once every member
+    before it has passed.
     """
-    sets: list[frozenset[Edge]] = []
-    unreadable = None
-    for member in members:
+    flips: dict[Edge, int] = {}
+    full = 0
+    overlap = unreadable = None
+    for i, member in enumerate(members):
         try:
-            sets.append(as_edge_set(g, member))
+            edges = as_edge_set(g, member)
         except (TypeError, ValueError) as exc:
             unreadable = exc
             break
-    failing = failing_negation_sets(g, sets)
-    used: set[Edge] = set()
-    for i, edges in enumerate(sets):
-        if failing >> i & 1:
-            raise InvariantError(f"family member {i} is not a negation set")
-        if not used.isdisjoint(edges):
-            raise InvariantError(f"family member {i} overlaps an earlier member")
-        used |= edges
+        bit = 1 << i
+        full |= bit
+        for e in edges:
+            mask = flips.get(e, 0)
+            if mask and overlap is None:
+                overlap = i
+            flips[e] = mask | bit
+    failing = failing_flips(g, flips, full)
+    first = (failing & -failing).bit_length() - 1
+    if failing and (overlap is None or first <= overlap):
+        raise InvariantError(f"family member {first} is not a negation set")
+    if overlap is not None:
+        raise InvariantError(f"family member {overlap} overlaps an earlier member")
     if unreadable is not None:
         raise unreadable

@@ -121,7 +121,7 @@ def test_balance_witness_colouring_must_agree_with_every_edge(monkeypatch):
 def test_balance_witness_circle_must_be_negative(monkeypatch, circle):
     # K4 minus the edge 0-2, negative on 0-1: 1 2 3 is a positive triangle
     g = SignedGraph(4, [(0, 1, NEG), (0, 3, POS), (1, 2, POS), (1, 3, POS), (2, 3, POS)])
-    monkeypatch.setattr(balance, "_tree_circle", lambda parent, depth, u, w: circle)
+    monkeypatch.setattr(balance, "_tree_circle", lambda parent, u, w: circle)
     with pytest.raises(InvariantError, match="not a negative circle"):
         balance.check_balance(g)
 

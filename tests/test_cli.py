@@ -420,11 +420,21 @@ class TestComponentCopies:
 
 
 class TestOracleVerifyCommand:
-    def test_passes_on_a_small_graph(self, capsys, c5_one_negative):
+    def test_passes_on_a_small_graph(self, capsys, c5_one_negative, write_sg):
         assert main(["oracle-verify", c5_one_negative]) == EXIT_HOLDS
         out = capsys.readouterr().out
         assert "OK" in out
         assert "fail" not in out
+        # a balanced C5: the packing and acyclic rows need an unbalanced graph
+        balanced = write_sg(cycle_graph(5).negate_edges([(0, 1), (1, 2)]), "balanced.sg")
+        code, report = run_json(capsys, ["oracle-verify", balanced, "--json"])
+        assert code == EXIT_HOLDS
+        rows = {c["name"]: (c["outcome"], c["detail"]) for c in report["checks"]}
+        assert rows.pop("packing number agrees with brute force") == ("skip", "needs an unbalanced graph")
+        assert rows.pop("acyclic set at least frustration index") == (
+            "skip", "needs unbalanced with max degree 4"
+        )
+        assert [outcome for outcome, _ in rows.values()] == ["pass"] * 4
 
     def test_large_graphs_skip_enumeration_checks(self, capsys, write_sg):
         path = write_sg(corpus.path_graph(40).negate_edges([(0, 1)]))
@@ -469,6 +479,21 @@ class TestOracleVerifyCommand:
         assert rows.pop("packing number agrees with brute force") == (
             "skip",
             f"brute-force packing search passed its budget of {oracle.PACKING_STEPS} checks",
+        )
+        assert [outcome for outcome, _ in rows.values()] == ["pass"] * 5
+
+    def test_packing_row_skips_past_the_exact_search_budget(self, capsys):
+        # packing's own exact search runs out of candidate checks on this
+        # input (as `negset packing` does, exit 3): the row reads skip
+        start = time.perf_counter()
+        code, report = run_json(capsys, ["oracle-verify", str(GOLDEN / "packing-search20.sg"), "--json"])
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_HOLDS
+        rows = {c["name"]: (c["outcome"], c["detail"]) for c in report["checks"]}
+        assert rows.pop("packing number agrees with brute force") == (
+            "skip",
+            f"exact packing search needs more candidate checks than its budget of "
+            f"{packing._EXACT_SEARCH_STEPS}; the scan lower bound is 5",
         )
         assert [outcome for outcome, _ in rows.values()] == ["pass"] * 5
 

@@ -82,6 +82,8 @@ class TestConstruction:
         assert a == b
         assert hash(a) == hash(b)
         assert a != negate_all(a)
+        assert a.__eq__((3, 3)) is NotImplemented and a != (3, 3)
+        assert repr(a) == "SignedGraph(n=3, m=3)"
 
     def test_factories(self):
         assert complete_graph(4).edge_count == 6
