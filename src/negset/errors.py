@@ -7,6 +7,10 @@ class PreconditionError(ValueError):
     """An algorithm's documented input requirement was violated."""
 
 
+class IterationBudgetError(PreconditionError):
+    """Every budget's refusal: a search would pass its budget on a valid input too large to settle."""
+
+
 class SgParseError(ValueError):
     """Malformed .sg input.
 
@@ -22,10 +26,6 @@ class SgParseError(ValueError):
 
 class MalformedCertificateError(ValueError):
     """A serialized certificate failed structural validation."""
-
-
-class IterationBudgetError(RuntimeError):
-    """Packing's exact search ran out of budget: a valid input too large to settle."""
 
 
 class InvariantError(RuntimeError):

@@ -18,21 +18,21 @@ mask, E⁻ XOR the incidence masks of the vertices it switches; there is no
 second walk.
 
 Each entry point is gated by what it builds, not by a vertex count, and
-raises :class:`~negset.errors.PreconditionError` at the first gate that
-fails: the m columns of 2^(n-1) bits must fit ``COLUMN_BITS``, tested from n
-and m alone before the graph is walked; the graph must be connected; a call
-may make at most ``SET_COUNT`` sets or masks, tested in :func:`_masks_at`
-before the first; the packing search may make ``PACKING_STEPS`` checks.
+stops at the first gate that fails: the m columns of 2^(n-1) bits must fit
+``COLUMN_BITS``, tested from n and m alone before the graph is walked; the
+graph must be connected; a call may make at most ``SET_COUNT`` sets or
+masks, tested in :func:`_masks_at` before the first; the packing search may
+make ``PACKING_STEPS`` checks.  Each budget raises ``IterationBudgetError``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import PreconditionError
+from .errors import IterationBudgetError, PreconditionError
 from .graph import NEG, Edge, SignedGraph, as_edge_set
 
-#: The most bits the m columns of 2^(n-1) bits may hold: 32 MiB, n <= 24 if connected.
+#: The most bits the m columns of 2^(n-1) bits (n <= 24 if connected), or packing's cuts, may hold: 32 MiB.
 COLUMN_BITS = 1 << 28
 
 #: The most negation sets or edge masks one call may make: every set at n = 16.
@@ -48,7 +48,7 @@ NegationSets = tuple[frozenset[Edge], ...]
 def _check_scale(g: SignedGraph) -> None:
     # m * 2^(n-1) > COLUMN_BITS, with no int of 2^(n-1) made on a large n
     if g.edge_count > COLUMN_BITS >> max(g.n - 1, 0):
-        raise PreconditionError(
+        raise IterationBudgetError(
             f"graph's {g.edge_count} columns of 2^{g.n - 1} bits exceed the enumeration budget of "
             f"{COLUMN_BITS >> 23} MiB"
         )
@@ -114,7 +114,7 @@ def _masks_at(g: SignedGraph, mask: int) -> list[int]:
     set is E⁻ △ cut(X), built from the switched vertices' incidence masks.
     """
     if mask.bit_count() > SET_COUNT:
-        raise PreconditionError(f"{mask.bit_count()} sets exceed the enumeration budget of {SET_COUNT}")
+        raise IterationBudgetError(f"{mask.bit_count()} sets exceed the enumeration budget of {SET_COUNT}")
     incidence, negative = g.edge_masks()
     masks = []
     for j in _bits(mask):
@@ -224,7 +224,7 @@ def brute_packing_number(g: SignedGraph, *, columns: Iterable[int] | None = None
         nonlocal best, steps
         steps += len(candidates) - start
         if steps > PACKING_STEPS:
-            raise PreconditionError(f"brute-force packing search passed its budget of {PACKING_STEPS} checks")
+            raise IterationBudgetError(f"brute-force packing search passed its budget of {PACKING_STEPS} checks")
         best = max(best, size)
         if size + (len(candidates) - start) <= best:
             return

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import verify
+from . import oracle, verify
 from .balance import _two_color, is_balanced
 from .errors import InvariantError, IterationBudgetError, PreconditionError
 from .graph import NEG, POS, Edge, SignedGraph, edge_key
@@ -293,7 +293,6 @@ def _contracted_bound(g: SignedGraph, classes: NegativeComponentClasses) -> floa
     return bound
 
 
-_EXACT_SEARCH_BITS = 20
 _EXACT_SEARCH_STEPS = 1 << 22
 
 
@@ -310,20 +309,21 @@ def _exact_packing(
     class vertex has no edge leaving it; in a connected graph it would be
     the whole graph, which would then have no negative edge and be
     balanced, and balanced input is rejected upstream.  The search is
-    exponential and kept behind a deterministic budget: at most 2^20 cuts
-    are enumerated, which caps their memory, and at most 2^22 candidate
-    checks are made, each ``extend`` call counting the cuts left to it,
-    which caps the time.  The scan family's size seeds the branch and
-    bound so only strict improvements are explored.
+    exponential and kept behind two budgets, each raising
+    :class:`IterationBudgetError`: its 2^bits cuts, counted as max(m, 256)
+    bits each (an int of m bits, never under an int's header), must fit
+    ``oracle.COLUMN_BITS`` before the first is made, capping memory; and
+    at most 2^22 candidate checks are made, each ``extend`` call counting
+    the cuts left to it, capping time.  The scan family's size seeds the
+    branch and bound so only strict improvements are explored.
     """
     free = [v for v, c in enumerate(classes.class_of) if c < 0]
-
     bits = (classes.m - 1) + len(free)
-    if bits > _EXACT_SEARCH_BITS:
+    width = max(g.edge_count, 256)
+    if width > oracle.COLUMN_BITS >> bits:  # width * 2^bits > COLUMN_BITS, with no int of 2^bits made
         raise IterationBudgetError(
-            f"exact packing search needs 2^{bits} switchings "
-            f"(budget 2^{_EXACT_SEARCH_BITS}); the scan lower bound is "
-            f"{scan_size}"
+            f"exact packing search needs 2^{bits} cuts of {width} bits, over its budget of "
+            f"{oracle.COLUMN_BITS >> 23} MiB; the scan lower bound is {scan_size}"
         )
 
     incidence, negative = g.edge_masks()

@@ -60,6 +60,39 @@ def cube_graph(sign: int = POS) -> SignedGraph:
     return SignedGraph(8, edges)
 
 
+def counterexample_hexagon() -> SignedGraph:
+    """Three negative edges in two negative components on a hexagon; single-bipartition
+    layering reaches only three disjoint sets but a mixed family reaches four."""
+    return SignedGraph(6, [
+        (0, 1, NEG), (1, 2, POS), (2, 3, NEG),
+        (3, 4, POS), (4, 5, POS), (0, 5, NEG),
+    ])
+
+
+def long_hexagon(pendants: int, length: int = 3001) -> SignedGraph:
+    """:func:`counterexample_hexagon` with many edges and ``2 + pendants`` exact-search bits.
+
+    Each negative edge becomes a negative path of ``length`` edges, with a
+    positive chord between every two path vertices two steps apart (one
+    class); ``pendants`` class-free vertices hang off the last path vertex.
+    The scan and the contracted bound still disagree, so ``packing`` reaches
+    its exact search.  With 15 pendants: 9,021 vertices, 18,021 edges and
+    17 search bits (the two components' swap, vertex 4 and the pendants).
+    """
+    base = counterexample_hexagon()
+    n, edges = base.n, []
+    for u, v, s in base.edges():
+        if s != NEG:
+            edges.append((u, v, s))
+            continue
+        path = [u, *range(n, n + length - 1), v]
+        n += length - 1
+        edges += [(a, b, NEG) for a, b in zip(path, path[1:])]
+        edges += [(a, b, POS) for a, b in zip(path, path[2:])]
+    edges += [(n - 1, n + i, POS) for i in range(pendants)]
+    return SignedGraph(n + pendants, edges)
+
+
 def minimum_negation_sets(g: SignedGraph) -> NegationSets:
     """All negation sets of minimum size, sorted by edges, by the oracle's columns."""
     columns = tuple(negative_columns(g))

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from negset import (
     NEG,
     POS,
+    IterationBudgetError,
+    PreconditionError,
     SignedGraph,
     balance,
     cli,
@@ -245,8 +247,8 @@ class TestPackingCommand:
         assert main(["packing", path]) == EXIT_PRECONDITION
 
     def test_exact_search_past_its_step_budget_exits_three(self, capsys):
-        # 12 search bits, inside the cut cap, but the branch and bound needs
-        # more than 2^22 candidate checks; bounded by the cut cap alone it answers 6 after ~10 s
+        # 12 search bits, a cut table inside its budget, but the branch and bound needs
+        # more than 2^22 candidate checks; bounded by the table alone it answers 6 after ~10 s
         code = main(["packing", str(GOLDEN / "packing-search20.sg"), "--json"])
         out, err = capsys.readouterr()
         assert code == EXIT_PRECONDITION and out == ""
@@ -831,6 +833,32 @@ class TestErrorHandling:
         path = write_sg(SignedGraph(8, [(i, (i + d) % 8, NEG) for i in range(8) for d in (1, 2)]))
         assert main(["acyclic", path]) == EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal error: InvariantError: component ")
+
+    # Every budget gate, shrunk until it refuses the hexagon: gate -> (module,
+    # budget, value, library call, command).  The oracle's brute-force packing
+    # search runs only in oracle-verify, which reports its refusal as a skipped row.
+    BUDGET_GATES = {
+        "oracle-columns": (oracle, "COLUMN_BITS", 1, oracle.frustration_index, "frustration"),
+        "oracle-sets": (oracle, "SET_COUNT", 1, oracle.enumerate_negation_sets, "oracle-verify"),
+        "oracle-steps": (oracle, "PACKING_STEPS", 1, oracle.brute_packing_number, "oracle-verify"),
+        "packing-table": (oracle, "COLUMN_BITS", (256 << 2) - 1, packing.packing_number, "packing"),
+        "packing-steps": (packing, "_EXACT_SEARCH_STEPS", 1, packing.packing_number, "packing"),
+    }
+
+    @pytest.mark.parametrize("gate", BUDGET_GATES)
+    def test_every_budget_raises_one_error_and_exits_three(self, capsys, monkeypatch, write_sg, gate):
+        module, budget, value, call, command = self.BUDGET_GATES[gate]
+        g = corpus.counterexample_hexagon()
+        monkeypatch.setattr(module, budget, value)
+        with pytest.raises(IterationBudgetError, match="budget") as info:
+            call(g)
+        assert isinstance(info.value, PreconditionError)
+        code = main([command, write_sg(g)])
+        out, err = capsys.readouterr()
+        if gate == "oracle-steps":
+            assert code == EXIT_HOLDS and f"skip  ({info.value})" in out
+        else:
+            assert code == EXIT_PRECONDITION and out == "" and "budget" in err
 
     def test_output_file(self, capsys, tmp_path, c5_one_negative):
         target = tmp_path / "report.json"

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,14 @@ from negset import (
 from negset import oracle, packing, verify
 
 import corpus
-from corpus import complete_graph, cycle_graph, has_negative_digon, path_graph
+from corpus import (
+    complete_graph,
+    counterexample_hexagon,
+    cycle_graph,
+    has_negative_digon,
+    long_hexagon,
+    path_graph,
+)
 from conftest import connected_signed_graphs, edge_set_is_bipartite
 
 
@@ -38,15 +46,6 @@ def assert_valid_family(g: SignedGraph, result) -> None:
     assert result.packing_number == len(result.family)
     assert result.family[0] == g.negative_edges()
     verify.family(g, result.family)
-
-
-def counterexample_hexagon() -> SignedGraph:
-    """Three negative components on a hexagon; single-bipartition layering
-    reaches only three disjoint sets but a mixed family reaches four."""
-    return SignedGraph(6, [
-        (0, 1, NEG), (1, 2, POS), (2, 3, NEG),
-        (3, 4, POS), (4, 5, POS), (0, 5, NEG),
-    ])
 
 
 class TestAnchors:
@@ -147,22 +146,43 @@ class TestMixedBipartitionInstances:
         assert result.packing_number == oracle.brute_packing_number(g) == 6
         assert result.realizing_bipartition is None
 
+    # The hexagon's search has 2 bits: 4 cuts, each counted at 256 bits, so
+    # a table budget of 1023 bits refuses them and one of 1024 admits them.
     @pytest.mark.parametrize(
-        "budget, value", [("_EXACT_SEARCH_BITS", 0), ("_EXACT_SEARCH_STEPS", 1)], ids=["cuts", "steps"]
+        "module, budget, value",
+        [(oracle, "COLUMN_BITS", (256 << 2) - 1), (packing, "_EXACT_SEARCH_STEPS", 1)],
+        ids=["cuts", "steps"],
     )
-    def test_budget_guard_reports_scan_floor(self, monkeypatch, budget, value):
-        monkeypatch.setattr(packing, budget, value)
+    def test_budget_guard_reports_scan_floor(self, monkeypatch, module, budget, value):
+        monkeypatch.setattr(module, budget, value)
         with pytest.raises(IterationBudgetError, match="lower bound is 3"):
             packing_number(counterexample_hexagon())
+
+    def test_cut_table_budget_admits_a_table_that_fits(self, monkeypatch):
+        monkeypatch.setattr(oracle, "COLUMN_BITS", 256 << 2)
+        assert packing_number(counterexample_hexagon()).packing_number == 4
 
     def test_budget_runs_out_before_any_family_is_built(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a family was certified before the budget check")
 
-        monkeypatch.setattr(packing, "_EXACT_SEARCH_BITS", 0)
+        monkeypatch.setattr(oracle, "COLUMN_BITS", (256 << 2) - 1)
         monkeypatch.setattr(verify, "family", forbidden)
         with pytest.raises(IterationBudgetError, match="lower bound is 3"):
             packing_number(counterexample_hexagon())
+
+    def test_a_large_cut_table_is_refused_before_the_walk(self):
+        # few search bits but wide cuts: 2^17 cuts of 18,021 bits would hold
+        # about 300 MB, so the gate counts bits, not cuts
+        g = long_hexagon(15)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IterationBudgetError, match=r"2\^17 cuts of 18021 bits.* lower bound is 3$"):
+                packing_number(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
     @given(connected_signed_graphs(max_n=9))
     @settings(max_examples=120)
