@@ -426,7 +426,7 @@ def export_dot(g: SignedGraph, annotations: Sequence[frozenset[Edge]] = ()) -> s
     lines = ["graph signed {"]
     for v in g.vertices():
         lines.append(f"  {v};")
-    for u, v, s in sorted(g.edges()):
+    for u, v, s in g.edges():
         attrs = ["style=solid"] if s != NEG else ["style=dashed", "color=red"]
         special = color_of.get((u, v))
         if special is not None:

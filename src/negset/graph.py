@@ -125,21 +125,6 @@ class SignedGraph:
     def edge_pairs(self) -> tuple[Edge, ...]:
         return tuple((u, w) for u, row in enumerate(self._rows) for w, _ in row if u < w)
 
-    def edge_masks(self) -> tuple[list[int], int]:
-        """Per vertex, the mask of its edges; and the mask of E⁻.
-
-        Bit i is ``edge_pairs()[i]``.  The cut of a vertex set is the XOR of
-        its members' masks: an edge inside the set toggles twice and cancels.
-        """
-        incidence = [0] * self._n
-        negative = 0
-        for i, (u, v, s) in enumerate(self.edges()):
-            incidence[u] |= 1 << i
-            incidence[v] |= 1 << i
-            if s == NEG:
-                negative |= 1 << i
-        return incidence, negative
-
     def has_edge(self, u: int, v: int) -> bool:
         return row_sign(self._rows, u, v) != 0
 

@@ -107,15 +107,24 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _masks_at(g: SignedGraph, mask: int) -> list[int]:
-    """The edge masks of the negation sets of the switchings in ``mask``, as in ``g.edge_masks()``.
+    """The edge masks of the negation sets of the switchings in ``mask``: bit i is ``g.edge_pairs()[i]``.
 
     Only the selected switchings are read: the Gray code of switching j,
     ``j ^ (j >> 1)``, has bit k set when vertex k + 1 is switched, and its
     set is E⁻ △ cut(X), built from the switched vertices' incidence masks.
+    The cut of a vertex set is the XOR of its members' masks: an edge inside
+    the set toggles twice and cancels.  The column budget keeps the table of
+    n masks of m bits small.
     """
     if mask.bit_count() > SET_COUNT:
         raise IterationBudgetError(f"{mask.bit_count()} sets exceed the enumeration budget of {SET_COUNT}")
-    incidence, negative = g.edge_masks()
+    incidence = [0] * g.n
+    negative = 0
+    for i, (u, v, s) in enumerate(g.edges()):
+        incidence[u] |= 1 << i
+        incidence[v] |= 1 << i
+        if s == NEG:
+            negative |= 1 << i
     masks = []
     for j in _bits(mask):
         edges = negative

@@ -117,9 +117,6 @@ class ClassGraph:
         left = None if conflict else frozenset(c for c, side in enumerate(color) if side == 0)
         object.__setattr__(self, "_left", left)
 
-    def negative_edges(self) -> tuple[Edge, ...]:
-        return tuple((2 * i, 2 * i + 1) for i in range(self.m))
-
     def balanced(self) -> bool:
         return self._left is not None
 
@@ -314,8 +311,14 @@ def _exact_packing(
     bits each (an int of m bits, never under an int's header), must fit
     ``oracle.COLUMN_BITS`` before the first is made, capping memory; and
     at most 2^22 candidate checks are made, each ``extend`` call counting
-    the cuts left to it, capping time.  The scan family's size seeds the
-    branch and bound so only strict improvements are explored.
+    the cuts left to it, capping time.  The 32 MiB table budget counts the
+    cuts' bits, not what the held table costs: each cut is also an int
+    object and a list slot, so the 2^20 cuts of 24 bits that
+    ``long_hexagon(18, length=1)`` admits peak at 56 MiB traced, held in
+    one list and sorted in place.  Only the start cut and the ``bits``
+    toggles are made from the graph, each one ``g.cut`` encoded over
+    ``g.edge_pairs()``.  The scan family's size seeds the branch and bound
+    so only strict improvements are explored.
     """
     free = [v for v, c in enumerate(classes.class_of) if c < 0]
     bits = (classes.m - 1) + len(free)
@@ -326,14 +329,11 @@ def _exact_packing(
             f"{oracle.COLUMN_BITS >> 23} MiB; the scan lower bound is {scan_size}"
         )
 
-    incidence, negative = g.edge_masks()
     pairs = g.edge_pairs()
 
-    def fold(vs: Iterable[int]) -> int:
-        mask = 0
-        for v in vs:
-            mask ^= incidence[v]
-        return mask
+    def encode(cut: frozenset[Edge]) -> int:
+        # Bit i is pairs[i]; base 2 parses in linear time, with no digit limit.
+        return int("".join("1" if e in cut else "0" for e in reversed(pairs)), 2)
 
     # One Gray-code walk from the cut of all first classes reaches every
     # class-respecting switching, each step swapping the classes of one
@@ -342,9 +342,9 @@ def _exact_packing(
     # leaves the positive-edge cuts.  Two switchings holding component 0's
     # first class differ by a set with a nonempty cut in a connected graph,
     # so no cut repeats.
-    toggles = [fold(first | second) for first, second in classes.classes[1:]]
-    toggles += [incidence[v] for v in free]
-    mask = fold(v for first, _ in classes.classes for v in first) ^ negative
+    toggles = [encode(g.cut(first | second)) for first, second in classes.classes[1:]]
+    toggles += [encode(g.cut((v,))) for v in free]
+    mask = encode(g.cut(v for first, _ in classes.classes for v in first) - g.negative_edges())
     cuts = [mask]
     for x in range(1, 1 << len(toggles)):
         mask ^= toggles[(x & -x).bit_length() - 1]
@@ -358,14 +358,16 @@ def _exact_packing(
             mask ^= low
         return frozenset(out)
 
-    order = sorted(cuts, key=lambda c: (c.bit_count(), c))
+    # In place, by (size, value): a stable sort by size keeps the value order.
+    cuts.sort()
+    cuts.sort(key=int.bit_count)
     best: list[int] = []
     best_size = scan_size - 1
     steps = 0
 
     def extend(start: int, used: int, chosen: list[int]) -> None:
         nonlocal best, best_size, steps
-        steps += len(order) - start
+        steps += len(cuts) - start
         if steps > _EXACT_SEARCH_STEPS:
             raise IterationBudgetError(
                 f"exact packing search needs more candidate checks than its budget of "
@@ -373,10 +375,10 @@ def _exact_packing(
             )
         if len(chosen) > best_size:
             best, best_size = list(chosen), len(chosen)
-        for idx in range(start, len(order)):
-            if len(chosen) + (len(order) - idx) <= best_size:
+        for idx in range(start, len(cuts)):
+            if len(chosen) + (len(cuts) - idx) <= best_size:
                 break
-            cut = order[idx]
+            cut = cuts[idx]
             if used & cut:
                 continue
             chosen.append(cut)
@@ -384,7 +386,7 @@ def _exact_packing(
             chosen.pop()
 
     extend(0, 0, [])
-    # best is a subsequence of order, so already in its order
+    # best is a subsequence of cuts, so already in its order
     return [edge_bits(mask) for mask in best]
 
 

@@ -40,7 +40,7 @@ def positive_neighbors(g: SignedGraph, v: int) -> tuple[int, ...]:
 
 def has_negative_digon(cg: ClassGraph) -> bool:
     """Whether a positive class edge runs parallel to a negative one."""
-    return any(e in cg.positive_edges for e in cg.negative_edges())
+    return any((2 * i, 2 * i + 1) in cg.positive_edges for i in range(cg.m))
 
 
 def from_underlying(n: int, pairs: Iterable[Edge], negative: Iterable[Edge] = ()) -> SignedGraph:

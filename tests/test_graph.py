@@ -79,6 +79,7 @@ class TestConstruction:
     def test_equality_and_hash(self):
         a = triangle()
         b = SignedGraph(3, [(0, 2, NEG), (1, 2, NEG), (0, 1, POS)])
+        assert a == a
         assert a == b
         assert hash(a) == hash(b)
         assert a != negate_all(a)
@@ -270,24 +271,6 @@ class TestSwitching:
                 g.circle_edges(cycle)
             with pytest.raises(MalformedCertificateError, match=message):
                 g.circle_sign(cycle)
-
-    @given(vertex_subsets(connected_signed_graphs()))
-    def test_edge_masks_index_the_edge_pairs(self, gx):
-        g, xs = gx
-        incidence, negative = g.edge_masks()
-        pairs = g.edge_pairs()
-
-        def edges_of(mask):
-            return {e for i, e in enumerate(pairs) if mask >> i & 1}
-
-        assert negative < 1 << len(pairs)
-        assert edges_of(negative) == g.negative_edges()
-        for v in g.vertices():
-            assert edges_of(incidence[v]) == {e for e in pairs if v in e}
-        cut = 0
-        for v in xs:
-            cut ^= incidence[v]
-        assert edges_of(cut) == g.cut(xs)
 
 
 class TestSubgraphs:

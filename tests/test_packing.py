@@ -184,6 +184,18 @@ class TestMixedBipartitionInstances:
             tracemalloc.stop()
         assert peak < 64 << 20
 
+    def test_a_long_walk_holds_only_the_cuts_it_walks(self):
+        # 2 search bits over 60,006 edges: the search holds its start cut and
+        # two toggles, not one edge mask per vertex (n masks of up to m bits)
+        g = long_hexagon(0, length=10001)
+        tracemalloc.start()
+        try:
+            assert packing_number(g).packing_number == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
+
     @given(connected_signed_graphs(max_n=9))
     @settings(max_examples=120)
     def test_every_class_free_vertex_reaches_a_class(self, g):
