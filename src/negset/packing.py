@@ -17,14 +17,16 @@ The scan value is exact whenever it matches the shortest-path upper bound:
 every member of a disjoint family must separate the two classes of every
 negative component, so no family can be larger than the distance between a
 component's classes in the positive subgraph with classes contracted.  The
-bound is one BFS per component over the host's signed rows, stepping over
-negative entries, each stopped once it can no longer beat the best so far.
-It comes first, because ``w_p`` never exceeds it: every class BFS stops at
-the bound's depth, and a class pair beyond it has no key.  With one
-negative component the two figures always coincide.  With several they can
-genuinely differ — families may mix cuts from different bipartitions — and
-then an exact (exponential, budget-kept) search over class-respecting
-switchings decides whether a mixed family beats the scan.
+bound is one bidirectional BFS per component over the host's signed rows,
+stepping over negative entries, from both classes at once; each is stopped
+once it can no longer beat the best so far, and a side that runs out
+closes a region that settles every later component it splits.  It comes
+first, because ``w_p`` never exceeds it: the class BFSs meet halfway, each
+stopped at half the bound's depth, and a class pair beyond it has no key.
+With one negative component the two figures always coincide.  With several
+they can genuinely differ — families may mix cuts from different
+bipartitions — and then an exact (exponential, budget-kept) search over
+class-respecting switchings decides whether a mixed family beats the scan.
 
 Only then is one family built and certified: the mixed family when the
 search found one, else the ``w_p + 1`` layered switchings measured from one
@@ -38,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 from . import oracle, verify
 from .balance import _two_color, is_balanced
@@ -153,7 +156,9 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
     rows = g.signed_rows()
     class_of = [-1] * g.n
     classes: list[tuple[frozenset[int], frozenset[int]]] = []
-    for root in range(g.n):
+    # Only the ends of negative edges carry a class; a component's smallest
+    # vertex is its first root.
+    for root in sorted(set(chain.from_iterable(g.negative_edges()))):
         if class_of[root] >= 0:
             continue
         class_of[root] = 2 * len(classes)
@@ -172,10 +177,7 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
                         "the negative subgraph contains an odd circle, so its "
                         "components have no stable bipartition"
                     )
-        if sides[1]:
-            classes.append((frozenset(sides[0]), frozenset(sides[1])))
-        else:  # no negative neighbour: the root is class-free
-            class_of[root] = -1
+        classes.append((frozenset(sides[0]), frozenset(sides[1])))
     if not classes:
         raise PreconditionError(
             "the graph has no negative edges; there are no classes to build"
@@ -209,16 +211,36 @@ def class_distances(
     """Least positive-subgraph distance ``{(a, b): d}``, ``a < b``, between classes.
 
     Class indices follow :meth:`NegativeComponentClasses.flat`.  A pair that
-    is not joined, or is farther apart than ``limit``, has no key.  One BFS
-    per class, each stopped at depth ``limit``, reads the class of every
-    vertex it reaches; BFS order meets each class first at its distance.
+    is not joined, or is farther apart than ``limit``, has no key.  With a
+    finite ``limit`` the BFSs meet halfway: one per class, each stopped at
+    depth ⌈limit/2⌉, and a pair's distance is its least ``da + db`` over the
+    vertices both classes reach.  That is exact: on a shortest path of
+    length d the vertex ⌈d/2⌉ steps from one class is ⌊d/2⌋ from the other.
+    With no limit, where a meet would pair every class with every other at
+    every vertex, or a limit of 1, where half the depth is the whole, one BFS
+    per class to depth ``limit`` reads the class of every vertex it reaches;
+    BFS order meets each class first at its distance.
     """
     class_of = classes.class_of
     pairs: dict[Edge, int] = {}
+    if limit <= 1 or math.isinf(limit):
+        for a, cls in enumerate(classes.flat()):
+            for v, d in _positive_distances(g, cls, limit).items():
+                if class_of[v] > a:
+                    pairs.setdefault((a, class_of[v]), d)
+        return pairs
+    # met[v]: the (class, depth) of every earlier class BFS that reached v
+    met: dict[int, list[tuple[int, int]]] = {}
     for a, cls in enumerate(classes.flat()):
-        for v, d in _positive_distances(g, cls, limit).items():
-            if class_of[v] > a:
-                pairs.setdefault((a, class_of[v]), d)
+        for v, d in _positive_distances(g, cls, -(-limit // 2)).items():
+            if v not in met:
+                met[v] = [(a, d)]
+                continue
+            seen = met[v]
+            for b, e in seen:
+                if d + e <= limit and d + e < pairs.get((b, a), limit + 1):
+                    pairs[b, a] = d + e
+            seen.append((a, d))
     return pairs
 
 
@@ -253,41 +275,71 @@ def _contracted_bound(g: SignedGraph, classes: NegativeComponentClasses) -> floa
     with plain positive distances, and the shorter figure is the sound
     family-size bound: every family member is a cut separating the two
     contracted nodes of every component, so it spends at least one edge of
-    any fixed shortest path between them.  One BFS per component over the
-    host's signed rows, negative entries skipped, from class 2i: the first
-    vertex reached in a class brings in its whole class at the same
-    distance.  A BFS stops as soon as class 2i + 1 is reached, or once it
-    would go no shorter than the best component so far, since only the
-    minimum is used.  ``inf`` when no component's classes are joined by a
-    positive path.
+    any fixed shortest path between them.  One bidirectional BFS per
+    component over the host's signed rows, negative entries skipped, from
+    classes 2i and 2i + 1 at once: each step grows the side with the smaller
+    frontier by one level, and a vertex reached in a class brings in its
+    whole class at the same depth.  Since only the minimum is used, a search
+    gives up once its radii ``ra + rb + 1`` reach the best bound so far.  A
+    side whose frontier runs out has walked a closed region, with no
+    positive edge leaving it; a later component with one class inside a
+    recorded region and the other outside gets ``inf`` with no search.
+    ``inf`` when no component's classes are joined by a positive path.
     """
     flat = classes.flat()
     class_of = classes.class_of
     rows = g.signed_rows()
-
-    def distance(source: int, cutoff: float) -> float:
-        dist = dict.fromkeys(flat[source], 0)
-        queue = list(dist)
-        for u in queue:
-            step = dist[u] + 1
-            if step >= cutoff:
-                return math.inf
-            for w, sign in rows[u]:
-                if sign == NEG or w in dist:
-                    continue
-                c = class_of[w]
-                if c == source + 1:
-                    return step
-                reached = flat[c] if c >= 0 else (w,)
-                for x in reached:
-                    dist[x] = step
-                queue.extend(reached)
-        return math.inf
-
+    region: dict[int, int] = {}  # vertex -> the component whose search closed its region
     bound = math.inf
     for i in range(classes.m):
-        bound = min(bound, distance(2 * i, bound))
+        first, second = flat[2 * i], flat[2 * i + 1]
+        # A closed region holding one class but not the other: no positive path.
+        if region and region.get(next(iter(first))) != region.get(next(iter(second))):
+            continue
+        bound = min(bound, _meeting_distance(rows, flat, class_of, i, bound, region))
     return bound
+
+
+def _meeting_distance(
+    rows: Sequence[Sequence[tuple[int, int]]],
+    flat: tuple[frozenset[int], ...],
+    class_of: tuple[int, ...],
+    i: int,
+    cutoff: float,
+    region: dict[int, int],
+) -> float:
+    """The bidirectional BFS of :func:`_contracted_bound` for component i:
+    its contracted distance when below ``cutoff``, else ``inf``.  A side that
+    runs out maps every vertex of its closed region to i in ``region``."""
+    # The two sides are alike: "near" is the one grown next, "far" the other.
+    near, far = flat[2 * i], flat[2 * i + 1]  # frontiers
+    near_depth, far_depth = dict.fromkeys(near, 0), dict.fromkeys(far, 0)
+    near_radius = far_radius = 0
+    while near_radius + far_radius + 1 < cutoff:
+        if len(far) < len(near):
+            near, far = far, near
+            near_depth, far_depth = far_depth, near_depth
+            near_radius, far_radius = far_radius, near_radius
+        step = near_radius + 1
+        grown: list[int] = []
+        for u in near:
+            for w, sign in rows[u]:
+                if sign == NEG or w in near_depth:
+                    continue
+                if w in far_depth:
+                    # The sides stay disjoint while their radii sum below the
+                    # distance, so every meet of this first level totals it.
+                    return step + far_depth[w]
+                c = class_of[w]
+                reached = flat[c] if c >= 0 else (w,)
+                for x in reached:
+                    near_depth[x] = step
+                grown.extend(reached)
+        if not grown:
+            region.update(dict.fromkeys(near_depth, i))
+            return math.inf
+        near, near_radius = grown, step
+    return math.inf
 
 
 _EXACT_SEARCH_STEPS = 1 << 22

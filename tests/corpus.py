@@ -183,6 +183,60 @@ def random_subquartic_graph(
     return from_underlying(n, sorted(pairs), negative)
 
 
+def random_quartic_pairs(rng: random.Random, n: int, offset: int = 0) -> list[Edge]:
+    """Random 4-regular simple graph on ``offset .. offset + n - 1``, sorted.
+
+    Two random Hamiltonian cycles, the second redrawn until it shares no
+    edge with the first (n >= 7 makes that likely).
+    """
+    def tour() -> set[Edge]:
+        order = rng.sample(range(offset, offset + n), n)
+        return {edge_key(order[i - 1], order[i]) for i in range(n)}
+
+    first = tour()
+    while True:
+        second = tour()
+        if first.isdisjoint(second):
+            return sorted(first | second)
+
+
+def quartic_negative_matching(seed: int, n: int = 2000, k: int = 1) -> SignedGraph:
+    """A random 4-regular graph with ``k`` random disjoint negative edges.
+
+    With k = 1 it is always unbalanced: every edge of a union of two
+    Hamiltonian cycles lies on a circle.
+    """
+    rng = random.Random(seed)
+    pairs = random_quartic_pairs(rng, n)
+    negative: list[Edge] = []
+    used: set[int] = set()
+    for u, v in rng.sample(pairs, len(pairs)):
+        if len(negative) == k:
+            break
+        if u not in used and v not in used:
+            negative.append((u, v))
+            used |= {u, v}
+    return from_underlying(n, pairs, negative)
+
+
+def three_blobs(seed: int, size: int = 2000, links: int = 300) -> SignedGraph:
+    """Three random 4-regular blobs joined only by negative edges.
+
+    Each pair of blobs gets ``links`` negative edges, and no two negative
+    edges share a vertex, so every negative component is one edge whose
+    classes sit in different blobs: the contracted bound is ``inf``.  Three
+    negative edges closing a triangle of blobs make the graph unbalanced.
+    """
+    rng = random.Random(seed)
+    pairs = [p for blob in range(3) for p in random_quartic_pairs(rng, size, blob * size)]
+    # each blob draws 2 * links distinct ends and spends them in order
+    ends = [iter(rng.sample(range(blob * size, (blob + 1) * size), 2 * links)) for blob in range(3)]
+    negative = [
+        (next(ends[a]), next(ends[b])) for a, b in ((0, 1), (0, 2), (1, 2)) for _ in range(links)
+    ]
+    return from_underlying(3 * size, sorted(pairs + negative), negative)
+
+
 def random_complete_signing(
     rng: random.Random, n: int, negative_count: int
 ) -> SignedGraph:

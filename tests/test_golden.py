@@ -43,6 +43,7 @@ CASES = {
     "packing-mixed": ("packing", "packing-mixed", []),
     "packing-disconnected": ("packing", "packing-disconnected", []),
     "packing-odd-negative": ("packing", "packing-odd-negative", []),
+    "packing-quartic2000": ("packing", "packing-quartic2000", []),
     "frustration-disconnected": ("frustration", "frustration-disconnected", []),
     "acyclic-core-and-peel": ("acyclic", "core-and-peel", ["--trace"]),
     "balance-late": ("balance", "check400-late", []),

@@ -29,6 +29,7 @@ from negset import (
     thresholds,
 )
 from negset import oracle, packing, verify
+from negset.sgio import load_path
 
 import corpus
 from corpus import (
@@ -38,6 +39,8 @@ from corpus import (
     has_negative_digon,
     long_hexagon,
     path_graph,
+    quartic_negative_matching,
+    three_blobs,
 )
 from conftest import connected_signed_graphs, edge_set_is_bipartite
 
@@ -158,6 +161,20 @@ class TestMixedBipartitionInstances:
         with pytest.raises(IterationBudgetError, match="lower bound is 3"):
             packing_number(counterexample_hexagon())
 
+    # Random 4-regular graphs on 6,000 vertices with ten disjoint negative
+    # edges, like the benchmark's uniform-k10 ops: the scan stops below the
+    # bound and the cut table is refused.  The scan values 6 and 7 are what
+    # one-sided class BFSs to the full bound give, which the meet must match.
+    @pytest.mark.parametrize("seed, scan", [(0, 6), (5, 7)])
+    def test_budget_message_names_the_same_scan_lower_bound(self, seed, scan):
+        g = quartic_negative_matching(seed, 6000, 10)
+        message = (
+            r"exact packing search needs 2\^5989 cuts of 12000 bits, over its budget of 32 MiB; "
+            rf"the scan lower bound is {scan}$"
+        )
+        with pytest.raises(IterationBudgetError, match=message):
+            packing_number(g)
+
     def test_cut_table_budget_admits_a_table_that_fits(self, monkeypatch):
         monkeypatch.setattr(oracle, "COLUMN_BITS", 256 << 2)
         assert packing_number(counterexample_hexagon()).packing_number == 4
@@ -251,34 +268,121 @@ def dense_class_distances(g: SignedGraph, classes) -> list[list[float]]:
     return matrix
 
 
+def contracted_reference(g: SignedGraph, classes) -> float:
+    """One plain BFS per component over the positive multigraph with every
+    class contracted to one node and every class-free vertex a node of its own."""
+    flat = classes.flat()
+    node_of = {v: idx for idx, cls in enumerate(flat) for v in cls}
+    for v in g.vertices():
+        node_of.setdefault(v, len(flat) + v)
+    adjacency: dict[int, set[int]] = {node: set() for node in node_of.values()}
+    for u, v in g.positive_edges():
+        if node_of[u] != node_of[v]:
+            adjacency[node_of[u]].add(node_of[v])
+            adjacency[node_of[v]].add(node_of[u])
+    expected = []
+    for i in range(classes.m):
+        dist = {2 * i: 0}
+        queue = [2 * i]
+        for x in queue:
+            for y in adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        expected.append(dist.get(2 * i + 1, math.inf))
+    return min(expected)
+
+
+def alternating_c6() -> SignedGraph:
+    """C_6 with alternating signs: three one-edge negative components, each
+    class reaching only the next component's class by a positive edge."""
+    return SignedGraph(6, [
+        (0, 1, POS), (1, 2, NEG), (2, 3, POS),
+        (3, 4, NEG), (4, 5, POS), (0, 5, NEG),
+    ])
+
+
+def disconnected_fixture_cycle() -> SignedGraph:
+    """The balanced 8-cycle of golden ``packing-disconnected``: its two negative
+    edges split it into two positive paths, each from a class of one
+    component to a class of the other."""
+    g = load_path(Path(__file__).parent / "golden" / "packing-disconnected.sg")
+    cycle = next(comp for comp in g.connected_components() if len(comp) == 8)
+    return g.induced(cycle)
+
+
+#: Inputs whose contracted bound is ``inf``; the blobs put many components'
+#: classes in each of three closed regions.
+INFINITE_BOUND = {
+    "alternating-c6": alternating_c6,
+    "disconnected-cycle": disconnected_fixture_cycle,
+    "three-blobs": lambda: three_blobs(7, size=12, links=2),
+}
+
+#: Inputs with a finite bound, one negative component or several.
+FINITE_BOUND = {
+    "quartic-one-negative": lambda: quartic_negative_matching(3, 60),
+    "quartic-ten-negative": lambda: quartic_negative_matching(3, 120, 10),
+}
+
+BOUND_INPUTS = {**INFINITE_BOUND, **FINITE_BOUND}
+
+
+class CountingRows:
+    """Stands in for ``signed_rows()``, counting the rows read."""
+
+    def __init__(self, rows):
+        self.rows, self.reads = rows, 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return self.rows[v]
+
+
+def bound_row_reads(monkeypatch, g: SignedGraph) -> tuple[float, int]:
+    """``_contracted_bound`` on g, with the rows it reads counted."""
+    classes = negative_component_classes(g)
+    rows = CountingRows(g.signed_rows())
+    monkeypatch.setattr(SignedGraph, "signed_rows", lambda self: rows)
+    return packing._contracted_bound(g, classes), rows.reads
+
+
 class TestContractedBound:
     @given(split_negative_graphs())
     @settings(max_examples=150)
     def test_matches_bfs_over_the_contracted_multigraph(self, g):
         classes = negative_component_classes(g)
         assert classes.m >= 2
-        # Reference: the positive multigraph with every class contracted to
-        # one node and every class-free vertex a node of its own.
-        flat = classes.flat()
-        node_of = {v: idx for idx, cls in enumerate(flat) for v in cls}
-        for v in g.vertices():
-            node_of.setdefault(v, len(flat) + v)
-        adjacency: dict[int, set[int]] = {node: set() for node in node_of.values()}
-        for u, v in g.positive_edges():
-            if node_of[u] != node_of[v]:
-                adjacency[node_of[u]].add(node_of[v])
-                adjacency[node_of[v]].add(node_of[u])
-        expected = []
-        for i in range(classes.m):
-            dist = {2 * i: 0}
-            queue = [2 * i]
-            for x in queue:
-                for y in adjacency[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        queue.append(y)
-            expected.append(dist.get(2 * i + 1, math.inf))
-        assert packing._contracted_bound(g, classes) == min(expected)
+        assert packing._contracted_bound(g, classes) == contracted_reference(g, classes)
+
+    @pytest.mark.parametrize("make", INFINITE_BOUND.values(), ids=INFINITE_BOUND)
+    def test_no_joined_component_gives_infinity(self, make):
+        g = make()
+        classes = negative_component_classes(g)
+        assert classes.m >= 2
+        assert packing._contracted_bound(g, classes) == contracted_reference(g, classes) == math.inf
+
+    @pytest.mark.parametrize("make", FINITE_BOUND.values(), ids=FINITE_BOUND)
+    def test_matches_the_reference_on_quartic_signings(self, make):
+        g = make()
+        classes = negative_component_classes(g)
+        bound = packing._contracted_bound(g, classes)
+        assert math.isfinite(bound) and bound == contracted_reference(g, classes)
+
+    def test_one_component_meets_halfway(self, monkeypatch):
+        # two balls of about half the distance each, not one ball of the whole
+        g = quartic_negative_matching(5000, 5000)
+        bound, reads = bound_row_reads(monkeypatch, g)
+        assert math.isfinite(bound)
+        assert reads < g.n // 10
+
+    def test_a_closed_region_settles_every_component_it_splits(self, monkeypatch):
+        # 900 components, every one split between two 2,000-vertex blobs: each
+        # search that runs out records its blob, so the bound walks a few blobs
+        g = three_blobs(3)
+        bound, reads = bound_row_reads(monkeypatch, g)
+        assert bound == math.inf
+        assert reads <= 2 * g.n
 
 
 class TestAgainstBruteForce:
@@ -307,6 +411,22 @@ class TestAgainstBruteForce:
                 result = packing_number(g)
                 assert_valid_family(g, result)
                 assert result.packing_number == oracle.brute_packing_number(g)
+
+
+def assert_dense_reference_at_every_limit(g: SignedGraph) -> None:
+    """``class_distances`` is the dense matrix capped, at every finite limit up
+    to one past the largest finite distance, and at ``inf``."""
+    classes = negative_component_classes(g)
+    dense = dense_class_distances(g, classes)
+    top = max((d for row in dense for d in row if math.isfinite(d)), default=0)
+    for limit in (*range(top + 2), math.inf):
+        expected = {
+            (a, b): d
+            for a, row in enumerate(dense)
+            for b, d in enumerate(row)
+            if a < b and math.isfinite(d) and d <= limit
+        }
+        assert class_distances(g, classes, limit) == expected, limit
 
 
 class TestClassMachinery:
@@ -371,16 +491,11 @@ class TestClassMachinery:
     @given(split_negative_graphs(max_n=14))
     @settings(max_examples=100)
     def test_sparse_table_is_the_dense_reference_within_the_limit(self, g):
-        classes = negative_component_classes(g)
-        dense = dense_class_distances(g, classes)
-        for limit in (math.inf, packing._contracted_bound(g, classes), 1):
-            expected = {
-                (a, b): d
-                for a, row in enumerate(dense)
-                for b, d in enumerate(row)
-                if a < b and math.isfinite(d) and d <= limit
-            }
-            assert class_distances(g, classes, limit) == expected
+        assert_dense_reference_at_every_limit(g)
+
+    @pytest.mark.parametrize("make", BOUND_INPUTS.values(), ids=BOUND_INPUTS)
+    def test_half_depth_meet_is_the_dense_reference(self, make):
+        assert_dense_reference_at_every_limit(make())
 
     def test_thresholds_are_distinct_ascending_finite(self):
         g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
