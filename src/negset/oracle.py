@@ -23,11 +23,16 @@ stops at the first gate that fails: the m columns of 2^(n-1) bits must fit
 graph must be connected; a call may make at most ``SET_COUNT`` sets or
 masks, tested in :func:`_masks_at` before the first; the packing search may
 make ``PACKING_STEPS`` checks.  Each budget raises ``IterationBudgetError``.
+
+:func:`largest_disjoint` is the package's one branch and bound for a
+largest pairwise-disjoint family of masks: the brute-force packing search
+runs it over switchings' edge masks, and packing's exact search over its
+class-respecting cuts.  Since both answers share it, it is tested alone.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IterationBudgetError, PreconditionError
 from .graph import NEG, Edge, SignedGraph, as_edge_set
@@ -38,7 +43,7 @@ COLUMN_BITS = 1 << 28
 #: The most negation sets or edge masks one call may make: every set at n = 16.
 SET_COUNT = 1 << 15
 
-#: The most candidate checks in :func:`brute_packing_number`, each call counting those left.
+#: The most candidate checks in one :func:`largest_disjoint` search, each call counting the masks left.
 PACKING_STEPS = 1 << 22
 
 #: An enumeration as returned by :func:`enumerate_negation_sets`.
@@ -212,10 +217,10 @@ def brute_is_minimal(g: SignedGraph, b: Iterable[Edge], *, columns: Iterable[int
 def brute_packing_number(g: SignedGraph, *, columns: Iterable[int] | None = None) -> int:
     """Maximum size of a pairwise-disjoint family of negation sets containing E⁻(g).
 
-    Straight branch and bound over the sets disjoint from E⁻: the switchings
-    with no bit in an E⁻ column, the only ones made into edge masks.  Only
-    defined for unbalanced graphs (a balanced graph has the empty negation
-    set, for which disjoint packing is meaningless).
+    :func:`largest_disjoint` over the sets disjoint from E⁻, sorted by size:
+    the switchings with no bit in an E⁻ column, the only ones made into edge
+    masks.  Only defined for unbalanced graphs (a balanced graph has the
+    empty negation set, for which disjoint packing is meaningless).
     """
     columns = tuple(negative_columns(g) if columns is None else columns)
     anywhere = negative = 0
@@ -227,20 +232,39 @@ def brute_packing_number(g: SignedGraph, *, columns: Iterable[int] | None = None
     if anywhere != full:
         raise PreconditionError("packing number is defined for unbalanced graphs")
     candidates = sorted(_masks_at(g, full & ~negative), key=int.bit_count)
-    best = steps = 0
+    refusal = f"brute-force packing search passed its budget of {PACKING_STEPS} checks"
+    return len(largest_disjoint(candidates, 0, refusal)) + 1
 
-    def extend(start: int, used: int, size: int) -> None:
-        nonlocal best, steps
-        steps += len(candidates) - start
+
+def largest_disjoint(masks: Sequence[int], floor: int, refusal: str) -> list[int]:
+    """A largest pairwise-disjoint family of ``masks`` when it has more than ``floor`` members, else ``[]``.
+
+    Branch and bound over the masks in the caller's order, so a family is a
+    subsequence of ``masks`` and the first largest one found is returned;
+    a branch stops once the masks left to it cannot beat the best so far.
+    Each call counts the masks left to it, and past ``PACKING_STEPS``
+    checks in all it raises ``IterationBudgetError(refusal)``.
+    """
+    best: list[int] = []
+    best_size = floor
+    steps = 0
+
+    def extend(start: int, used: int, chosen: list[int]) -> None:
+        nonlocal best, best_size, steps
+        steps += len(masks) - start
         if steps > PACKING_STEPS:
-            raise IterationBudgetError(f"brute-force packing search passed its budget of {PACKING_STEPS} checks")
-        best = max(best, size)
-        if size + (len(candidates) - start) <= best:
-            return
-        for i in range(start, len(candidates)):
-            c = candidates[i]
-            if not used & c:
-                extend(i + 1, used | c, size + 1)
+            raise IterationBudgetError(refusal)
+        if len(chosen) > best_size:
+            best, best_size = list(chosen), len(chosen)
+        for idx in range(start, len(masks)):
+            if len(chosen) + (len(masks) - idx) <= best_size:
+                break
+            mask = masks[idx]
+            if used & mask:
+                continue
+            chosen.append(mask)
+            extend(idx + 1, used | mask, chosen)
+            chosen.pop()
 
-    extend(0, 0, 0)
-    return best + 1
+    extend(0, 0, [])
+    return best

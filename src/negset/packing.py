@@ -185,9 +185,7 @@ def negative_component_classes(g: SignedGraph) -> NegativeComponentClasses:
     return NegativeComponentClasses(tuple(classes), tuple(class_of))
 
 
-def _positive_distances(
-    g: SignedGraph, sources: Iterable[int], limit: float = math.inf
-) -> dict[int, int]:
+def _positive_distances(g: SignedGraph, sources: Iterable[int], limit: float) -> dict[int, int]:
     """Multi-source BFS over the rows' positive entries: ``{v: distance}``, in
     BFS order, for the vertices within ``limit``."""
     rows = g.signed_rows()
@@ -215,15 +213,15 @@ def class_distances(
     finite ``limit`` the BFSs meet halfway: one per class, each stopped at
     depth ⌈limit/2⌉, and a pair's distance is its least ``da + db`` over the
     vertices both classes reach.  That is exact: on a shortest path of
-    length d the vertex ⌈d/2⌉ steps from one class is ⌊d/2⌋ from the other.
+    length d the vertex ⌈d/2⌉ steps from one class is ⌊d/2⌋ from the other;
+    at a limit of 1 half the depth is the whole, and the meet still holds.
     With no limit, where a meet would pair every class with every other at
-    every vertex, or a limit of 1, where half the depth is the whole, one BFS
-    per class to depth ``limit`` reads the class of every vertex it reaches;
-    BFS order meets each class first at its distance.
+    every vertex, one unbounded BFS per class reads the class of every
+    vertex it reaches; BFS order meets each class first at its distance.
     """
     class_of = classes.class_of
     pairs: dict[Edge, int] = {}
-    if limit <= 1 or math.isinf(limit):
+    if math.isinf(limit):
         for a, cls in enumerate(classes.flat()):
             for v, d in _positive_distances(g, cls, limit).items():
                 if class_of[v] > a:
@@ -342,9 +340,6 @@ def _meeting_distance(
     return math.inf
 
 
-_EXACT_SEARCH_STEPS = 1 << 22
-
-
 def _exact_packing(
     g: SignedGraph, classes: NegativeComponentClasses, scan_size: int
 ) -> list[frozenset[Edge]]:
@@ -362,15 +357,16 @@ def _exact_packing(
     :class:`IterationBudgetError`: its 2^bits cuts, counted as max(m, 256)
     bits each (an int of m bits, never under an int's header), must fit
     ``oracle.COLUMN_BITS`` before the first is made, capping memory; and
-    at most 2^22 candidate checks are made, each ``extend`` call counting
-    the cuts left to it, capping time.  The 32 MiB table budget counts the
-    cuts' bits, not what the held table costs: each cut is also an int
-    object and a list slot, so the 2^20 cuts of 24 bits that
+    the branch and bound is the oracle's own,
+    :func:`oracle.largest_disjoint`, which makes at most
+    ``oracle.PACKING_STEPS`` candidate checks, capping time.  The 32 MiB
+    table budget counts the cuts' bits, not what the held table costs: each
+    cut is also an int object and a list slot, so the 2^20 cuts of 24 bits that
     ``long_hexagon(18, length=1)`` admits peak at 56 MiB traced, held in
     one list and sorted in place.  Only the start cut and the ``bits``
     toggles are made from the graph, each one ``g.cut`` encoded over
-    ``g.edge_pairs()``.  The scan family's size seeds the branch and bound
-    so only strict improvements are explored.
+    ``g.edge_pairs()``.  The scan family's size is the search's floor, so
+    only strict improvements are explored.
     """
     free = [v for v, c in enumerate(classes.class_of) if c < 0]
     bits = (classes.m - 1) + len(free)
@@ -402,44 +398,16 @@ def _exact_packing(
         mask ^= toggles[(x & -x).bit_length() - 1]
         cuts.append(mask)
 
-    def edge_bits(mask: int) -> frozenset[Edge]:
-        out = set()
-        while mask:
-            low = mask & -mask
-            out.add(pairs[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
-
     # In place, by (size, value): a stable sort by size keeps the value order.
     cuts.sort()
     cuts.sort(key=int.bit_count)
-    best: list[int] = []
-    best_size = scan_size - 1
-    steps = 0
-
-    def extend(start: int, used: int, chosen: list[int]) -> None:
-        nonlocal best, best_size, steps
-        steps += len(cuts) - start
-        if steps > _EXACT_SEARCH_STEPS:
-            raise IterationBudgetError(
-                f"exact packing search needs more candidate checks than its budget of "
-                f"{_EXACT_SEARCH_STEPS}; the scan lower bound is {scan_size}"
-            )
-        if len(chosen) > best_size:
-            best, best_size = list(chosen), len(chosen)
-        for idx in range(start, len(cuts)):
-            if len(chosen) + (len(cuts) - idx) <= best_size:
-                break
-            cut = cuts[idx]
-            if used & cut:
-                continue
-            chosen.append(cut)
-            extend(idx + 1, used | cut, chosen)
-            chosen.pop()
-
-    extend(0, 0, [])
-    # best is a subsequence of cuts, so already in its order
-    return [edge_bits(mask) for mask in best]
+    refusal = (
+        f"exact packing search needs more candidate checks than its budget of "
+        f"{oracle.PACKING_STEPS}; the scan lower bound is {scan_size}"
+    )
+    # the family is a subsequence of cuts, so already in its order
+    family = oracle.largest_disjoint(cuts, scan_size - 1, refusal)
+    return [frozenset(pairs[i] for i in oracle._bits(mask)) for mask in family]
 
 
 def packing_number(g: SignedGraph) -> PackingResult:

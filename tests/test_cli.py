@@ -495,7 +495,7 @@ class TestOracleVerifyCommand:
         assert rows.pop("packing number agrees with brute force") == (
             "skip",
             f"exact packing search needs more candidate checks than its budget of "
-            f"{packing._EXACT_SEARCH_STEPS}; the scan lower bound is 5",
+            f"{oracle.PACKING_STEPS}; the scan lower bound is 5",
         )
         assert [outcome for outcome, _ in rows.values()] == ["pass"] * 5
 
@@ -834,22 +834,26 @@ class TestErrorHandling:
         assert main(["acyclic", path]) == EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal error: InvariantError: component ")
 
-    # Every budget gate, shrunk until it refuses the hexagon: gate -> (module,
-    # budget, value, library call, command).  The oracle's brute-force packing
-    # search runs only in oracle-verify, which reports its refusal as a skipped row.
+    # Every oracle budget, shrunk until it refuses its input: gate -> (budget,
+    # value, library call, command, input).  The oracle's brute-force packing
+    # search runs only in oracle-verify, which reports its refusal as a skipped
+    # row.  Packing's exact search shares that search's step budget and trips
+    # it first on the hexagon, so the oracle's gate takes C_8 with one
+    # negative edge, which packing settles with no exact search.
+    HEXAGON = corpus.counterexample_hexagon()
+    CYCLE8 = cycle_graph(8).negate_edges([(0, 1)])
     BUDGET_GATES = {
-        "oracle-columns": (oracle, "COLUMN_BITS", 1, oracle.frustration_index, "frustration"),
-        "oracle-sets": (oracle, "SET_COUNT", 1, oracle.enumerate_negation_sets, "oracle-verify"),
-        "oracle-steps": (oracle, "PACKING_STEPS", 1, oracle.brute_packing_number, "oracle-verify"),
-        "packing-table": (oracle, "COLUMN_BITS", (256 << 2) - 1, packing.packing_number, "packing"),
-        "packing-steps": (packing, "_EXACT_SEARCH_STEPS", 1, packing.packing_number, "packing"),
+        "oracle-columns": ("COLUMN_BITS", 1, oracle.frustration_index, "frustration", HEXAGON),
+        "oracle-sets": ("SET_COUNT", 1, oracle.enumerate_negation_sets, "oracle-verify", HEXAGON),
+        "oracle-steps": ("PACKING_STEPS", 1, oracle.brute_packing_number, "oracle-verify", CYCLE8),
+        "packing-table": ("COLUMN_BITS", (256 << 2) - 1, packing.packing_number, "packing", HEXAGON),
+        "packing-steps": ("PACKING_STEPS", 1, packing.packing_number, "packing", HEXAGON),
     }
 
     @pytest.mark.parametrize("gate", BUDGET_GATES)
     def test_every_budget_raises_one_error_and_exits_three(self, capsys, monkeypatch, write_sg, gate):
-        module, budget, value, call, command = self.BUDGET_GATES[gate]
-        g = corpus.counterexample_hexagon()
-        monkeypatch.setattr(module, budget, value)
+        budget, value, call, command, g = self.BUDGET_GATES[gate]
+        monkeypatch.setattr(oracle, budget, value)
         with pytest.raises(IterationBudgetError, match="budget") as info:
             call(g)
         assert isinstance(info.value, PreconditionError)

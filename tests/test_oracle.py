@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from negset import NEG, POS, PreconditionError, SignedGraph, is_negation_set, load_path
+from negset import NEG, POS, IterationBudgetError, PreconditionError, SignedGraph, is_negation_set, load_path
 from negset import oracle
 
 import corpus
@@ -290,6 +290,48 @@ class TestDerivedQuantities:
     def test_brute_packing_rejects_balanced_graphs(self):
         with pytest.raises(PreconditionError, match="unbalanced"):
             oracle.brute_packing_number(cycle_graph(4).negate_edges([(0, 1), (1, 2)]))
+
+
+class TestLargestDisjoint:
+    """The one disjoint-family branch and bound, against every subset of a short mask list."""
+
+    @staticmethod
+    def random_masks(seed: int) -> list[int]:
+        rng = random.Random(seed)
+        bits = rng.randint(1, 12)
+        # an AND of two draws sets a quarter of the bits, so families grow past one
+        return [rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(rng.randint(0, 10))]
+
+    def test_matches_every_combination(self):
+        for seed in range(300):
+            masks = self.random_masks(seed)
+            floor = seed % 4
+            largest = max(
+                k
+                for k in range(len(masks) + 1)
+                if any(
+                    all(a & b == 0 for a, b in combinations(family, 2))
+                    for family in combinations(masks, k)
+                )
+            )
+            found = oracle.largest_disjoint(masks, floor, "refused")
+            if largest <= floor:
+                assert found == [], (seed, masks, floor)
+                continue
+            assert len(found) == largest, (seed, masks, floor)
+            assert all(a & b == 0 for a, b in combinations(found, 2)), (seed, masks)
+            rest = iter(masks)  # in list order: a subsequence of masks
+            assert all(any(mask == m for m in rest) for mask in found), (seed, masks)
+
+    def test_step_budget_raises_the_callers_refusal(self, monkeypatch):
+        masks = [1 << i for i in range(10)]
+        assert oracle.largest_disjoint(masks, 0, "the search ran out") == masks
+        # the first call alone checks all ten masks
+        monkeypatch.setattr(oracle, "PACKING_STEPS", len(masks) - 1)
+        with pytest.raises(IterationBudgetError) as info:
+            oracle.largest_disjoint(masks, 0, "the search ran out")
+        assert isinstance(info.value, PreconditionError)
+        assert str(info.value) == "the search ran out"
 
 
 class TestCorpus:

@@ -152,12 +152,10 @@ class TestMixedBipartitionInstances:
     # The hexagon's search has 2 bits: 4 cuts, each counted at 256 bits, so
     # a table budget of 1023 bits refuses them and one of 1024 admits them.
     @pytest.mark.parametrize(
-        "module, budget, value",
-        [(oracle, "COLUMN_BITS", (256 << 2) - 1), (packing, "_EXACT_SEARCH_STEPS", 1)],
-        ids=["cuts", "steps"],
+        "budget, value", [("COLUMN_BITS", (256 << 2) - 1), ("PACKING_STEPS", 1)], ids=["cuts", "steps"]
     )
-    def test_budget_guard_reports_scan_floor(self, monkeypatch, module, budget, value):
-        monkeypatch.setattr(module, budget, value)
+    def test_budget_guard_reports_scan_floor(self, monkeypatch, budget, value):
+        monkeypatch.setattr(oracle, budget, value)
         with pytest.raises(IterationBudgetError, match="lower bound is 3"):
             packing_number(counterexample_hexagon())
 
