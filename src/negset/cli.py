@@ -182,22 +182,24 @@ def _cmd_balance(g: SignedGraph, args, report: _Report) -> int:
     return EXIT_FAILS
 
 
-def _cmd_negation_check(g: SignedGraph, args, report: _Report) -> int:
+def _verdict(g: SignedGraph, args, report: _Report, question, key: str, yes: str, no: str) -> int:
+    """Ask ``question(g, edges)`` of ``--edges``; report it under ``key`` and say ``yes`` or ``no``."""
     edges = _edges_or_negative(g, args)
-    ok = is_negation_set(g, edges)
+    ok = question(g, edges)
     report.data["edges"] = sorted(edges)
-    report.data["negation_set"] = ok
-    report.say("negation set" if ok else "not a negation set")
+    report.data[key] = ok
+    report.say(yes if ok else no)
     return EXIT_HOLDS if ok else EXIT_FAILS
+
+
+# Each command names its question at call time, so a rebinding of the module's name is seen.
+def _cmd_negation_check(g: SignedGraph, args, report: _Report) -> int:
+    return _verdict(g, args, report, is_negation_set, "negation_set", "negation set", "not a negation set")
 
 
 def _cmd_minimal(g: SignedGraph, args, report: _Report) -> int:
-    edges = _edges_or_negative(g, args)
-    ok = is_minimal(g, edges)
-    report.data["edges"] = sorted(edges)
-    report.data["minimal"] = ok
-    report.say("minimal" if ok else "not minimal: a proper subset is a negation set")
-    return EXIT_HOLDS if ok else EXIT_FAILS
+    no = "not minimal: a proper subset is a negation set"
+    return _verdict(g, args, report, is_minimal, "minimal", "minimal", no)
 
 
 def _cmd_certify_minimum(g: SignedGraph, args, report: _Report) -> int:
@@ -216,16 +218,9 @@ def _cmd_certify_minimum(g: SignedGraph, args, report: _Report) -> int:
 
 
 def _cmd_certify_unique(g: SignedGraph, args, report: _Report) -> int:
-    edges = _edges_or_negative(g, args)
-    ok = unique_minimum_by_size(g, edges)
-    report.data["edges"] = sorted(edges)
-    report.data["unique_minimum"] = ok
-    report.say(
-        "unique minimum (size bound 2|b| <= n - 2 holds)"
-        if ok
-        else "inconclusive: size bound 2|b| <= n - 2 fails"
-    )
-    return EXIT_HOLDS if ok else EXIT_FAILS
+    yes = "unique minimum (size bound 2|b| <= n - 2 holds)"
+    no = "inconclusive: size bound 2|b| <= n - 2 fails"
+    return _verdict(g, args, report, unique_minimum_by_size, "unique_minimum", yes, no)
 
 
 def _cmd_acyclic(g: SignedGraph, args, report: _Report) -> int:

@@ -237,6 +237,37 @@ def three_blobs(seed: int, size: int = 2000, links: int = 300) -> SignedGraph:
     return from_underlying(3 * size, sorted(pairs + negative), negative)
 
 
+def circulant_pairs(n: int, *steps: int) -> list[Edge]:
+    """The sorted edges of the circulant C_n(steps): i joined to i + d mod n for each step d."""
+    return sorted({edge_key(i, (i + d) % n) for i in range(n) for d in steps})
+
+
+def circulant_signing(n: int) -> SignedGraph:
+    """C_n(1, 5), each edge negative with probability 0.3, drawn in edge order from seed n."""
+    rng = random.Random(n)
+    pairs = circulant_pairs(n, 1, 5)
+    return from_underlying(n, pairs, [p for p in pairs if rng.random() < 0.3])
+
+
+def cascade_circulant(n: int = 100000) -> SignedGraph:
+    """C_n(1, 2) less 0-1, negative where 3 divides u + v: its 4-core peels in about n / 4 batches."""
+    pairs = circulant_pairs(n, 1, 2)[1:]  # (0, 1) sorts first
+    return from_underlying(n, pairs, [(u, v) for u, v in pairs if (u + v) % 3 == 0])
+
+
+def switched_circulant(n: int = 100000, seed: int = 100) -> SignedGraph:
+    """An all-positive C_n(1, 7) switched at a random vertex set: balanced, about half its edges negative."""
+    rng = random.Random(seed)
+    return from_underlying(n, circulant_pairs(n, 1, 7)).switch([v for v in range(n) if rng.random() < 0.5])
+
+
+def complete_matching(n: int = 300, k: int = 30, seed: int = 300) -> SignedGraph:
+    """K_n with a random matching of k negative edges."""
+    ends = random.Random(seed).sample(range(n), 2 * k)
+    matching = [edge_key(*ends[i : i + 2]) for i in range(0, 2 * k, 2)]
+    return from_underlying(n, complete_graph(n).edge_pairs(), matching)
+
+
 def random_complete_signing(
     rng: random.Random, n: int, negative_count: int
 ) -> SignedGraph:

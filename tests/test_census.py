@@ -5,7 +5,8 @@ signing up to switching, goes through the packing number and, at maximum
 degree four, the acyclic construction, each checked against an answer that
 does not share its code.  A signing is fixed up to switching by the signs of
 the edges outside a spanning tree kept positive, so each class is met once.
-The tier-1 test runs the census at n <= 6; a larger run is
+The tier-1 test runs the census at n <= 6; ``tests/scale.py`` runs it at
+n <= 7, as
 
     PYTHONPATH=src:tests python -c 'import test_census; print(test_census.census(7))'
 """
