@@ -14,8 +14,7 @@ switching equivalent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .graph import (
@@ -26,8 +25,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class HararyBipartition:
+class HararyBipartition(NamedTuple):
     """Vertex split with positive edges within sides, negative edges across.
 
     Per component, the side containing the component's smallest vertex lands
@@ -38,8 +36,7 @@ class HararyBipartition:
     right: frozenset[int]
 
 
-@dataclass(frozen=True)
-class BalanceResult:
+class BalanceResult(NamedTuple):
     balanced: bool
     bipartition: HararyBipartition | None
     negative_circle: tuple[int, ...] | None

@@ -17,7 +17,6 @@ they are allocated.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import gc
 import json
@@ -234,7 +233,7 @@ def _cmd_acyclic(g: SignedGraph, args, report: _Report) -> int:
     report.say("edges: " + " ".join(f"{u}-{v}" for u, v in edges))
     report.say("switching: " + " ".join(map(str, switching)))
     if args.trace:
-        report.data["trace"] = [dataclasses.asdict(t) for t in result.stats.trace]
+        report.data["trace"] = [t._asdict() for t in result.stats.trace]
         report.say(f"trace ({len(result.stats.trace)} rewrites):")
         for t in result.stats.trace:
             report.say(

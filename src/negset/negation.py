@@ -25,9 +25,8 @@ Three constructions live here:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import verify
 from .balance import negation_set_from_switching, switching_for_negation_set
@@ -60,8 +59,7 @@ def disjoint_partner(g: SignedGraph) -> frozenset[Edge]:
 # -- antibalanced planar construction ------------------------------------------
 
 
-@dataclass(frozen=True)
-class BipartiteNegation:
+class BipartiteNegation(NamedTuple):
     """A switching together with the (bipartite) negation set it realizes."""
 
     negation_set: frozenset[Edge]
@@ -105,9 +103,9 @@ def negative_circles(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
 
     Canonical form: the cycle starts at its smallest vertex and runs toward
     the smaller of its two neighbors on the cycle.  The enumeration is
-    exhaustive, so its output can be exponential in the graph size: it is
-    for tests and the oracle only.  The acyclic construction searches the
-    negative 2-core instead.
+    exhaustive, so its output can be exponential in the graph size: only
+    tests call it.  The acyclic construction searches the negative 2-core
+    instead.
     """
     return _enumerate_circles(range(g.n), g.negative_neighbors)
 
@@ -145,8 +143,7 @@ def _circle_order(circle: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
 # -- acyclic negation sets for maximum degree four -------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One rewrite of the construction, logged by the call that switches it.
 
     Every run keeps the log, and ``trace=True`` returns it as
@@ -162,16 +159,14 @@ class TraceEntry:
     strict: bool
 
 
-@dataclass(frozen=True)
-class AcyclicStats:
+class AcyclicStats(NamedTuple):
     """``passes`` counts the log's main-phase entries: each pass logs exactly one."""
 
     passes: int
     trace: tuple[TraceEntry, ...] | None
 
 
-@dataclass(frozen=True)
-class AcyclicResult:
+class AcyclicResult(NamedTuple):
     negation_set: frozenset[Edge]
     switching: frozenset[int]
     stats: AcyclicStats
@@ -411,8 +406,7 @@ def _corridor(w: _Work, start: int) -> tuple[list[int], str]:
         prev, cur = cur, nxt
 
 
-@dataclass
-class _Action:
+class _Action(NamedTuple):
     label: str
     switched: tuple[int, ...]
     strict: bool
@@ -495,8 +489,7 @@ def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
     return _Action("nonadjacent-shared-collapse", (a, b, v3), True)
 
 
-@dataclass
-class _Episode:
+class _Episode(NamedTuple):
     far_vertex: int
     path: tuple[int, ...]
 

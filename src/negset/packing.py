@@ -39,12 +39,11 @@ two-colours every member at once, bit-parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import oracle, verify
-from .balance import _two_color, is_balanced
+from .balance import HararyBipartition, _two_color, is_balanced
 from .errors import InvariantError, IterationBudgetError, PreconditionError
 from .graph import NEG, POS, Edge, SignedGraph, edge_key
 
@@ -66,8 +65,7 @@ BALANCED_MESSAGE = (
 )
 
 
-@dataclass(frozen=True)
-class NegativeComponentClasses:
+class NegativeComponentClasses(NamedTuple):
     """Stable bipartition classes of each negative-subgraph component.
 
     ``classes[i]`` holds the pair ``(V_i1, V_i2)`` for the i-th component,
@@ -88,7 +86,6 @@ class NegativeComponentClasses:
         return tuple(cls for pair in self.classes for cls in pair)
 
 
-@dataclass(frozen=True)
 class ClassGraph:
     """Signed multigraph on the 2m bipartition classes.
 
@@ -99,26 +96,23 @@ class ClassGraph:
     runs once, in the pass that validates the edges and builds the rows.
     """
 
-    m: int
-    threshold: int
-    positive_edges: frozenset[Edge]
-    _left: frozenset[int] | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("m", "threshold", "positive_edges", "_left")
 
-    def __post_init__(self):
-        norm = frozenset(edge_key(*e) for e in self.positive_edges)
-        object.__setattr__(self, "positive_edges", norm)
+    def __init__(self, m: int, threshold: int, positive_edges: Iterable[Edge]):
+        self.m = m
+        self.threshold = threshold
+        self.positive_edges = norm = frozenset(edge_key(*e) for e in positive_edges)
         # Unsorted rows, negative entry first: no answer reads their order.
-        rows = [[(c ^ 1, NEG)] for c in range(2 * self.m)]
+        rows = [[(c ^ 1, NEG)] for c in range(2 * m)]
         for u, v in norm:
-            if not (0 <= u < 2 * self.m and 0 <= v < 2 * self.m):
+            if not (0 <= u < 2 * m and 0 <= v < 2 * m):
                 raise ValueError(f"class index out of range in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"loop at class {u} is not allowed")
             rows[u].append((v, POS))
             rows[v].append((u, POS))
         color, conflict, _, _ = _two_color(rows)
-        left = None if conflict else frozenset(c for c, side in enumerate(color) if side == 0)
-        object.__setattr__(self, "_left", left)
+        self._left = None if conflict else frozenset(c for c, side in enumerate(color) if side == 0)
 
     def balanced(self) -> bool:
         return self._left is not None
@@ -135,13 +129,12 @@ class ClassGraph:
         return self._left
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     """Packing number of E⁻(g) with an explicit witnessing family."""
 
     packing_number: int
     family: tuple[frozenset[Edge], ...]
-    realizing_bipartition: tuple[frozenset[int], frozenset[int]] | None
+    realizing_bipartition: HararyBipartition | None
     distance: int | None
 
 
@@ -204,7 +197,7 @@ def _positive_distances(g: SignedGraph, sources: Iterable[int], limit: float) ->
 
 
 def class_distances(
-    g: SignedGraph, classes: NegativeComponentClasses, limit: float = math.inf
+    g: SignedGraph, classes: NegativeComponentClasses, limit: float
 ) -> dict[Edge, int]:
     """Least positive-subgraph distance ``{(a, b): d}``, ``a < b``, between classes.
 
@@ -215,9 +208,10 @@ def class_distances(
     vertices both classes reach.  That is exact: on a shortest path of
     length d the vertex ⌈d/2⌉ steps from one class is ⌊d/2⌋ from the other;
     at a limit of 1 half the depth is the whole, and the meet still holds.
-    With no limit, where a meet would pair every class with every other at
-    every vertex, one unbounded BFS per class reads the class of every
-    vertex it reaches; BFS order meets each class first at its distance.
+    With an infinite limit, where a meet would pair every class with every
+    other at every vertex, one unbounded BFS per class reads the class of
+    every vertex it reaches; BFS order meets each class first at its
+    distance.
     """
     class_of = classes.class_of
     pairs: dict[Edge, int] = {}
@@ -480,7 +474,7 @@ def component_packing_number(g: SignedGraph) -> PackingResult:
             if du != dv:
                 layers[min(du, dv)].add((u, v))
         members = [frozenset(layer) for layer in layers]
-        bipartition, distance = (b1, b2), w_p
+        bipartition, distance = HararyBipartition(b1, b2), w_p
     family = [base, *members]
     verify.family(g, family)
     return PackingResult(len(family), tuple(family), bipartition, distance)

@@ -9,6 +9,7 @@ random connected signed graphs on at most 7 vertices; the larger families
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from itertools import combinations
@@ -276,7 +277,7 @@ def test_criterion_09_balance_scan_shape():
         if not packing_eligible(g):
             continue
         classes = negative_component_classes(g)
-        dist = class_distances(g, classes)
+        dist = class_distances(g, classes, math.inf)
         ws = thresholds(dist)
         graphs = [build_class_graph(classes, dist, w) for w in ws]
         flags = [cg.balanced() for cg in graphs]

@@ -93,13 +93,13 @@ class TestYesNoAnswersBuildNoResults:
     @pytest.fixture
     def bipartition_builds(self, monkeypatch):
         calls = []
-        original = HararyBipartition.__init__
+        original = HararyBipartition.__new__
 
-        def counting(self, left, right):
-            calls.append(self)
-            original(self, left, right)
+        def counting(cls, left, right):
+            calls.append(left)
+            return original(cls, left, right)
 
-        monkeypatch.setattr(HararyBipartition, "__init__", counting)
+        monkeypatch.setattr(HararyBipartition, "__new__", staticmethod(counting))
         return calls
 
     def test_yes_answers_build_no_bipartition(self, bipartition_builds):

@@ -9,7 +9,6 @@ check certifies and expects the check to raise.
 from __future__ import annotations
 
 import ast
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -80,7 +79,7 @@ def test_disjoint_partner_must_avoid_the_negative_edges(monkeypatch):
     # every vertex labelled with an odd class switches nothing, so the
     # partner is E⁻ itself
     classes = packing.negative_component_classes(g)
-    odd = dataclasses.replace(classes, class_of=(1,) * g.n)
+    odd = classes._replace(class_of=(1,) * g.n)
     monkeypatch.setattr(negation, "negative_component_classes", lambda h: odd)
     with pytest.raises(InvariantError, match="member 1 overlaps"):
         disjoint_partner(g)

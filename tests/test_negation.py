@@ -406,7 +406,7 @@ class TestAcyclicHardInstances:
         def plant(w, circle):
             action = classify(w, circle)
             if action is not None and action.label == "shared-pair-shift":
-                action.follow = action.switched
+                action = action._replace(follow=action.switched)
                 planted.append(action.follow)
             return action
 

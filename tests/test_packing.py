@@ -452,7 +452,7 @@ class TestClassMachinery:
     def test_class_distances_are_symmetric_with_zero_diagonal(self):
         g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
         classes = negative_component_classes(g)
-        dist = class_distances(g, classes)
+        dist = class_distances(g, classes, math.inf)
         dense = dense_class_distances(g, classes)
         size = 2 * classes.m
         for a in range(size):
@@ -472,7 +472,7 @@ class TestClassMachinery:
         # The positive subgraph of an all-negative path is empty.
         g = path_graph(3, NEG)
         classes = negative_component_classes(g)
-        dist = class_distances(g, classes)
+        dist = class_distances(g, classes, math.inf)
         assert dist == {}
         assert dense_class_distances(g, classes)[0][1] == math.inf
 
@@ -483,7 +483,8 @@ class TestClassMachinery:
         if not negative or not edge_set_is_bipartite(g.n, negative):
             return
         classes = negative_component_classes(g)
-        capped = {pair: d for pair, d in class_distances(g, classes).items() if d <= limit}
+        full = class_distances(g, classes, math.inf)
+        capped = {pair: d for pair, d in full.items() if d <= limit}
         assert class_distances(g, classes, limit) == capped
 
     @given(split_negative_graphs(max_n=14))
@@ -498,14 +499,14 @@ class TestClassMachinery:
     def test_thresholds_are_distinct_ascending_finite(self):
         g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
         classes = negative_component_classes(g)
-        ws = thresholds(class_distances(g, classes))
+        ws = thresholds(class_distances(g, classes, math.inf))
         assert list(ws) == sorted(set(ws))
         assert all(isinstance(w, int) and w >= 1 for w in ws)
 
     def test_class_graph_mirror_closure(self):
         g = cycle_graph(6).negate_edges([(0, 1), (3, 4)])
         classes = negative_component_classes(g)
-        dist = class_distances(g, classes)
+        dist = class_distances(g, classes, math.inf)
         for w in thresholds(dist):
             cg = build_class_graph(classes, dist, w)
             assert cg.threshold == w
@@ -515,7 +516,7 @@ class TestClassMachinery:
     def test_digon_detection(self):
         g = cycle_graph(4).negate_edges([(0, 1)])
         classes = negative_component_classes(g)
-        dist = class_distances(g, classes)
+        dist = class_distances(g, classes, math.inf)
         last = build_class_graph(classes, dist, thresholds(dist)[-1])
         # at the largest threshold the two classes of the single component
         # are within reach of each other, closing a digon
@@ -567,7 +568,7 @@ class TestClassMachinery:
 
 def scan_sequence(g: SignedGraph):
     classes = negative_component_classes(g)
-    dist = class_distances(g, classes)
+    dist = class_distances(g, classes, math.inf)
     ws = thresholds(dist)
     graphs = [build_class_graph(classes, dist, w) for w in ws]
     return classes, dist, ws, graphs
