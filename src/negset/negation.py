@@ -236,23 +236,43 @@ class _Work:
 def _sweep(w: _Work, verts: Iterable[int], threshold: int, phase: str) -> None:
     """Switch the smallest vertex of negative degree >= threshold until none is left.
 
-    Each switch is logged as its own ``phase`` rewrite.  A switch changes negative
-    degrees only at the switched vertex and its neighbors, so a min-heap
-    that holds every violator (plus stale entries, dropped when popped) and
-    takes back just those vertices picks the same vertex as rescanning
-    ``verts`` for the smallest violator after every switch, at O(log n) per
-    switch instead of O(|verts|).
+    Each switch is logged as its own ``phase`` rewrite.  Every member must be
+    active with fewer than ``2 * threshold`` active neighbours, as both
+    callers guarantee: a switch then leaves its vertex below the threshold
+    and lowers the number of negative active edges, so the sweep ends.
+    Nothing else switches while it runs, so the members' negative degrees
+    are counted once into a dict, and after each switch one pass over the
+    switched vertex's row recounts it and moves each member neighbour's
+    count by one.  A min-heap holds every violator (plus stale entries,
+    dropped when popped); a neighbour is pushed only when its count went up
+    to the threshold or past it, since one whose count fell is in the heap
+    already if it violates.  So the sweep picks the same vertex as rescanning
+    ``verts`` for the smallest violator after every switch, at
+    O(deg + log n) per switch instead of O(|verts|).
     """
-    members = set(verts)
-    heap = [v for v in sorted(members) if w.neg_degree(v) >= threshold]
+    active, factor, rows = w.active, w.factor, w.rows
+    degree = {v: w.neg_degree(v) for v in verts}
+    heap = [v for v in sorted(degree) if degree[v] >= threshold]
     while heap:
         v = heapq.heappop(heap)
-        if w.neg_degree(v) < threshold:
+        if degree[v] < threshold:
             continue
         w.rewrite(phase, phase, (v,), False)
-        for x in (v, *(x for x, _ in w.rows[v])):
-            if x in members and w.neg_degree(x) >= threshold:
-                heapq.heappush(heap, x)
+        # edge vx is negative now exactly when s * factor[x] == -factor[v]
+        negative = -factor[v]
+        count = 0
+        for x, s in rows[v]:
+            if x not in active:
+                continue
+            if s * factor[x] == negative:
+                count += 1
+                if x in degree:
+                    degree[x] += 1
+                    if degree[x] >= threshold:
+                        heapq.heappush(heap, x)
+            elif x in degree:
+                degree[x] -= 1
+        degree[v] = count
 
 
 class _CircleIndex:
@@ -341,8 +361,12 @@ def _component_circles(nbrs: dict[int, list[int]]) -> tuple[tuple[int, ...], ...
     peeled first.  A 2-regular core is a disjoint union of cycles, each read
     off by one walk; a core vertex of negative degree three or more falls
     back to the exhaustive enumerator on the core alone.  Either way the
-    result equals ``_enumerate_circles`` on the whole component.
+    result equals ``_enumerate_circles`` on the whole component.  The
+    component is connected, so with fewer edges than vertices it is a tree
+    and has no circle to peel for.
     """
+    if sum(map(len, nbrs.values())) < 2 * len(nbrs):
+        return ()
     core = _negative_core(nbrs)
     if any(len(around) > 2 for around in core.values()):
         return _enumerate_circles(core, core.__getitem__)
@@ -686,10 +710,12 @@ def acyclic_negation(g: SignedGraph, trace: bool = False) -> AcyclicResult:
     core, batches = g.k_core(4)
     w = _Work(g)
     w.active |= core
-    if any(len(w.neighbors(v)) > 4 for v in core):
+    if g.max_degree() > 4 and any(len(w.neighbors(v)) > 4 for v in core):
         raise PreconditionError("the 4-core has a vertex of degree above four")
 
-    for comp in g.connected_components(core):
+    # with nothing peeled, the connected input is its own one core component
+    comps = (tuple(range(g.n)),) if core and not batches else g.connected_components(core)
+    for comp in comps:
         _solve_core_component(w, comp)
 
     for batch in reversed(batches):

@@ -255,6 +255,12 @@ def cascade_circulant(n: int = 100000) -> SignedGraph:
     return from_underlying(n, pairs, [(u, v) for u, v in pairs if (u + v) % 3 == 0])
 
 
+def negative_quartic(n: int = 100000, seed: int = 4) -> SignedGraph:
+    """An all-negative random 4-regular graph: two edge-disjoint Hamiltonian cycles, edges sorted."""
+    pairs = random_quartic_pairs(random.Random(seed), n)
+    return from_underlying(n, pairs, pairs)
+
+
 def switched_circulant(n: int = 100000, seed: int = 100) -> SignedGraph:
     """An all-positive C_n(1, 7) switched at a random vertex set: balanced, about half its edges negative."""
     rng = random.Random(seed)

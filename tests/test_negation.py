@@ -8,10 +8,12 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negset import (
     NEG,
@@ -38,7 +40,7 @@ from conftest import (
     edge_set_is_bipartite,
     subquartic_signed_graphs,
 )
-from corpus import complete_graph, cube_graph, cycle_graph, negate_all
+from corpus import circulant_pairs, complete_graph, cube_graph, cycle_graph, from_underlying, negate_all
 
 
 def assert_valid_acyclic(g: SignedGraph, result) -> None:
@@ -173,6 +175,28 @@ def test_constructions_build_no_resigned_copy(monkeypatch):
     assert answers() == expected
 
 
+@st.composite
+def connected_adjacencies(draw, max_n: int = 10):
+    """Adjacency lists of a connected graph on distinct labels: a tree, unicyclic or dense.
+
+    A random tree gets no extra edge, one, or between two and n; dense stops
+    at 2n - 1 edges, which keeps exhaustive circle enumeration small.
+    """
+    n = draw(st.integers(1, max_n))
+    labels = draw(st.permutations(range(3 * max_n)))[:n]
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pool = sorted(set(combinations(range(n), 2)) - pairs)
+    shape = draw(st.sampled_from(("tree", "unicyclic", "dense")))
+    if pool and shape != "tree":
+        size = min(len(pool), 1 if shape == "unicyclic" else draw(st.integers(2, n)))
+        pairs.update(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True)))
+    nbrs: dict[int, list[int]] = {labels[v]: [] for v in range(n)}
+    for u, v in pairs:
+        nbrs[labels[u]].append(labels[v])
+        nbrs[labels[v]].append(labels[u])
+    return nbrs
+
+
 class TestNegativeCircles:
     def test_enumeration_on_a_negative_clique(self):
         g = complete_graph(4, NEG)
@@ -185,6 +209,52 @@ class TestNegativeCircles:
         g = cycle_graph(5).negate_edges([(0, 1), (1, 2)])
         assert negative_circles(g) == ()
         assert negative_circles(cycle_graph(5, NEG)) == ((0, 1, 2, 3, 4),)
+
+    @given(connected_adjacencies())
+    def test_component_circles_agree_with_the_enumerator(self, nbrs):
+        assert negation._component_circles(nbrs) == negation._enumerate_circles(nbrs, nbrs.__getitem__)
+
+
+def rescanning_sweep(w, verts, threshold: int, phase: str) -> None:
+    """The sweep's specification: rescan every member for the smallest violator after each switch."""
+    members = sorted(verts)
+    while True:
+        v = next((v for v in members if w.neg_degree(v) >= threshold), None)
+        if v is None:
+            return
+        w.rewrite(phase, phase, (v,), False)
+
+
+def sweep_runs(g: SignedGraph, active, members, threshold: int) -> list:
+    """The log and factors of ``_sweep`` and of the reference, each from a fresh state."""
+    runs = []
+    for sweep in (negation._sweep, rescanning_sweep):
+        w = negation._Work(g)
+        w.active = set(active)
+        sweep(w, members, threshold, "reattach")
+        runs.append((w.log, w.factor))
+    return runs
+
+
+class TestSweep:
+    @given(subquartic_signed_graphs(max_n=12), st.sampled_from((2, 3)), st.data())
+    @settings(max_examples=120)
+    def test_sweep_matches_the_rescanning_reference(self, g, threshold, data):
+        active = data.draw(st.frozensets(st.sampled_from(range(g.n))))
+        # a switch lowers the active negative edge count only at active degree
+        # below 2 * threshold, and the reference may not terminate otherwise
+        eligible = [v for v in sorted(active) if sum(x in active for x in g.neighbors(v)) < 2 * threshold]
+        members = data.draw(st.frozensets(st.sampled_from(eligible))) if eligible else frozenset()
+        runs = sweep_runs(g, active, members, threshold)
+        assert runs[0] == runs[1]
+
+    def test_a_switched_vertex_is_recounted(self):
+        # 0 switches first and drops to no negative edge; switching 1 then
+        # gives it back one, which must not count on top of its old three
+        g = SignedGraph(6, [(0, 1, NEG), (0, 2, NEG), (0, 3, NEG), (1, 4, NEG), (1, 5, NEG)])
+        runs = sweep_runs(g, range(6), {0, 1}, 2)
+        assert runs[0] == runs[1]
+        assert [t.switched for t in runs[0][0]] == [(0,), (1,)]
 
 
 class TestAcyclicNegation:
@@ -214,6 +284,13 @@ class TestAcyclicNegation:
         g = complete_graph(6)
         with pytest.raises(PreconditionError, match="degree above four"):
             acyclic_negation(g)
+
+    def test_a_high_degree_vertex_outside_the_core_is_accepted(self):
+        # C_8(1, 2) plus a pendant on 0: degree five at 0, but the 4-core is 4-regular
+        pairs = circulant_pairs(8, 1, 2) + [(0, 8)]
+        g = from_underlying(9, pairs, pairs)
+        assert g.max_degree() == 5
+        assert_valid_acyclic(g, acyclic_negation(g))
 
     def test_all_negative_k5_is_detected(self):
         with pytest.raises(MinusK5Detected):
