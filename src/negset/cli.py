@@ -444,17 +444,38 @@ def _cmd_export_dot(g: SignedGraph, args, report: _Report) -> int:
     return EXIT_HOLDS
 
 
+_OPTIONS = {
+    "--edges": {"help": "edge list, e.g. 0-1,2-3 (default: the negative edges)"},
+    "--trace": {"action": "store_true", "help": "log every rewrite"},
+    "--packing": {"action": "store_true", "help": "color the packing family, one color per member"},
+}
+
+# command -> (handler, help, its options besides path, --json and --output).
+# Two options exclude each other: export-dot colours --edges or the packing family.
 _COMMANDS = {
-    "balance": _cmd_balance,
-    "negation-check": _cmd_negation_check,
-    "minimal": _cmd_minimal,
-    "certify-minimum": _cmd_certify_minimum,
-    "certify-unique": _cmd_certify_unique,
-    "acyclic": _cmd_acyclic,
-    "packing": _cmd_packing,
-    "frustration": _cmd_frustration,
-    "oracle-verify": _cmd_oracle_verify,
-    "export-dot": _cmd_export_dot,
+    "balance": (_cmd_balance, "decide balance; print the bipartition or a negative circle", ()),
+    "negation-check": (_cmd_negation_check, "test whether --edges is a negation set", ("--edges",)),
+    "minimal": (_cmd_minimal, "test whether --edges is a minimal negation set", ("--edges",)),
+    "certify-minimum": (
+        _cmd_certify_minimum,
+        "build a disjoint-triangle minimum certificate (complete graphs)",
+        ("--edges",),
+    ),
+    "certify-unique": (_cmd_certify_unique, "size-bound uniqueness test (complete graphs)", ("--edges",)),
+    "acyclic": (_cmd_acyclic, "construct an acyclic negation set (max degree 4)", ("--trace",)),
+    "packing": (_cmd_packing, "exact packing number with a witnessing family", ()),
+    "frustration": (
+        _cmd_frustration,
+        "brute-force frustration index (per component; its columns must fit "
+        f"{oracle.COLUMN_BITS >> 23} MiB)",
+        (),
+    ),
+    "oracle-verify": (_cmd_oracle_verify, "cross-check fast paths against brute force on this input", ()),
+    "export-dot": (
+        _cmd_export_dot,
+        "emit DOT (positive solid, negative dashed red)",
+        ("--edges", "--packing"),
+    ),
 }
 
 
@@ -467,38 +488,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "and packing numbers of signed graphs (.sg files).",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    specs = {
-        "balance": "decide balance; print the bipartition or a negative circle",
-        "negation-check": "test whether --edges is a negation set",
-        "minimal": "test whether --edges is a minimal negation set",
-        "certify-minimum": "build a disjoint-triangle minimum certificate (complete graphs)",
-        "certify-unique": "size-bound uniqueness test (complete graphs)",
-        "acyclic": "construct an acyclic negation set (max degree 4)",
-        "packing": "exact packing number with a witnessing family",
-        "frustration": "brute-force frustration index (per component; its columns must fit "
-        f"{oracle.COLUMN_BITS >> 23} MiB)",
-        "oracle-verify": "cross-check fast paths against brute force on this input",
-        "export-dot": "emit DOT (positive solid, negative dashed red)",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("path", help=".sg input file")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--output", "-o", help="write the report to a file")
-        # export-dot colours either --edges or the packing family, not both
-        choice = p.add_mutually_exclusive_group() if name == "export-dot" else p
-        if name in {"negation-check", "minimal", "certify-minimum", "certify-unique", "export-dot"}:
-            choice.add_argument(
-                "--edges",
-                help="edge list, e.g. 0-1,2-3 (default: the negative edges)",
-            )
-        if name == "acyclic":
-            p.add_argument("--trace", action="store_true", help="log every rewrite")
-        if name == "export-dot":
-            choice.add_argument(
-                "--packing", action="store_true",
-                help="color the packing family, one color per member",
-            )
+        choice = p.add_mutually_exclusive_group() if len(options) > 1 else p
+        for flag in options:
+            choice.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -529,7 +526,7 @@ def _run(argv: Sequence[str] | None) -> int:
         return EXIT_USAGE
     report = _Report(args.command)
     try:
-        code = _COMMANDS[args.command](g, args, report)
+        code = _COMMANDS[args.command][0](g, args, report)
         report.emit(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -281,19 +281,20 @@ class _CircleIndex:
     Circles lie inside components of the negative subgraph, so the index
     labels every vertex with its negative component's smallest vertex and
     keeps each component's circles under that label, plus one min-heap of
-    every circle under :func:`_circle_order` whose entries go stale (and
-    are dropped when they reach the top) once their component is
-    recomputed.  A rewrite changes signs only on edges at the vertices it
-    switches, so every negative component it changes holds one of those
-    vertices or their neighbours, which :meth:`_Work.rewrite` adds to
-    ``dirty``.  :meth:`refresh` drops the old components of the dirty
-    vertices and reads the new ones off by a walk from each, so a pass costs
-    the size of the components it touched rather than of the whole core.
-    ``verts`` must be closed under active adjacency (a component), so the
-    only other vertices a rewrite in it marks are inactive; every vertex
-    starts dirty.  Each query takes the :class:`_Work` whose signs it reads:
-    the work state holds the index and not the other way round, so the two
-    form no reference cycle.
+    each component's least circle under :func:`_circle_order` (the only one
+    :meth:`first` can return) whose entries go stale (and are dropped when
+    they reach the top) once their component is recomputed.  A rewrite
+    changes signs only on edges at the vertices it switches, so every
+    negative component it changes holds one of those vertices or their
+    neighbours, which :meth:`_Work.rewrite` adds to ``dirty``.
+    :meth:`refresh` drops the old components of the dirty vertices and reads
+    the new ones off by a walk from each, so a pass costs the size of the
+    components it touched rather than of the whole core.  ``verts`` must be
+    closed under active adjacency (a component), so the only other vertices
+    a rewrite in it marks are inactive; every vertex starts dirty.  Each
+    query takes the :class:`_Work` whose signs it reads: the work state
+    holds the index and not the other way round, so the two form no
+    reference cycle.
     """
 
     __slots__ = ("label", "by_label", "heap", "dirty", "stamp")
@@ -332,8 +333,7 @@ class _CircleIndex:
             if found:
                 self.stamp += 1
                 by_label[root] = self.stamp, found
-                for circle in found:
-                    heapq.heappush(self.heap, (_circle_order(circle), self.stamp, root))
+                heapq.heappush(self.heap, (_circle_order(found[0]), self.stamp, root))
         dirty.clear()
 
     def first(self, w: _Work) -> tuple[int, ...] | None:
@@ -357,35 +357,28 @@ class _CircleIndex:
 def _component_circles(nbrs: dict[int, list[int]]) -> tuple[tuple[int, ...], ...]:
     """The circles of one negative component, given as adjacency lists, canonical and sorted.
 
-    Circles live in the 2-core, so vertices of negative degree below two are
-    peeled first.  A 2-regular core is a disjoint union of cycles, each read
-    off by one walk; a core vertex of negative degree three or more falls
-    back to the exhaustive enumerator on the core alone.  Either way the
-    result equals ``_enumerate_circles`` on the whole component.  The
-    component is connected, so with fewer edges than vertices it is a tree
-    and has no circle to peel for.
+    With fewer edges than vertices the connected component is a tree.
+    Otherwise its 2-core, left by peeling vertices of negative degree below
+    two, is not empty and, as peeling a leaf keeps a graph connected, still
+    connected: one cycle, read off by one walk, when every core degree is
+    two.  A core vertex of negative degree three or more falls back to the
+    exhaustive enumerator on the core alone.  Either way the result equals
+    ``_enumerate_circles`` on the whole component.
     """
     if sum(map(len, nbrs.values())) < 2 * len(nbrs):
         return ()
     core = _negative_core(nbrs)
     if any(len(around) > 2 for around in core.values()):
         return _enumerate_circles(core, core.__getitem__)
-    circles = []
-    seen: set[int] = set()
-    for root in sorted(core):
-        if root in seen:
-            continue
-        # root is the cycle's smallest vertex; walk toward its smaller neighbor
-        seen.add(root)
-        circle = [root]
-        prev, cur = root, min(core[root])
-        while cur != root:
-            seen.add(cur)
-            circle.append(cur)
-            a, b = core[cur]
-            prev, cur = cur, b if a == prev else a
-        circles.append(tuple(circle))
-    return tuple(sorted(circles, key=_circle_order))
+    # root is the cycle's smallest vertex; walk toward its smaller neighbor
+    root = min(core)
+    circle = [root]
+    prev, cur = root, min(core[root])
+    while cur != root:
+        circle.append(cur)
+        a, b = core[cur]
+        prev, cur = cur, b if a == prev else a
+    return (tuple(circle),)
 
 
 def _negative_core(nbrs: dict[int, list[int]]) -> dict[int, list[int]]:

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -649,6 +650,56 @@ class TestParserReuse:
         assert got == expected
 
 
+# The option surface, kept literal rather than read from cli._COMMANDS, so
+# that a wrong row of the command table fails here.
+_ALL_COMMANDS = (
+    "balance",
+    "negation-check",
+    "minimal",
+    "certify-minimum",
+    "certify-unique",
+    "acyclic",
+    "packing",
+    "frustration",
+    "oracle-verify",
+    "export-dot",
+)
+_EDGE_COMMANDS = {"negation-check", "minimal", "certify-minimum", "certify-unique", "export-dot"}
+#: option -> (its arguments on the command line, its parsed value, the commands that take it)
+_OPTION_SURFACE = {
+    "edges": (["--edges", "0-1"], "0-1", _EDGE_COMMANDS),
+    "trace": (["--trace"], True, {"acyclic"}),
+    "packing": (["--packing"], True, {"export-dot"}),
+}
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("option", _OPTION_SURFACE)
+    @pytest.mark.parametrize("command", _ALL_COMMANDS)
+    def test_an_option_parses_for_exactly_its_commands(self, capsys, command, option):
+        flags, value, takers = _OPTION_SURFACE[option]
+        argv = [command, "input.sg", *flags]
+        if command in takers:
+            assert getattr(cli._build_parser().parse_args(argv), option) == value
+            return
+        with pytest.raises(SystemExit) as info:
+            cli._build_parser().parse_args(argv)
+        assert info.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+    def test_top_level_help_lists_every_command_beside_its_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert sorted(cli._COMMANDS) == sorted(_ALL_COMMANDS)
+        for command in _ALL_COMMANDS:
+            help_text = cli._COMMANDS[command][1]
+            # argparse moves the help below a long command name
+            assert re.search(rf"^ +{re.escape(command)}\s+{re.escape(help_text)}$", out, re.M), command
+
+
 class TestExportDot:
     def test_sign_styles(self, capsys, c5_one_negative):
         assert main(["export-dot", c5_one_negative]) == EXIT_HOLDS
@@ -812,7 +863,7 @@ class TestErrorHandling:
         def broken(g, args, report):
             raise RuntimeError("no such case")
 
-        monkeypatch.setitem(cli._COMMANDS, "balance", broken)
+        monkeypatch.setitem(cli._COMMANDS, "balance", (broken, *cli._COMMANDS["balance"][1:]))
         assert main(["balance", c5_one_negative]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -896,7 +947,7 @@ class TestCollectorPause:
         def broken(g, args, report):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._COMMANDS, "balance", broken)
+        monkeypatch.setitem(cli._COMMANDS, "balance", (broken, *cli._COMMANDS["balance"][1:]))
         return ["balance", write_sg(cycle_graph(4))], code
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -917,7 +968,7 @@ class TestCollectorPause:
             seen.append(gc.isenabled())
             return EXIT_HOLDS
 
-        monkeypatch.setitem(cli._COMMANDS, "balance", probe)
+        monkeypatch.setitem(cli._COMMANDS, "balance", (probe, *cli._COMMANDS["balance"][1:]))
         was = gc.isenabled()
         gc.enable()
         try:
@@ -931,7 +982,6 @@ class TestCollectorPause:
 # -- fuzz ------------------------------------------------------------------------
 
 _SG_TOKENS = ["p", "sg", "e", "c", "+", "-", "0", "1", "2", "3", "7", "8", "9", "-1", "2.5", "x"]
-_EDGE_COMMANDS = {"negation-check", "minimal", "certify-minimum", "certify-unique", "export-dot"}
 _EDGE_SPECS = st.one_of(
     st.lists(
         st.tuples(st.integers(-1, 9), st.integers(-1, 9)), min_size=1, max_size=4

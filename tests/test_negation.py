@@ -3,6 +3,7 @@ antibalanced graphs, and the acyclic (forest) construction for max degree 4."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import os
 import random
@@ -12,7 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from negset import (
@@ -31,6 +32,7 @@ from negset import (
     switching_for_negation_set,
 )
 from negset import negation, oracle, verify
+from negset.graph import edge_key
 from negset.negation import negative_circles
 from negset.sgio import load_path
 
@@ -197,6 +199,20 @@ def connected_adjacencies(draw, max_n: int = 10):
     return nbrs
 
 
+#: The cycle 3-7-5-9 with a tree hung at 7 and a path hung at 9: its one circle is (3, 7, 5, 9).
+PENDANT_CYCLE = {
+    3: [7, 9],
+    7: [3, 5, 1],
+    5: [7, 9],
+    9: [5, 3, 4],
+    1: [7, 0, 2],
+    0: [1],
+    2: [1],
+    4: [9, 6],
+    6: [4],
+}
+
+
 class TestNegativeCircles:
     def test_enumeration_on_a_negative_clique(self):
         g = complete_graph(4, NEG)
@@ -211,8 +227,83 @@ class TestNegativeCircles:
         assert negative_circles(cycle_graph(5, NEG)) == ((0, 1, 2, 3, 4),)
 
     @given(connected_adjacencies())
+    @example(PENDANT_CYCLE)
     def test_component_circles_agree_with_the_enumerator(self, nbrs):
         assert negation._component_circles(nbrs) == negation._enumerate_circles(nbrs, nbrs.__getitem__)
+
+
+@contextlib.contextmanager
+def checked_first():
+    """Check every ``_CircleIndex.first`` answer against the least of ``every``; yield the answers."""
+    answers = []
+    first = negation._CircleIndex.first
+
+    def checked(index, w):
+        circle = first(index, w)
+        assert circle == min(index.every(w), key=negation._circle_order, default=None)
+        answers.append(circle)
+        return circle
+
+    negation._CircleIndex.first = checked
+    try:
+        yield answers
+    finally:
+        negation._CircleIndex.first = first
+
+
+@st.composite
+def quartic_signed_graphs(draw, max_n: int = 14):
+    """A connected 4-regular signing with n <= max_n.
+
+    C_n(1, d) under a random labelling, rewired by double-edge swaps (ab, ce
+    become ac, be where neither is an edge yet), then signed all negative,
+    negative on what is left of its step-1 cycle, or at random.  Random
+    subquartic graphs this small almost never keep a 4-core, so they never
+    reach the main phase of the acyclic construction, which reads the circle
+    index.
+    """
+    n = draw(st.integers(5, max_n))
+    label = draw(st.permutations(range(n)))
+    d = draw(st.integers(2, (n - 1) // 2))
+    edges = {edge_key(label[u], label[v]) for u, v in circulant_pairs(n, 1, d)}
+    for _ in range(draw(st.integers(0, n))):
+        (a, b), (c, e) = draw(st.lists(st.sampled_from(sorted(edges)), min_size=2, max_size=2, unique=True))
+        if draw(st.booleans()):
+            c, e = e, c
+        new = {edge_key(a, c), edge_key(b, e)}
+        if len({a, b, c, e}) == 4 and not new & edges:
+            edges ^= {(a, b), edge_key(c, e), *new}
+    pairs = sorted(edges)
+    shape = draw(st.sampled_from(("all", "cycle", "random")))
+    if shape == "all":
+        negative = pairs
+    elif shape == "cycle":
+        cycle = {edge_key(label[v - 1], label[v]) for v in range(n)}
+        negative = [p for p in pairs if p in cycle]
+    else:
+        negative = [p for p in pairs if draw(st.booleans())]
+    g = from_underlying(n, pairs, negative)
+    assume(g.is_connected())
+    return g
+
+
+GOLDEN_ACYCLIC = sorted(
+    p.stem.removeprefix("acyclic-") for p in (Path(__file__).parent / "golden").glob("acyclic-*.json")
+)
+
+
+class TestCircleIndex:
+    def test_first_is_the_least_circle_on_every_golden_input(self):
+        with checked_first() as answers:
+            for stem in GOLDEN_ACYCLIC:
+                acyclic_negation(golden_graph(stem))
+        assert any(circle is not None for circle in answers)
+
+    @given(quartic_signed_graphs(max_n=14))
+    @settings(max_examples=200)
+    def test_first_is_the_least_circle(self, g):
+        with checked_first():
+            acyclic_unless_minus_k5(g)
 
 
 def rescanning_sweep(w, verts, threshold: int, phase: str) -> None:
