@@ -54,7 +54,7 @@ def check_balance(g: SignedGraph) -> BalanceResult:
     color, conflict, circle, _ = _two_color(g.signed_rows())
     if conflict:
         try:
-            negative = g.circle_sign(circle) == NEG
+            negative = g.circle_edges(circle)[1] == NEG
         except ValueError:
             negative = False
         if not negative:
@@ -159,7 +159,7 @@ def switching_equivalent(g: SignedGraph, h: SignedGraph) -> bool:
     product signing, negative where the two disagree, is balanced.  Raises
     :class:`PreconditionError` when the underlying graphs differ.
     """
-    if not g.underlying_matches(h):
+    if g.n != h.n or g.edge_pairs() != h.edge_pairs():
         raise PreconditionError("graphs have different underlying edge sets")
     return not product_coloring(g, h.negative_edges())[1]
 

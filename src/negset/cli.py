@@ -418,7 +418,7 @@ def export_dot(g: SignedGraph, annotations: Sequence[frozenset[Edge]] = ()) -> s
         for e in member:
             color_of[edge_key(*e)] = color
     lines = ["graph signed {"]
-    for v in g.vertices():
+    for v in range(g.n):
         lines.append(f"  {v};")
     for u, v, s in g.edges():
         attrs = ["style=solid"] if s != NEG else ["style=dashed", "color=red"]

@@ -115,9 +115,6 @@ class SignedGraph:
     def edge_count(self) -> int:
         return self._m
 
-    def vertices(self) -> range:
-        return range(self._n)
-
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """All edges as sorted ``(u, v, sign)`` triples, lexicographic."""
         return tuple((u, w, s) for u, row in enumerate(self._rows) for w, s in row if u < w)
@@ -125,34 +122,12 @@ class SignedGraph:
     def edge_pairs(self) -> tuple[Edge, ...]:
         return tuple((u, w) for u, row in enumerate(self._rows) for w, _ in row if u < w)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return row_sign(self._rows, u, v) != 0
-
-    def sign(self, u: int, v: int) -> int:
-        """Sign of edge uv; raises if uv is not an edge."""
-        s = row_sign(self._rows, u, v)
-        if not s:
-            raise ValueError(f"({u}, {v}) is not an edge")
-        return s
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(w for w, _ in self._rows[v])
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._rows[v])
-
     def signed_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex ``(neighbour, sign)`` pairs in neighbour order.
 
         The graph's one adjacency, which every neighbourhood query reads.
         """
         return self._rows
-
-    def negative_neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(w for w, s in self._rows[v] if s == NEG)
 
     def max_degree(self) -> int:
         return max(map(len, self._rows), default=0)
@@ -171,14 +146,6 @@ class SignedGraph:
     def built_negative_edges(self) -> frozenset[Edge] | None:
         """E⁻ if :meth:`negative_edges` has already built it, else ``None``; builds nothing."""
         return self._negative
-
-    def underlying_matches(self, other: "SignedGraph") -> bool:
-        """Same vertex count and same edge set, signs ignored."""
-        return self._n == other._n and self.edge_pairs() == other.edge_pairs()
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self._n):
-            raise ValueError(f"vertex {v} outside 0..{self._n - 1}")
 
     # -- value semantics -------------------------------------------------------
 
@@ -242,10 +209,6 @@ class SignedGraph:
             sign *= s
         return frozenset(edges), sign
 
-    def circle_sign(self, cycle: Sequence[int]) -> int:
-        """The sign of :meth:`circle_edges`."""
-        return self.circle_edges(cycle)[1]
-
     # -- subgraphs --------------------------------------------------------------
 
     def induced(self, vertices: Iterable[int]) -> "SignedGraph":
@@ -257,7 +220,8 @@ class SignedGraph:
         """
         to_host = sorted(set(vertices))
         for v in to_host:
-            self._check_vertex(v)
+            if not 0 <= v < self._n:
+                raise ValueError(f"vertex {v} outside 0..{self._n - 1}")
         from_host = {v: i for i, v in enumerate(to_host)}
         rows = self._rows
         edges = [

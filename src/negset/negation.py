@@ -107,7 +107,8 @@ def negative_circles(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
     tests call it.  The acyclic construction searches the negative 2-core
     instead.
     """
-    return _enumerate_circles(range(g.n), g.negative_neighbors)
+    rows = g.signed_rows()
+    return _enumerate_circles(range(g.n), lambda v: [w for w, s in rows[v] if s == NEG])
 
 
 def _enumerate_circles(verts: Iterable[int], nbrs) -> tuple[tuple[int, ...], ...]:
@@ -225,9 +226,6 @@ class _Work:
         want = factor[v]
         return [w for w, s in self.rows[v] if w in active and s * factor[w] == want]
 
-    def neg_degree(self, v: int) -> int:
-        return len(self.neg_neighbors(v))
-
     def edge_sign(self, u: int, v: int) -> int:
         """The current sign of host edge uv; 0 when uv is no edge."""
         return row_sign(self.rows, u, v) * self.factor[u] * self.factor[v]
@@ -251,7 +249,7 @@ def _sweep(w: _Work, verts: Iterable[int], threshold: int, phase: str) -> None:
     O(deg + log n) per switch instead of O(|verts|).
     """
     active, factor, rows = w.active, w.factor, w.rows
-    degree = {v: w.neg_degree(v) for v in verts}
+    degree = {v: len(w.neg_neighbors(v)) for v in verts}
     heap = [v for v in sorted(degree) if degree[v] >= threshold]
     while heap:
         v = heapq.heappop(heap)
@@ -447,7 +445,7 @@ def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
 
     # a circle vertex with extra negative edges: switch it alone
     for v in sorted(cset):
-        if w.neg_degree(v) >= 3:
+        if len(w.neg_neighbors(v)) >= 3:
             return _Action("high-negative-degree", (v,), True)
 
     # a chord (necessarily positive): switch both of its ends
@@ -472,7 +470,7 @@ def _classify(w: _Work, circle: tuple[int, ...]) -> _Action | None:
         for z in pos_of[v]:
             neighbor_anchors.setdefault(z, v)
     for z in sorted(neighbor_anchors):
-        if w.neg_degree(z) >= 2:
+        if len(w.neg_neighbors(z)) >= 2:
             return _Action("attached-positive-neighbor", (z, neighbor_anchors[z]), True)
 
     ordered = sorted(cset)

@@ -57,7 +57,7 @@ class TestCheckBalance:
         circle = result.negative_circle
         assert circle is not None
         assert len(set(circle)) == len(circle) >= 3
-        assert g.circle_sign(circle) == NEG
+        assert g.circle_edges(circle)[1] == NEG
 
     def test_bipartition_realizes_balance(self):
         # Switching the left side must make every edge positive.
@@ -84,7 +84,7 @@ class TestCheckBalance:
         if result.balanced:
             assert not g.switch(result.bipartition.left).negative_edges()
         else:
-            assert g.circle_sign(result.negative_circle) == NEG
+            assert g.circle_edges(result.negative_circle)[1] == NEG
 
 
 class TestYesNoAnswersBuildNoResults:
@@ -140,6 +140,9 @@ class TestSwitchingInvariance:
 
         with pytest.raises(PreconditionError, match="underlying"):
             switching_equivalent(cycle_graph(4), path_graph(4))
+        # the same edges plus an isolated vertex
+        with pytest.raises(PreconditionError, match="underlying"):
+            switching_equivalent(cycle_graph(4), SignedGraph(5, cycle_graph(4).edges()))
 
     def test_antibalance(self):
         assert is_antibalanced(cycle_graph(4, NEG))

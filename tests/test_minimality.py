@@ -95,9 +95,9 @@ class TestDisjointCircleCertificate:
     def test_rejects_positive_circle(self):
         g = complete_graph(6).negate_edges([(0, 1), (2, 3)])
         cert = [(0, 1, 4), (2, 5, 3)]  # second triangle has two negatives? no, zero
-        assert g.circle_sign((2, 5, 3)) == NEG  # touches (2,3) once: negative
+        assert g.circle_edges((2, 5, 3))[1] == NEG  # touches (2,3) once: negative
         bad = [(0, 1, 4), (4, 5, 2)]  # all-positive triangle
-        assert g.circle_sign((4, 5, 2)) == POS
+        assert g.circle_edges((4, 5, 2))[1] == POS
         assert not verify_disjoint_circle_certificate(g, [(0, 1), (2, 3)], bad)
 
     def test_rejects_shared_edges(self):
@@ -149,7 +149,7 @@ class TestTriangleCertificate:
         cert = triangle_certificate_for_complete(g, [(0, 1), (2, 3)])
         assert cert is not None and len(cert) == 2
         for tri in cert:
-            assert g.circle_sign(tri) == NEG
+            assert g.circle_edges(tri)[1] == NEG
 
     def test_returns_none_when_spares_run_out(self):
         # A 5-vertex star of negative edges from vertex 0 covers every spare.
@@ -235,7 +235,7 @@ class TestEdgeColoring:
         coloring = misra_gries_edge_coloring(g.n, edges)
         assert set(coloring) == set(edges)
         # proper at every vertex
-        for v in g.vertices():
+        for v in range(g.n):
             incident = [coloring[e] for e in edges if v in e]
             assert len(incident) == len(set(incident))
         # Vizing bound

@@ -248,7 +248,7 @@ def split_negative_graphs(draw, max_n: int = 9):
 def dense_class_distances(g: SignedGraph, classes) -> list[list[float]]:
     """Reference 2m × 2m matrix: one plain BFS per class over the positive
     edges, then the least distance to each class; ``inf`` when not joined."""
-    adjacency: dict[int, list[int]] = {v: [] for v in g.vertices()}
+    adjacency: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for u, v in g.positive_edges():
         adjacency[u].append(v)
         adjacency[v].append(u)
@@ -271,7 +271,7 @@ def contracted_reference(g: SignedGraph, classes) -> float:
     class contracted to one node and every class-free vertex a node of its own."""
     flat = classes.flat()
     node_of = {v: idx for idx, cls in enumerate(flat) for v in cls}
-    for v in g.vertices():
+    for v in range(g.n):
         node_of.setdefault(v, len(flat) + v)
     adjacency: dict[int, set[int]] = {node: set() for node in node_of.values()}
     for u, v in g.positive_edges():
